@@ -12,61 +12,14 @@ which downstream translation code relies on.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .cohomology import Cochain3, zero_cochain3
+from .crossed import AxiomCheck, AxiomReport
 from .errors import NotStrict, ShapeMismatch
 from .groups import GammaModule, trivial_group
-
-_WITNESS_CAP = 16
-
-
-class CatAxiomCheck:
-    __slots__ = ("key", "ok", "fail_count", "witnesses")
-
-    def __init__(self, key, ok, fail_count=0, witnesses=()):
-        self.key = key
-        self.ok = bool(ok)
-        self.fail_count = int(fail_count)
-        self.witnesses = tuple(witnesses)
-
-    @property
-    def first_witness(self):
-        return self.witnesses[0] if self.witnesses else None
-
-    def __repr__(self):
-        return f"{self.key}: {'ok' if self.ok else f'FAIL x{self.fail_count} @ {self.first_witness}'}"
-
-
-class CatAxiomReport:
-    def __init__(self, entries):
-        self.entries = list(entries)
-
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-    def failed(self):
-        return [e for e in self.entries if not e.ok]
-
-    def first_failure(self):
-        for e in self.entries:
-            if not e.ok:
-                return (e.key, e.first_witness)
-        return None
-
-    def __getitem__(self, key):
-        for e in self.entries:
-            if e.key == key:
-                return e
-        raise KeyError(key)
-
-    def __repr__(self):
-        bad = self.failed()
-        if not bad:
-            return f"CatAxiomReport(ok, {len(self.entries)} checks)"
-        return "CatAxiomReport(" + "; ".join(repr(e) for e in bad) + ")"
-
 
 class GradedCatGroup:
     """Finite graded monoidal groupoid data; all tables are numpy arrays."""
@@ -332,19 +285,26 @@ def _gather(table, *idx):
     return np.where(bad, -1, out)
 
 
-def _entry(key, ok_mask, witness_arrays):
+def _entry(key, ok_mask, witness_arrays=None):
+    """The check of an axiom from its mask of passing instances.  A
+    witness is the index tuple of a failing instance, or the values of
+    witness_arrays (each shaped like ok_mask) there."""
     ok_mask = np.asarray(ok_mask)
     if ok_mask.all():
-        return CatAxiomCheck(key, True)
+        return AxiomCheck(key)
     bad = np.argwhere(~ok_mask)
-    count = len(bad)
-    wit = []
-    for row in bad[:_WITNESS_CAP]:
-        if witness_arrays is None:
-            wit.append(tuple(int(v) for v in row))
-        else:
-            wit.append(tuple(int(w[tuple(row)]) for w in witness_arrays))
-    return CatAxiomCheck(key, False, count, wit)
+    if witness_arrays is None:
+        wit = (tuple(int(v) for v in row) for row in bad)
+    else:
+        wit = (tuple(int(w[tuple(row)]) for w in witness_arrays) for row in bad)
+    return AxiomCheck(key, wit, len(bad))
+
+
+def _merge(key, checks):
+    """One check from the checks of consecutive chunks of an axiom's scan."""
+    checks = list(checks)
+    return AxiomCheck(key, chain.from_iterable(c.witnesses for c in checks),
+                      sum(c.fail_count for c in checks))
 
 
 def check_axioms(G: GradedCatGroup, symmetric=False):
@@ -379,26 +339,18 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("identity-laws", ok, [mors]))
 
     # associativity over composable triples
-    assoc_entries_ok = True
-    assoc_count = 0
-    assoc_wit = []
+    chunks = []
     for hmor in range(n):
         gmask = comp[hmor, gsel] >= 0
         if not gmask.any():
             continue
         gsub, fsub = gsel[gmask], fsel[gmask]
-        lhs = _gather(comp, np.full(len(gsub), hmor), comp[gsub, fsub])
-        rhs = _gather(comp, comp[np.full(len(gsub), hmor), gsub], fsub)
-        ok = (lhs == rhs) & (lhs >= 0)
-        if not ok.all():
-            assoc_entries_ok = False
-            bad = np.nonzero(~ok)[0]
-            assoc_count += len(bad)
-            for i in bad[:_WITNESS_CAP]:
-                if len(assoc_wit) < _WITNESS_CAP:
-                    assoc_wit.append((hmor, int(gsub[i]), int(fsub[i])))
-    entries.append(CatAxiomCheck("composition-associative", assoc_entries_ok,
-                                 assoc_count, assoc_wit))
+        hsub = np.full(len(gsub), hmor)
+        lhs = _gather(comp, hsub, comp[gsub, fsub])
+        rhs = _gather(comp, comp[hsub, gsub], fsub)
+        chunks.append(_entry("composition-associative",
+                             (lhs == rhs) & (lhs >= 0), [hsub, gsub, fsub]))
+    entries.append(_merge("composition-associative", chunks))
 
     entries.append(_entry("inverses", G.inv >= 0, [mors]))
 
@@ -416,9 +368,7 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("tensor-identities", ok, None))
 
     # interchange: (g o f) (x) (g' o f') == (g (x) g') o (f (x) f')
-    inter_ok = True
-    inter_count = 0
-    inter_wit = []
+    chunks = []
     pair_groups = {}
     for g, f in zip(gsel, fsel):
         pair_groups.setdefault((int(GRD[g]), int(GRD[f])), []).append((g, f))
@@ -429,17 +379,10 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         lhs = _gather(tmor, carr[:, None], carr[None, :])
         rhs = _gather(comp, tmor[garr[:, None], garr[None, :]],
                       tmor[farr[:, None], farr[None, :]])
-        ok = (lhs == rhs) & (lhs >= 0)
-        if not ok.all():
-            inter_ok = False
-            bad = np.argwhere(~ok)
-            inter_count += len(bad)
-            for i, j in bad[:_WITNESS_CAP]:
-                if len(inter_wit) < _WITNESS_CAP:
-                    inter_wit.append((int(garr[i]), int(farr[i]),
-                                      int(garr[j]), int(farr[j])))
-    entries.append(CatAxiomCheck("tensor-interchange", inter_ok,
-                                 inter_count, inter_wit))
+        chunks.append(_entry("tensor-interchange", (lhs == rhs) & (lhs >= 0),
+                             np.broadcast_arrays(garr[:, None], farr[:, None],
+                                                 garr[None, :], farr[None, :])))
+    entries.append(_merge("tensor-interchange", chunks))
 
     x2 = objs[:, None]
     y2 = objs[None, :]
@@ -503,22 +446,12 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
 
     # naturality, grouped by grade
     def grouped(key, fn):
-        ok_all = True
-        count = 0
-        wits = []
+        chunks = []
         for s in range(G.gamma.order):
             sel = np.nonzero(GRD == s)[0]
-            if not len(sel):
-                continue
-            ok, tup = fn(sel, s)
-            if not ok.all():
-                ok_all = False
-                bad = np.argwhere(~ok)
-                count += len(bad)
-                for row in bad[:_WITNESS_CAP]:
-                    if len(wits) < _WITNESS_CAP:
-                        wits.append(tuple(int(t[i]) for t, i in zip(tup, row)))
-        entries.append(CatAxiomCheck(key, ok_all, count, wits))
+            if len(sel):
+                chunks.append(_entry(key, *fn(sel, s)))
+        entries.append(_merge(key, chunks))
 
     def nat_assoc(sel, s):
         u = sel[:, None, None]
@@ -528,16 +461,14 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
                       _gather(tmor, tmor[u, v], w))
         rhs = _gather(comp, _gather(tmor, u, tmor[v, w]),
                       aset[SRC[u], SRC[v], SRC[w]])
-        return ((lhs == rhs) & (lhs >= 0)).ravel(), \
-            tuple(a.ravel() for a in np.broadcast_arrays(u, v, w))
+        return (lhs == rhs) & (lhs >= 0), np.broadcast_arrays(u, v, w)
 
     def nat_braid(sel, s):
         u = sel[:, None]
         v = sel[None, :]
         lhs = _gather(comp, cset[TGT[u], TGT[v]], tmor[u, v])
         rhs = _gather(comp, tmor[v, u], cset[SRC[u], SRC[v]])
-        return ((lhs == rhs) & (lhs >= 0)).ravel(), \
-            tuple(a.ravel() for a in np.broadcast_arrays(u, v))
+        return (lhs == rhs) & (lhs >= 0), np.broadcast_arrays(u, v)
 
     def nat_lunit(sel, s):
         lhs = _gather(comp, lset[TGT[sel]], _gather(tmor, np.full(len(sel), uI[s]), sel))
@@ -568,7 +499,7 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         lhs = _gather(comp, cset[y2, x2], cset[x2, y2])
         entries.append(_entry("symmetry", (lhs == idm[tob[x2, y2]]) & (lhs >= 0), None))
 
-    return CatAxiomReport(entries)
+    return AxiomReport(entries)
 
 
 def ker(G: GradedCatGroup):

@@ -41,7 +41,7 @@ class InputError(Exception):
     pass
 
 
-def _load_scenario(path, kind):
+def _read_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -55,49 +55,51 @@ def _load_scenario(path, kind):
         raise InputError("scenario must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    return obj
+
+
+def _load_scenario(path, kind):
+    obj = _read_scenario(path)
     if obj.get("kind") != kind:
         raise InputError(f"scenario kind {obj.get('kind')!r} does not match "
                          f"subcommand {kind!r}")
-    return obj.get("inputs", {}), obj.get("options", {})
+    inputs, options = obj.get("inputs", {}), obj.get("options", {})
+    if not (isinstance(inputs, dict) and isinstance(options, dict)):
+        raise InputError("inputs and options must be JSON objects")
+    return inputs, options
 
 
-def _group(obj, name):
+def _decode(inputs, name, build):
+    """build(inputs[name]); a missing or malformed value is an InputError
+    that names its path in the scenario."""
+    if name not in inputs:
+        raise InputError(f"inputs.{name}: missing")
     try:
-        return FiniteGroup(obj["table"])
+        return build(inputs[name])
     except KeyError as exc:
-        raise InputError(f"{name}: missing field {exc}") from exc
-    except XmodcatError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+        raise InputError(f"inputs.{name}: missing field {exc}") from exc
+    except (XmodcatError, TypeError, ValueError) as exc:
+        raise InputError(f"inputs.{name}: {exc}") from exc
 
 
-def _module(obj):
-    try:
-        return BraidedGammaCrossedModule.from_json(obj)
-    except KeyError as exc:
-        raise InputError(f"module: missing field {exc}") from exc
-    except XmodcatError as exc:
-        raise InputError(f"module: {exc}") from exc
+def _group(obj):
+    return FiniteGroup(obj["table"])
 
 
-def _gamma_module(obj, gamma, name):
-    grp = _group(obj, name)
-    try:
-        act = GammaAction(gamma, grp, obj["act"])
-        return GammaModule(grp, act)
-    except KeyError as exc:
-        raise InputError(f"{name}: missing field {exc}") from exc
-    except XmodcatError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+def _gamma_module(gamma):
+    def build(obj):
+        grp = _group(obj)
+        return GammaModule(grp, GammaAction(gamma, grp, obj["act"]))
+    return build
 
 
-def _cochain3(obj, M, N):
-    try:
-        return Cochain3(M, N, obj["assoc"], obj["braid"], obj["tensor"],
-                        obj["comp"])
-    except KeyError as exc:
-        raise InputError(f"cochain: missing field {exc}") from exc
-    except XmodcatError as exc:
-        raise InputError(f"cochain: {exc}") from exc
+def _cochain3(M, N):
+    return lambda obj: Cochain3(M, N, obj["assoc"], obj["braid"],
+                                obj["tensor"], obj["comp"])
+
+
+def _ints(obj):
+    return [int(v) for v in obj]
 
 
 def _seed(options):
@@ -120,7 +122,7 @@ def _report_axioms(lines, report, prefix=""):
 
 
 def run_validate(inputs, options, guard):
-    m = _module(inputs["module"])
+    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
     report = m.validate()
     lines = [f"module |B|={m.B.order} |D|={m.D.order} |gamma|={m.gamma.order}"]
     ok = _report_axioms(lines, report)
@@ -133,7 +135,7 @@ def run_validate(inputs, options, guard):
 
 
 def run_build_catgroup(inputs, options, guard):
-    m = _module(inputs["module"])
+    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
     G = build_catgroup(m)
     lines = [f"objects: {G.n_obj}", f"morphisms: {G.n_mor}",
              f"grades: {G.gamma.order}",
@@ -148,7 +150,8 @@ def run_build_catgroup(inputs, options, guard):
 def run_check_axioms(inputs, options, guard):
     mods = []
     if "module" in inputs:
-        mods.append(_module(inputs["module"]))
+        mods.append(_decode(inputs, "module",
+                            BraidedGammaCrossedModule.from_json))
     count = int(options.get("random_count", 0))
     if count:
         mods.extend(samples.random_corpus(_seed(options), count))
@@ -170,7 +173,7 @@ def run_check_axioms(inputs, options, guard):
 
 
 def run_factor_set(inputs, options, guard):
-    m = _module(inputs["module"])
+    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
     G = build_catgroup(m)
     fs = extract_factor_set(G)
     rep = validate_factor_set(fs)
@@ -186,9 +189,9 @@ def run_factor_set(inputs, options, guard):
 
 
 def run_cohomology_h2(inputs, options, guard):
-    gamma = _group(inputs["gamma"], "gamma")
-    Q = _gamma_module(inputs["Q"], gamma, "Q")
-    B = _gamma_module(inputs["B"], gamma, "B")
+    gamma = _decode(inputs, "gamma", _group)
+    Q = _decode(inputs, "Q", _gamma_module(gamma))
+    B = _decode(inputs, "B", _gamma_module(gamma))
     method = options.get("method", "snf")
     res = h2(Q, B, guard=guard, method=method)
     lines = [f"invariants: {res.invariants}",
@@ -202,15 +205,15 @@ def run_cohomology_h2(inputs, options, guard):
 
 
 def run_obstruction(inputs, options, guard):
-    gamma = _group(inputs["gamma"], "gamma")
-    M = _gamma_module(inputs["M"], gamma, "M")
-    N = _gamma_module(inputs["N"], gamma, "N")
-    Mp = _gamma_module(inputs["Mp"], gamma, "Mp")
-    Np = _gamma_module(inputs["Np"], gamma, "Np")
-    h = _cochain3(inputs["h"], M, N)
-    hp = _cochain3(inputs["hp"], Mp, Np)
-    phi = inputs["phi"]
-    f = inputs["f"]
+    gamma = _decode(inputs, "gamma", _group)
+    M = _decode(inputs, "M", _gamma_module(gamma))
+    N = _decode(inputs, "N", _gamma_module(gamma))
+    Mp = _decode(inputs, "Mp", _gamma_module(gamma))
+    Np = _decode(inputs, "Np", _gamma_module(gamma))
+    h = _decode(inputs, "h", _cochain3(M, N))
+    hp = _decode(inputs, "hp", _cochain3(Mp, Np))
+    phi = _decode(inputs, "phi", _ints)
+    f = _decode(inputs, "f", _ints)
     k = obstruction(phi, f, h, hp, Qmod=M)
     ok3, wit = is_3cocycle(k)
     lines = [f"cocycle: {ok3}" + ("" if ok3 else f" witness={wit}")]
@@ -225,9 +228,9 @@ def run_obstruction(inputs, options, guard):
 
 
 def run_schreier(inputs, options, guard):
-    m = _module(inputs["module"])
-    Q = _gamma_module(inputs["Q"], m.gamma, "Q")
-    psi = inputs["psi"]
+    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    Q = _decode(inputs, "Q", _gamma_module(m.gamma))
+    psi = _decode(inputs, "psi", _ints)
     rep = extensions.schreier_bijection_check(m, Q, psi, guard=guard)
     lines = [f"functor-classes: {rep.functor_class_count}",
              f"extension-classes: {rep.extension_class_count}",
@@ -243,9 +246,9 @@ def run_schreier(inputs, options, guard):
 
 
 def run_classify(inputs, options, guard):
-    m = _module(inputs["module"])
-    Q = _gamma_module(inputs["Q"], m.gamma, "Q")
-    psi = inputs["psi"]
+    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    Q = _decode(inputs, "Q", _gamma_module(m.gamma))
+    psi = _decode(inputs, "psi", _ints)
     res = extensions.classify(m, Q, psi, guard=guard)
     lines = [f"obstructed: {res.obstructed}"]
     if not res.obstructed:
@@ -260,7 +263,7 @@ def run_classify(inputs, options, guard):
 
 
 def run_roundtrip(inputs, options, guard):
-    m = _module(inputs["module"])
+    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
     G = build_catgroup(m)
     rep = check_axioms(G)
     m2 = catgroup_to_crossed(G)
@@ -313,13 +316,19 @@ def run_corpus(path, update, guard):
         return 2
     worst = 0
     for sc in scenarios:
-        with open(sc, "r", encoding="utf-8") as fh:
-            kind = json.load(fh).get("kind")
-        if kind not in RUNNERS:
-            print(f"{sc.name}: unknown kind {kind!r}")
+        try:
+            kind = _read_scenario(sc).get("kind")
+            if kind not in RUNNERS:
+                raise InputError(f"unknown kind {kind!r}")
+            code, text, _ = run_scenario_text(kind, sc, guard)
+        except SearchSpaceTooLarge as exc:
+            print(f"{sc.name}: guard tripped: {exc}")
+            worst = max(worst, 3)
+            continue
+        except (InputError, XmodcatError) as exc:
+            print(f"{sc.name}: input error: {exc}")
             worst = max(worst, 2)
             continue
-        code, text, _ = run_scenario_text(kind, sc, guard)
         expected = sc.with_suffix(".expected.txt")
         if update:
             expected.write_text(text, encoding="utf-8")

@@ -31,6 +31,7 @@ from .errors import (
     NotNormalized,
     SearchSpaceTooLarge,
     ShapeMismatch,
+    UnknownMethod,
     WrongType,
 )
 from .groups import FiniteGroup, GammaModule, GroupHom, decompose_abelian
@@ -525,7 +526,7 @@ def h2(Q: GammaModule, B: GammaModule, guard=DEFAULT_GUARD, method="snf"):
            [f.flat() for f in brute.representatives]:
             raise AssertionError("h2 paths produce different class representatives")
         return snf
-    raise ValueError(f"unknown method {method!r}")
+    raise UnknownMethod(f"unknown h2 method {method!r}")
 
 
 # -- degree-3 cochains --------------------------------------------------------
@@ -754,8 +755,6 @@ def class_vanishes(k: Cochain3, source, target, phi, f=None,
     f_map = None
     if f_tab is not None:
         f_map = [T.record(0, v, T.unit) for v in f_tab]
-    elif Np.group.order >= 1:
-        f_map = None
     classes = functors.enumerate_functors(S, T, [int(v) for v in phi],
                                           f_map=f_map, guard=guard)
     return len(classes) > 0

@@ -10,7 +10,7 @@ category builder silently relies on each one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 
 from .cohomology import SymmetricCochain2, is_2cocycle, zero_cochain2
 from .errors import (
@@ -35,24 +35,40 @@ from .groups import (
     trivial_group,
 )
 
+_WITNESS_CAP = 16
 
-@dataclass(frozen=True)
+
 class AxiomCheck:
-    key: str
-    ok: bool
-    witnesses: tuple
+    """One axiom's verdict: how many instances fail it and the first 16 of
+    them.  Without fail_count, `witnesses` must hold every failing instance.
+    """
+
+    __slots__ = ("key", "fail_count", "witnesses")
+
+    def __init__(self, key, witnesses=(), fail_count=None):
+        if fail_count is None:
+            witnesses = tuple(witnesses)
+            fail_count = len(witnesses)
+        self.key = key
+        self.fail_count = int(fail_count)
+        self.witnesses = tuple(islice(witnesses, _WITNESS_CAP))
+
+    @property
+    def ok(self):
+        return self.fail_count == 0
 
     @property
     def first_witness(self):
         return self.witnesses[0] if self.witnesses else None
 
-    @property
-    def fail_count(self):
-        return len(self.witnesses)
+    def __repr__(self):
+        if self.ok:
+            return f"{self.key}: ok"
+        return f"{self.key}: FAIL x{self.fail_count} @ {self.first_witness}"
 
 
 class AxiomReport:
-    """Per-axiom verdicts with all failing witness tuples."""
+    """Per-axiom verdicts of a module, morphism, category or functor."""
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -80,8 +96,7 @@ class AxiomReport:
         bad = self.failed()
         if not bad:
             return f"AxiomReport(ok, {len(self.entries)} checks)"
-        return "AxiomReport(failed: " + \
-            ", ".join(f"{e.key}@{e.first_witness}" for e in bad) + ")"
+        return "AxiomReport(" + "; ".join(repr(e) for e in bad) + ")"
 
 
 class BraidedGammaCrossedModule:
@@ -134,77 +149,69 @@ class BraidedGammaCrossedModule:
     def _validate(self):
         B, D, d, th, eta = self.B, self.D, self.d, self.theta, self.eta
         gam, ab, ad = self.gamma, self.act_b, self.act_d
-        entries = []
-
-        def scan(key, gen):
-            entries.append(AxiomCheck(key, *_collect(gen)))
-
-        def _collect(gen):
-            bad = tuple(gen)
-            return (not bad, bad)
-
-        scan("boundary-hom",
-             ((b, c) for b in B.elements() for c in B.elements()
-              if d[B.mul(b, c)] != D.mul(d[b], d[c])))
-        scan("theta-identity",
-             ((b,) for b in B.elements() if th[0][b] != b))
-        scan("theta-rows-bijective",
-             ((x,) for x in D.elements() if len(set(th[x])) != B.order))
-        scan("theta-rows-additive",
-             ((x, b, c) for x in D.elements() for b in B.elements()
-              for c in B.elements()
-              if th[x][B.mul(b, c)] != B.mul(th[x][b], th[x][c])))
-        scan("theta-action",
-             ((x, y, b) for x in D.elements() for y in D.elements()
-              for b in B.elements()
-              if th[D.mul(x, y)][b] != th[x][th[y][b]]))
-        scan("gammaB-action", _action_failures(ab))
-        scan("gammaD-action", _action_failures(ad))
-        scan("boundary-equivariant",
-             ((s, b) for s in gam.elements() for b in B.elements()
-              if d[ab(s, b)] != ad(s, d[b])))
-        # theta d = mu: the action along the boundary is conjugation in B
-        scan("lifted-conjugation",
-             ((b, c) for b in B.elements() for c in B.elements()
-              if th[d[b]][c] != B.mul(B.mul(b, c), B.inv(b))))
-        # d(theta_x b) = x d(b) x^-1
-        scan("boundary-conjugation",
-             ((x, b) for x in D.elements() for b in B.elements()
-              if d[th[x][b]] != D.conj(x, d[b])))
-        # eta(x, yz) = eta(x, y) + theta_y eta(x, z)
-        scan("braid-additive-right",
-             ((x, y, z) for x in D.elements() for y in D.elements()
-              for z in D.elements()
-              if eta[x][D.mul(y, z)] != B.mul(eta[x][y], th[y][eta[x][z]])))
-        # eta(xy, z) = theta_x eta(y, z) + eta(x, z)
-        scan("braid-additive-left",
-             ((x, y, z) for x in D.elements() for y in D.elements()
-              for z in D.elements()
-              if eta[D.mul(x, y)][z] != B.mul(th[x][eta[y][z]], eta[x][z])))
-        # d eta(x, y) = x y x^-1 y^-1
-        scan("braid-boundary",
-             ((x, y) for x in D.elements() for y in D.elements()
-              if d[eta[x][y]] != D.mul(D.mul(x, y),
-                                       D.mul(D.inv(x), D.inv(y)))))
-        # eta(d b, x) + theta_x b = b
-        scan("braid-action-right",
-             ((b, x) for b in B.elements() for x in D.elements()
-              if B.mul(eta[d[b]][x], th[x][b]) != b))
-        # eta(x, d b) + b = theta_x b
-        scan("braid-action-left",
-             ((x, b) for x in D.elements() for b in B.elements()
-              if B.mul(eta[x][d[b]], b) != th[x][b]))
-        # s(theta_x b) = theta_{s x}(s b)
-        scan("action-equivariant",
-             ((s, x, b) for s in gam.elements() for x in D.elements()
-              for b in B.elements()
-              if ab(s, th[x][b]) != th[ad(s, x)][ab(s, b)]))
-        # s eta(x, y) = eta(s x, s y)
-        scan("braid-equivariant",
-             ((s, x, y) for s in gam.elements() for x in D.elements()
-              for y in D.elements()
-              if ab(s, eta[x][y]) != eta[ad(s, x)][ad(s, y)]))
-        return AxiomReport(entries)
+        return AxiomReport([
+            AxiomCheck("boundary-hom", (
+                (b, c) for b in B.elements() for c in B.elements()
+                if d[B.mul(b, c)] != D.mul(d[b], d[c]))),
+            AxiomCheck("theta-identity", (
+                (b,) for b in B.elements() if th[0][b] != b)),
+            AxiomCheck("theta-rows-bijective", (
+                (x,) for x in D.elements() if len(set(th[x])) != B.order)),
+            AxiomCheck("theta-rows-additive", (
+                (x, b, c) for x in D.elements() for b in B.elements()
+                for c in B.elements()
+                if th[x][B.mul(b, c)] != B.mul(th[x][b], th[x][c]))),
+            AxiomCheck("theta-action", (
+                (x, y, b) for x in D.elements() for y in D.elements()
+                for b in B.elements()
+                if th[D.mul(x, y)][b] != th[x][th[y][b]])),
+            AxiomCheck("gammaB-action", _action_failures(ab)),
+            AxiomCheck("gammaD-action", _action_failures(ad)),
+            AxiomCheck("boundary-equivariant", (
+                (s, b) for s in gam.elements() for b in B.elements()
+                if d[ab(s, b)] != ad(s, d[b]))),
+            # theta d = mu: the action along the boundary is conjugation in B
+            AxiomCheck("lifted-conjugation", (
+                (b, c) for b in B.elements() for c in B.elements()
+                if th[d[b]][c] != B.mul(B.mul(b, c), B.inv(b)))),
+            # d(theta_x b) = x d(b) x^-1
+            AxiomCheck("boundary-conjugation", (
+                (x, b) for x in D.elements() for b in B.elements()
+                if d[th[x][b]] != D.conj(x, d[b]))),
+            # eta(x, yz) = eta(x, y) + theta_y eta(x, z)
+            AxiomCheck("braid-additive-right", (
+                (x, y, z) for x in D.elements() for y in D.elements()
+                for z in D.elements()
+                if eta[x][D.mul(y, z)] != B.mul(eta[x][y], th[y][eta[x][z]]))),
+            # eta(xy, z) = theta_x eta(y, z) + eta(x, z)
+            AxiomCheck("braid-additive-left", (
+                (x, y, z) for x in D.elements() for y in D.elements()
+                for z in D.elements()
+                if eta[D.mul(x, y)][z] != B.mul(th[x][eta[y][z]], eta[x][z]))),
+            # d eta(x, y) = x y x^-1 y^-1
+            AxiomCheck("braid-boundary", (
+                (x, y) for x in D.elements() for y in D.elements()
+                if d[eta[x][y]] != D.mul(D.mul(x, y),
+                                         D.mul(D.inv(x), D.inv(y))))),
+            # eta(d b, x) + theta_x b = b
+            AxiomCheck("braid-action-right", (
+                (b, x) for b in B.elements() for x in D.elements()
+                if B.mul(eta[d[b]][x], th[x][b]) != b)),
+            # eta(x, d b) + b = theta_x b
+            AxiomCheck("braid-action-left", (
+                (x, b) for x in D.elements() for b in B.elements()
+                if B.mul(eta[x][d[b]], b) != th[x][b])),
+            # s(theta_x b) = theta_{s x}(s b)
+            AxiomCheck("action-equivariant", (
+                (s, x, b) for s in gam.elements() for x in D.elements()
+                for b in B.elements()
+                if ab(s, th[x][b]) != th[ad(s, x)][ab(s, b)])),
+            # s eta(x, y) = eta(s x, s y)
+            AxiomCheck("braid-equivariant", (
+                (s, x, y) for s in gam.elements() for x in D.elements()
+                for y in D.elements()
+                if ab(s, eta[x][y]) != eta[ad(s, x)][ad(s, y)])),
+        ])
 
     # -- homotopy groups ------------------------------------------------------
 
@@ -437,40 +444,38 @@ def validate_morphism(m: CrossedMorphism, M=None, Mp=None):
     """Axiom report for a morphism; M and Mp default to the stored ends."""
     M = M if M is not None else m.source
     Mp = Mp if Mp is not None else m.target
-    entries = []
-
-    def scan(key, gen):
-        bad = tuple(gen)
-        entries.append(AxiomCheck(key, not bad, bad))
-
     f1, f0 = m.f1, m.f0
     if f1.domain != M.B or f1.codomain != Mp.B:
         raise ShapeMismatch("f1 does not run between the B groups")
     if f0.domain != M.D or f0.codomain != Mp.D:
         raise ShapeMismatch("f0 does not run between the D groups")
-    scan("f1-hom", ((b, c) for b in M.B.elements() for c in M.B.elements()
-                    if f1(M.B.mul(b, c)) != Mp.B.mul(f1(b), f1(c))))
-    scan("f0-hom", ((x, y) for x in M.D.elements() for y in M.D.elements()
-                    if f0(M.D.mul(x, y)) != Mp.D.mul(f0(x), f0(y))))
-    scan("f1-equivariant",
-         ((s, b) for s in M.gamma.elements() for b in M.B.elements()
-          if f1(M.act_b(s, b)) != Mp.act_b(s, f1(b))))
-    scan("f0-equivariant",
-         ((s, x) for s in M.gamma.elements() for x in M.D.elements()
-          if f0(M.act_d(s, x)) != Mp.act_d(s, f0(x))))
-    scan("boundary-compat",
-         ((b,) for b in M.B.elements() if f0(M.d[b]) != Mp.d[f1(b)]))
-    scan("action-compat",
-         ((x, b) for x in M.D.elements() for b in M.B.elements()
-          if f1(M.theta[x][b]) != Mp.theta[f0(x)][f1(b)]))
-    scan("braid-compat",
-         ((x, y) for x in M.D.elements() for y in M.D.elements()
-          if f1(M.eta[x][y]) != Mp.eta[f0(x)][f0(y)]))
+    entries = [
+        AxiomCheck("f1-hom", (
+            (b, c) for b in M.B.elements() for c in M.B.elements()
+            if f1(M.B.mul(b, c)) != Mp.B.mul(f1(b), f1(c)))),
+        AxiomCheck("f0-hom", (
+            (x, y) for x in M.D.elements() for y in M.D.elements()
+            if f0(M.D.mul(x, y)) != Mp.D.mul(f0(x), f0(y)))),
+        AxiomCheck("f1-equivariant", (
+            (s, b) for s in M.gamma.elements() for b in M.B.elements()
+            if f1(M.act_b(s, b)) != Mp.act_b(s, f1(b)))),
+        AxiomCheck("f0-equivariant", (
+            (s, x) for s in M.gamma.elements() for x in M.D.elements()
+            if f0(M.act_d(s, x)) != Mp.act_d(s, f0(x)))),
+        AxiomCheck("boundary-compat", (
+            (b,) for b in M.B.elements() if f0(M.d[b]) != Mp.d[f1(b)])),
+        AxiomCheck("action-compat", (
+            (x, b) for x in M.D.elements() for b in M.B.elements()
+            if f1(M.theta[x][b]) != Mp.theta[f0(x)][f1(b)])),
+        AxiomCheck("braid-compat", (
+            (x, y) for x in M.D.elements() for y in M.D.elements()
+            if f1(M.eta[x][y]) != Mp.eta[f0(x)][f0(y)])),
+    ]
     phi_ok = m.phi.Q == M.pi0() and m.phi.B == Mp.pi1()
-    entries.append(AxiomCheck("phi-modules", phi_ok, () if phi_ok else ((),)))
+    entries.append(AxiomCheck("phi-modules", () if phi_ok else ((),)))
     if phi_ok:
         ok, witness = is_2cocycle(m.phi)
-        entries.append(AxiomCheck("phi-cocycle", ok, () if ok else (witness,)))
+        entries.append(AxiomCheck("phi-cocycle", () if ok else (witness,)))
     return AxiomReport(entries)
 
 

@@ -100,3 +100,7 @@ class NotRegularFactorSet(XmodcatError):
 
 class FNotConstantOnCosets(XmodcatError):
     """A comparison table fails the descent condition along the boundary."""
+
+
+class UnknownMethod(XmodcatError):
+    """An algorithm selector names no implemented method."""

@@ -190,37 +190,11 @@ def extension_from_functor(F: GradedFunctor, check=True):
         rep = check_graded_functor(F)
         if not rep.ok:
             raise NotCoherent(f"functor fails coherence: {rep.first_failure()}")
-    B, D, gam = M.B, M.D, M.gamma
     q = Qmod.group.order
-    nb = B.order
     fqq = [[T.payload(int(F.ftilde[u, v])) for v in range(q)] for u in range(q)]
     fqg = [[T.payload(int(F.mor[S.record(s, 0, Qmod.act(s, u))]))
-            for s in range(gam.order)] for u in range(q)]
-    # crossed product B x_f Q with (b, u) packed as u * |B| + b
-    n = nb * q
-    tbl = [[0] * n for _ in range(n)]
-    for u in range(q):
-        for b in range(nb):
-            for v in range(q):
-                for c in range(nb):
-                    w = Qmod.group.mul(u, v)
-                    s = B.mul(B.mul(b, c), fqq[u][v])
-                    tbl[u * nb + b][v * nb + c] = w * nb + s
-    E = FiniteGroup(tbl)
-    rows = []
-    for s in range(gam.order):
-        row = [0] * n
-        for u in range(q):
-            for b in range(nb):
-                row[u * nb + b] = Qmod.act(s, u) * nb + \
-                    B.mul(M.act_b(s, b), fqg[u][s])
-        rows.append(row)
-    Emod = GammaModule(E, GammaAction(gam, E, rows))
-    j = GroupHom(B, E, [b for b in range(nb)])
-    p = GroupHom(E, Qmod.group, [x // nb for x in range(n)])
-    eps = GroupHom(E, D, [D.mul(M.d[x % nb], int(F.obj[x // nb]))
-                          for x in range(n)])
-    ext = GammaModuleExtension(M, Qmod, Emod, j, p, eps)
+            for s in range(M.gamma.order)] for u in range(q)]
+    ext = _crossed_product(M, Qmod, fqq, fqg, [int(v) for v in F.obj])
     problems = ext.validate()
     if problems:
         raise NotCoherent(f"crossed product failed validation: {problems}")
@@ -405,7 +379,7 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
                     break
             if not ok:
                 continue
-            ext = _crossed_product(M, Qmod, f, Fmap)
+            ext = _crossed_product(M, Qmod, f.qq, f.qg, Fmap)
             if ext.is_valid and list(induced_psi(ext).map) == list(psi):
                 exts.append(ext)
     ext_classes = []
@@ -447,7 +421,9 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
                           classes, ext_classes)
 
 
-def _crossed_product(M, Qmod, f: SymmetricCochain2, Fmap):
+def _crossed_product(M, Qmod, qq, qg, Fmap):
+    """The crossed product B x_(qq, qg) Q with (b, u) packed as u * |B| + b,
+    and eps sending (b, u) to d(b) Fmap[u]."""
     B, D, gam = M.B, M.D, M.gamma
     q = Qmod.group.order
     nb = B.order
@@ -458,7 +434,7 @@ def _crossed_product(M, Qmod, f: SymmetricCochain2, Fmap):
             for v in range(q):
                 for c in range(nb):
                     w = Qmod.group.mul(u, v)
-                    s = B.mul(B.mul(b, c), f.qq[u][v])
+                    s = B.mul(B.mul(b, c), qq[u][v])
                     tbl[u * nb + b][v * nb + c] = w * nb + s
     E = FiniteGroup(tbl)
     rows = []
@@ -467,7 +443,7 @@ def _crossed_product(M, Qmod, f: SymmetricCochain2, Fmap):
         for u in range(q):
             for b in range(nb):
                 row[u * nb + b] = Qmod.act(s, u) * nb + \
-                    B.mul(M.act_b(s, b), f.qg[u][s])
+                    B.mul(M.act_b(s, b), qg[u][s])
         rows.append(row)
     Emod = GammaModule(E, GammaAction(gam, E, rows))
     j = GroupHom(B, E, list(range(nb)))

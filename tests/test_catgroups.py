@@ -217,3 +217,23 @@ def test_pi_partitions():
     proj = m.pi0_projection()
     assert labels == [proj(x) for x in range(4)]
     assert len(G.pi1_morphisms()) == 1  # kernel of the boundary is trivial
+
+
+def test_naturality_witness_is_a_failing_triple():
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    G.aset[1, 2, 3] = G.record(0, 1, int(G.tgt[G.aset[1, 2, 3]]))
+    entry = cg.check_axioms(G)["naturality-assoc"]
+    assert not entry.ok
+    assert all(len(w) == 3 for w in entry.witnesses)
+
+    def comp(g, f):
+        return -1 if g < 0 or f < 0 else int(G.comp[g, f])
+
+    def ten(a, b):
+        return -1 if a < 0 or b < 0 else int(G.tmor[a, b])
+
+    u, v, w = entry.first_witness
+    assert G.grd[u] == G.grd[v] == G.grd[w]
+    lhs = comp(int(G.aset[G.tgt[u], G.tgt[v], G.tgt[w]]), ten(ten(u, v), w))
+    rhs = comp(ten(u, ten(v, w)), int(G.aset[G.src[u], G.src[v], G.src[w]]))
+    assert lhs != rhs or lhs < 0

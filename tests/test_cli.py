@@ -3,6 +3,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from xmodcat import cli, samples
 from xmodcat import groups as g
 
@@ -83,6 +85,43 @@ def test_shape_error_exit_two(tmp_path, capsys):
     assert "module" in err
 
 
+def _missing_module():
+    return "validate", {}, {}, "inputs.module"
+
+
+def _missing_q():
+    m = samples.abelian_module(g.cyclic(2), g.trivial_group(), [0, 0])
+    return "classify", {"module": m.to_json(), "psi": [0, 0]}, {}, "inputs.Q"
+
+
+def _non_integer_boundary():
+    blob = samples.s3_a3_module(False).to_json()
+    blob["d"][1] = "x"
+    return "validate", {"module": blob}, {}, "inputs.module"
+
+
+def _unknown_h2_method():
+    Z2 = g.cyclic(2)
+    mod = {"table": Z2.to_json()["table"], "act": [[0, 1]]}
+    inputs = {"gamma": g.trivial_group().to_json(), "Q": mod, "B": mod}
+    return "cohomology-h2", inputs, {"method": "nope"}, "nope"
+
+
+@pytest.mark.parametrize("case", [
+    _missing_module,
+    _missing_q,
+    _non_integer_boundary,
+    _unknown_h2_method,
+], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method"])
+def test_malformed_inputs_exit_two(tmp_path, capsys, case):
+    kind, inputs, options, needle = case()
+    path = write_scenario(tmp_path, "bad.json", kind, inputs, options)
+    code, out, err = run_cli([kind, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
 def test_kind_mismatch_exit_two(tmp_path, capsys):
     m = samples.s3_a3_module(False)
     path = write_scenario(tmp_path, "v.json", "validate",
@@ -120,6 +159,19 @@ def test_corpus_detects_mutation(tmp_path, capsys):
     code, out, _ = run_cli(["corpus", str(work)], capsys)
     assert code == 1
     assert "DIFF" in out
+
+
+def test_corpus_reports_bad_scenario_and_goes_on(tmp_path, capsys):
+    src = cli.default_corpus_dir()
+    work = tmp_path / "corpus"
+    shutil.copytree(src, work)
+    write_scenario(work, "aaa_missing_module.json", "validate", {})
+    code, out, _ = run_cli(["corpus", str(work)], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith("aaa_missing_module.json: input error")
+    assert sum(line.endswith(": match") for line in lines) == \
+        len(list(src.glob("*.json")))
 
 
 def test_corpus_update_rewrites(tmp_path, capsys):

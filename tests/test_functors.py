@@ -69,6 +69,22 @@ def test_perturbed_choices_still_give_valid_factor_set():
     assert not fs.theta_is_identity()
 
 
+@pytest.mark.parametrize("field, key, value", [
+    ("obj", "object-map-range", lambda G: G.n_obj + 5),
+    ("mor", "morphism-map-range", lambda G: G.n_mor + 5),
+    ("mor", "morphism-map-range", lambda G: -1),
+], ids=["object-past-end", "morphism-past-end", "morphism-negative"])
+def test_out_of_range_map_is_reported(field, key, value):
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    F = fn.identity_functor(G)
+    getattr(F, field)[3] = value(G)
+    rep = fn.check_graded_functor(F)
+    assert [e.key for e in rep.entries] == ["object-map-range",
+                                            "morphism-map-range"]
+    assert rep.first_failure() == (key, (3,))
+    assert rep[key].fail_count == 1
+
+
 def test_bad_choices_rejected():
     m = samples.s3_a3_module(True)
     G = cg.build_catgroup(m)
