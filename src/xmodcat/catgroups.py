@@ -8,6 +8,13 @@ and `build_reduced` from a pair of gamma-modules and a degree-3 cochain
 (the skeletal model).  Both share the same index layout
     index = (grade * n_pay + payload) * n_obj + target,
 which downstream translation code relies on.
+
+An undefined composite or tensor is the index -1.  Every morphism-indexed
+table is stored with one trailing slot per morphism axis that holds -1,
+so indexing with -1 reads -1 and an undefined arrow propagates through
+plain numpy indexing.  `GradedCatGroup` alone allocates that slot, and
+its constructor keeps the invariant it needs: morphism indices lie in
+[-1, n_mor) and object indices in [0, n_obj).
 """
 
 from __future__ import annotations
@@ -21,24 +28,43 @@ from .crossed import AxiomCheck, AxiomReport
 from .errors import NotStrict, ShapeMismatch
 from .groups import GammaModule, trivial_group
 
-class GradedCatGroup:
-    """Finite graded monoidal groupoid data; all tables are numpy arrays."""
 
-    __slots__ = ("gamma", "n_obj", "src", "tgt", "grd", "pay", "comp",
-                 "tob", "tmor", "unit", "idm", "aset", "lset", "rset",
-                 "cset", "uI", "meta", "_inv")
+def _padded(table):
+    """int64 copy of table with one more slot, holding -1, at the end of
+    every axis."""
+    table = np.asarray(table, dtype=np.int64)
+    out = np.full([k + 1 for k in table.shape], -1, dtype=np.int64)
+    out[tuple(slice(k) for k in table.shape)] = table
+    return out
+
+
+class GradedCatGroup:
+    """Finite graded monoidal groupoid data; all tables are numpy arrays.
+
+    The morphism tables `src`, `tgt`, `grd`, `comp`, `tmor` and `inv` are
+    stored padded: one trailing slot on every morphism axis holds -1, the
+    undefined arrow.  Index -1 therefore reads that slot, so a composite or
+    tensor with an undefined factor is undefined without any masking, and
+    consumers index the padded tables `_src`, `_tgt`, `_grd`, `_comp`,
+    `_tmor` and `_inv` directly.  The public attributes are views that
+    leave the slot out.  The constructor refuses (ShapeMismatch) a table
+    of the wrong shape, a morphism index outside [-1, n_mor), an object
+    index outside [0, n_obj) and a grade outside the grading group, since
+    a padded table would silently read a real row at -2.
+    """
+
+    __slots__ = ("gamma", "n_obj", "_src", "_tgt", "_grd", "pay", "_comp",
+                 "tob", "_tmor", "unit", "idm", "aset", "lset", "rset",
+                 "cset", "uI", "meta", "_inverses")
 
     def __init__(self, gamma, n_obj, src, tgt, grd, pay, comp, tob, tmor,
                  unit, idm, aset, lset, rset, cset, uI, meta=None):
         self.gamma = gamma
         self.n_obj = int(n_obj)
-        self.src = np.asarray(src, dtype=np.int64)
-        self.tgt = np.asarray(tgt, dtype=np.int64)
-        self.grd = np.asarray(grd, dtype=np.int64)
+        self._src, self._tgt, self._grd, self._comp, self._tmor = (
+            _padded(t) for t in (src, tgt, grd, comp, tmor))
         self.pay = np.asarray(pay, dtype=np.int64) if pay is not None else None
-        self.comp = np.asarray(comp, dtype=np.int64)
         self.tob = np.asarray(tob, dtype=np.int64)
-        self.tmor = np.asarray(tmor, dtype=np.int64)
         self.unit = int(unit)
         self.idm = np.asarray(idm, dtype=np.int64)
         self.aset = np.asarray(aset, dtype=np.int64)
@@ -47,27 +73,71 @@ class GradedCatGroup:
         self.cset = np.asarray(cset, dtype=np.int64)
         self.uI = np.asarray(uI, dtype=np.int64)
         self.meta = meta or {}
-        self._inv = None
+        self._inverses = None
+        n, no = self.n_mor, self.n_obj
+        if not 0 <= self.unit < no:
+            raise ShapeMismatch(f"unit object {self.unit} outside [0, {no})")
+        if self.pay is not None and self.pay.shape != (n,):
+            raise ShapeMismatch(f"pay has shape {self.pay.shape}, expected {(n,)}")
+        for name, shape, lo, hi in (
+                ("src", (n,), 0, no), ("tgt", (n,), 0, no), ("tob", (no, no), 0, no),
+                ("grd", (n,), 0, gamma.order),
+                ("comp", (n, n), -1, n), ("tmor", (n, n), -1, n),
+                ("idm", (no,), -1, n), ("aset", (no, no, no), -1, n),
+                ("lset", (no,), -1, n), ("rset", (no,), -1, n),
+                ("cset", (no, no), -1, n), ("uI", (gamma.order,), -1, n)):
+            t = getattr(self, name)
+            if t.shape != shape:
+                raise ShapeMismatch(f"{name} has shape {t.shape}, expected {shape}")
+            if t.size and (t.min() < lo or t.max() >= hi):
+                raise ShapeMismatch(f"{name} holds an index outside [{lo}, {hi})")
 
     @property
     def n_mor(self):
-        return len(self.src)
+        return len(self._src) - 1
+
+    @property
+    def src(self):
+        return self._src[:-1]
+
+    @property
+    def tgt(self):
+        return self._tgt[:-1]
+
+    @property
+    def grd(self):
+        return self._grd[:-1]
+
+    @property
+    def comp(self):
+        return self._comp[:-1, :-1]
+
+    @property
+    def tmor(self):
+        return self._tmor[:-1, :-1]
+
+    @property
+    def _inv(self):
+        """Padded `inv`, computed on first use."""
+        if self._inverses is None:
+            comp = self.comp
+            both = (comp == self.idm[self.src][None, :]) & \
+                (comp.T == self.idm[self.tgt][None, :])
+            self._inverses = _padded(
+                np.where(both.any(axis=0), both.argmax(axis=0), -1))
+        return self._inverses
 
     @property
     def inv(self):
-        """Two-sided inverse of each morphism; -1 where none exists."""
-        if self._inv is None:
-            n = self.n_mor
-            left = self.comp == self.idm[self.src][None, :]
-            right = self.comp.T == self.idm[self.tgt][None, :]
-            both = left & right
-            inv = np.full(n, -1, dtype=np.int64)
-            gs, fs = np.nonzero(both)
-            # first (least) g per f wins; iterate reversed so low g overwrites
-            for g, f in zip(gs[::-1], fs[::-1]):
-                inv[f] = g
-            self._inv = inv
-        return self._inv
+        """The least two-sided inverse of each morphism; -1 where none
+        exists."""
+        return self._inv[:-1]
+
+    def arrows(self, idx):
+        """idx with every entry outside [0, n_mor) read as the undefined
+        arrow -1, so it can index the padded tables."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return np.where((idx >= 0) & (idx < self.n_mor), idx, -1)
 
     def record(self, grade, payload, target):
         """Morphism index from the shared (grade, payload, target) layout."""
@@ -273,18 +343,6 @@ def dis(Q: GammaModule):
 
 # -- coherence checking -------------------------------------------------------
 
-def _gather(table, *idx):
-    """table[idx] with -1 propagation on every index argument."""
-    bad = None
-    for a in idx:
-        arr = np.asarray(a)
-        m = arr < 0
-        bad = m if bad is None else (bad | m)
-    safe = [np.maximum(np.asarray(a), 0) for a in idx]
-    out = table[tuple(safe)]
-    return np.where(bad, -1, out)
-
-
 def _entry(key, ok_mask, witness_arrays=None):
     """The check of an axiom from its mask of passing instances.  A
     witness is the index tuple of a failing instance, or the values of
@@ -314,28 +372,27 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries = []
     n, no = G.n_mor, G.n_obj
     gt = G.gamma.np_table
-    SRC, TGT, GRD = G.src, G.tgt, G.grd
-    comp, tmor = G.comp, G.tmor
+    # padded tables: an undefined (-1) index reads -1
+    SRC, TGT, GRD = G._src, G._tgt, G._grd
+    comp, tmor, inv = G._comp, G._tmor, G._inv
     idm, aset, lset, rset, cset, uI = G.idm, G.aset, G.lset, G.rset, G.cset, G.uI
     tob = G.tob
     objs = np.arange(no)
     mors = np.arange(n)
 
-    defined = comp >= 0
-    should = TGT[None, :] == SRC[:, None]
-    entries.append(_entry("composition-defined", defined == should, None))
+    should = G.tgt[None, :] == G.src[:, None]
+    entries.append(_entry("composition-defined", (G.comp >= 0) == should, None))
 
     gsel, fsel = np.nonzero(should)
     cc = comp[gsel, fsel]
-    ok = (cc >= 0) & (_gather(SRC, cc) == SRC[fsel]) & \
-        (_gather(TGT, cc) == TGT[gsel])
+    ok = (SRC[cc] == SRC[fsel]) & (TGT[cc] == TGT[gsel])
     entries.append(_entry("composition-typing", ok, [gsel, fsel]))
-    ok = (cc >= 0) & (_gather(GRD, cc) == gt[GRD[gsel], GRD[fsel]])
+    ok = GRD[cc] == gt[GRD[gsel], GRD[fsel]]
     entries.append(_entry("grade-composition", ok, [gsel, fsel]))
 
     ok_id = (SRC[idm] == objs) & (TGT[idm] == objs) & (GRD[idm] == 0)
     entries.append(_entry("identity-typing", ok_id, [objs]))
-    ok = (comp[mors, idm[SRC]] == mors) & (comp[idm[TGT], mors] == mors)
+    ok = (comp[mors, idm[G.src]] == mors) & (comp[idm[G.tgt], mors] == mors)
     entries.append(_entry("identity-laws", ok, [mors]))
 
     # associativity over composable triples
@@ -345,23 +402,21 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         if not gmask.any():
             continue
         gsub, fsub = gsel[gmask], fsel[gmask]
-        hsub = np.full(len(gsub), hmor)
-        lhs = _gather(comp, hsub, comp[gsub, fsub])
-        rhs = _gather(comp, comp[hsub, gsub], fsub)
+        lhs = comp[hmor, comp[gsub, fsub]]
+        rhs = comp[comp[hmor, gsub], fsub]
         chunks.append(_entry("composition-associative",
-                             (lhs == rhs) & (lhs >= 0), [hsub, gsub, fsub]))
+                             (lhs == rhs) & (lhs >= 0),
+                             np.broadcast_arrays(hmor, gsub, fsub)))
     entries.append(_merge("composition-associative", chunks))
 
     entries.append(_entry("inverses", G.inv >= 0, [mors]))
 
-    ten_def = tmor >= 0
-    ten_should = GRD[:, None] == GRD[None, :]
-    entries.append(_entry("tensor-defined", ten_def == ten_should, None))
+    ten_should = G.grd[:, None] == G.grd[None, :]
+    entries.append(_entry("tensor-defined", (G.tmor >= 0) == ten_should, None))
     isel, jsel = np.nonzero(ten_should)
     tt = tmor[isel, jsel]
-    ok = (tt >= 0) & (_gather(SRC, tt) == tob[SRC[isel], SRC[jsel]]) & \
-        (_gather(TGT, tt) == tob[TGT[isel], TGT[jsel]]) & \
-        (_gather(GRD, tt) == GRD[isel])
+    ok = (SRC[tt] == tob[SRC[isel], SRC[jsel]]) & \
+        (TGT[tt] == tob[TGT[isel], TGT[jsel]]) & (GRD[tt] == GRD[isel])
     entries.append(_entry("tensor-typing", ok, [isel, jsel]))
 
     ok = tmor[idm[:, None], idm[None, :]] == idm[tob]
@@ -376,9 +431,9 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         garr = np.array([p[0] for p in pairs])
         farr = np.array([p[1] for p in pairs])
         carr = comp[garr, farr]
-        lhs = _gather(tmor, carr[:, None], carr[None, :])
-        rhs = _gather(comp, tmor[garr[:, None], garr[None, :]],
-                      tmor[farr[:, None], farr[None, :]])
+        lhs = tmor[carr[:, None], carr[None, :]]
+        rhs = comp[tmor[garr[:, None], garr[None, :]],
+                   tmor[farr[:, None], farr[None, :]]]
         chunks.append(_entry("tensor-interchange", (lhs == rhs) & (lhs >= 0),
                              np.broadcast_arrays(garr[:, None], farr[:, None],
                                                  garr[None, :], farr[None, :])))
@@ -399,12 +454,12 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     ok = (SRC[cset] == tob[x2, y2]) & (TGT[cset] == tob[y2, x2]) & (GRD[cset] == 0)
     entries.append(_entry("braiding-typing", ok, None))
 
-    ok = (SRC[uI] == G.unit) & (TGT[uI] == G.unit) & \
-        (GRD[uI] == np.arange(G.gamma.order))
-    entries.append(_entry("unit-functor-typing", ok, [np.arange(G.gamma.order)]))
-    s2 = np.arange(G.gamma.order)[:, None]
-    t2 = np.arange(G.gamma.order)[None, :]
-    ok = (_gather(comp, uI[s2], uI[t2]) == uI[gt[s2, t2]]) & (uI[0] == idm[G.unit])
+    grades = np.arange(G.gamma.order)
+    ok = (SRC[uI] == G.unit) & (TGT[uI] == G.unit) & (GRD[uI] == grades)
+    entries.append(_entry("unit-functor-typing", ok, [grades]))
+    s2 = grades[:, None]
+    t2 = grades[None, :]
+    ok = (comp[uI[s2], uI[t2]] == uI[gt[s2, t2]]) & (uI[0] == idm[G.unit])
     entries.append(_entry("unit-functor-composition", ok, None))
 
     # pentagon
@@ -412,43 +467,33 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     y4 = objs[None, :, None, None]
     z4 = objs[None, None, :, None]
     t4 = objs[None, None, None, :]
-    lhs = _gather(comp, aset[x4, y4, tob[z4, t4]], aset[tob[x4, y4], z4, t4])
-    rhs = _gather(comp,
-                  _gather(comp, _gather(tmor, idm[x4], aset[y4, z4, t4]),
-                          aset[x4, tob[y4, z4], t4]),
-                  _gather(tmor, aset[x4, y4, z4], idm[t4]))
+    lhs = comp[aset[x4, y4, tob[z4, t4]], aset[tob[x4, y4], z4, t4]]
+    rhs = comp[comp[tmor[idm[x4], aset[y4, z4, t4]], aset[x4, tob[y4, z4], t4]],
+               tmor[aset[x4, y4, z4], idm[t4]]]
     entries.append(_entry("pentagon", (lhs == rhs) & (lhs >= 0), None))
 
     # triangle
-    lhs = _gather(comp, _gather(tmor, idm[x2], lset[y2]), aset[x2, G.unit, y2])
-    rhs = _gather(tmor, rset[x2], idm[y2])
+    lhs = comp[tmor[idm[x2], lset[y2]], aset[x2, G.unit, y2]]
+    rhs = tmor[rset[x2], idm[y2]]
     entries.append(_entry("triangle", (lhs == rhs) & (lhs >= 0), None))
 
     # hexagons
-    lhs = _gather(comp,
-                  _gather(comp, _gather(tmor, idm[y3], cset[x3, z3]),
-                          aset[y3, x3, z3]),
-                  _gather(tmor, cset[x3, y3], idm[z3]))
-    rhs = _gather(comp, _gather(comp, aset[y3, z3, x3], cset[x3, tob[y3, z3]]),
-                  aset[x3, y3, z3])
+    lhs = comp[comp[tmor[idm[y3], cset[x3, z3]], aset[y3, x3, z3]],
+               tmor[cset[x3, y3], idm[z3]]]
+    rhs = comp[comp[aset[y3, z3, x3], cset[x3, tob[y3, z3]]], aset[x3, y3, z3]]
     entries.append(_entry("hexagon-left", (lhs == rhs) & (lhs >= 0), None))
 
-    inv = G.inv
-    lhs = _gather(comp,
-                  _gather(comp, _gather(tmor, cset[x3, z3], idm[y3]),
-                          _gather(inv, aset[x3, z3, y3])),
-                  _gather(tmor, idm[x3], cset[y3, z3]))
-    rhs = _gather(comp,
-                  _gather(comp, _gather(inv, aset[z3, x3, y3]),
-                          cset[tob[x3, y3], z3]),
-                  _gather(inv, aset[x3, y3, z3]))
+    lhs = comp[comp[tmor[cset[x3, z3], idm[y3]], inv[aset[x3, z3, y3]]],
+               tmor[idm[x3], cset[y3, z3]]]
+    rhs = comp[comp[inv[aset[z3, x3, y3]], cset[tob[x3, y3], z3]],
+               inv[aset[x3, y3, z3]]]
     entries.append(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
 
     # naturality, grouped by grade
     def grouped(key, fn):
         chunks = []
         for s in range(G.gamma.order):
-            sel = np.nonzero(GRD == s)[0]
+            sel = np.nonzero(G.grd == s)[0]
             if len(sel):
                 chunks.append(_entry(key, *fn(sel, s)))
         entries.append(_merge(key, chunks))
@@ -457,28 +502,26 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         u = sel[:, None, None]
         v = sel[None, :, None]
         w = sel[None, None, :]
-        lhs = _gather(comp, aset[TGT[u], TGT[v], TGT[w]],
-                      _gather(tmor, tmor[u, v], w))
-        rhs = _gather(comp, _gather(tmor, u, tmor[v, w]),
-                      aset[SRC[u], SRC[v], SRC[w]])
+        lhs = comp[aset[TGT[u], TGT[v], TGT[w]], tmor[tmor[u, v], w]]
+        rhs = comp[tmor[u, tmor[v, w]], aset[SRC[u], SRC[v], SRC[w]]]
         return (lhs == rhs) & (lhs >= 0), np.broadcast_arrays(u, v, w)
 
     def nat_braid(sel, s):
         u = sel[:, None]
         v = sel[None, :]
-        lhs = _gather(comp, cset[TGT[u], TGT[v]], tmor[u, v])
-        rhs = _gather(comp, tmor[v, u], cset[SRC[u], SRC[v]])
+        lhs = comp[cset[TGT[u], TGT[v]], tmor[u, v]]
+        rhs = comp[tmor[v, u], cset[SRC[u], SRC[v]]]
         return (lhs == rhs) & (lhs >= 0), np.broadcast_arrays(u, v)
 
     def nat_lunit(sel, s):
-        lhs = _gather(comp, lset[TGT[sel]], _gather(tmor, np.full(len(sel), uI[s]), sel))
-        rhs = _gather(comp, sel, lset[SRC[sel]])
-        return ((lhs == rhs) & (lhs >= 0)), (sel,)
+        lhs = comp[lset[TGT[sel]], tmor[uI[s], sel]]
+        rhs = comp[sel, lset[SRC[sel]]]
+        return (lhs == rhs) & (lhs >= 0), (sel,)
 
     def nat_runit(sel, s):
-        lhs = _gather(comp, rset[TGT[sel]], _gather(tmor, sel, np.full(len(sel), uI[s])))
-        rhs = _gather(comp, sel, rset[SRC[sel]])
-        return ((lhs == rhs) & (lhs >= 0)), (sel,)
+        lhs = comp[rset[TGT[sel]], tmor[sel, uI[s]]]
+        rhs = comp[sel, rset[SRC[sel]]]
+        return (lhs == rhs) & (lhs >= 0), (sel,)
 
     grouped("naturality-assoc", nat_assoc)
     grouped("naturality-braiding", nat_braid)
@@ -487,16 +530,16 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
 
     # stability: some morphism of each grade out of each object
     counts = np.zeros((no, G.gamma.order), dtype=np.int64)
-    np.add.at(counts, (SRC, GRD), 1)
+    np.add.at(counts, (G.src, G.grd), 1)
     entries.append(_entry("stability", counts > 0, None))
 
     # object invertibility: X (x) X' reaches the unit by a grade-1 arrow
-    w_objs = np.unique(SRC[(GRD == 0) & (TGT == G.unit)])
+    w_objs = np.unique(G.src[(G.grd == 0) & (G.tgt == G.unit)])
     reach = np.isin(tob, w_objs).any(axis=1)
     entries.append(_entry("object-invertibility", reach, [objs]))
 
     if symmetric:
-        lhs = _gather(comp, cset[y2, x2], cset[x2, y2])
+        lhs = comp[cset[y2, x2], cset[x2, y2]]
         entries.append(_entry("symmetry", (lhs == idm[tob[x2, y2]]) & (lhs >= 0), None))
 
     return AxiomReport(entries)
@@ -505,23 +548,18 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
 def ker(G: GradedCatGroup):
     """The grade-1 subcategory, reindexed over a trivial grading group."""
     keep = np.nonzero(G.grd == 0)[0]
-    remap = np.full(G.n_mor + 1, -1, dtype=np.int64)
+    # indexed like G's padded tables, so the undefined arrow stays -1
+    remap = np.full(len(G._src), -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
-
-    def rm(table):
-        t = np.asarray(table)
-        out = np.where(t >= 0, remap[np.maximum(t, 0)], -1)
-        return out
-
-    meta = {"kind": "kernel", "parent": G, "keep": keep}
+    meta = {"kind": "kernel", "parent": G, "keep": keep, "remap": remap}
     return GradedCatGroup(
         trivial_group(), G.n_obj,
         G.src[keep], G.tgt[keep], np.zeros(len(keep), dtype=np.int64),
         G.pay[keep] if G.pay is not None else None,
-        rm(G.comp[np.ix_(keep, keep)]),
-        G.tob, rm(G.tmor[np.ix_(keep, keep)]),
-        G.unit, rm(G.idm), rm(G.aset), rm(G.lset), rm(G.rset), rm(G.cset),
-        rm(G.uI[:1]), meta)
+        remap[G.comp[np.ix_(keep, keep)]],
+        G.tob, remap[G.tmor[np.ix_(keep, keep)]],
+        G.unit, remap[G.idm], remap[G.aset], remap[G.lset], remap[G.rset],
+        remap[G.cset], remap[G.uI[:1]], meta)
 
 
 # -- reduction of the built category on an abelian module ---------------------

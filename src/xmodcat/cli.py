@@ -69,17 +69,20 @@ def _load_scenario(path, kind):
     return inputs, options
 
 
-def _decode(inputs, name, build):
-    """build(inputs[name]); a missing or malformed value is an InputError
-    that names its path in the scenario."""
-    if name not in inputs:
-        raise InputError(f"inputs.{name}: missing")
+def _decode(section, name, build, where="inputs", default=None):
+    """build(section[name]), or default when name is absent and a default
+    is given; a missing or malformed value is an InputError that names its
+    path `<where>.<name>` in the scenario."""
+    if name not in section:
+        if default is not None:
+            return default
+        raise InputError(f"{where}.{name}: missing")
     try:
-        return build(inputs[name])
+        return build(section[name])
     except KeyError as exc:
-        raise InputError(f"inputs.{name}: missing field {exc}") from exc
+        raise InputError(f"{where}.{name}: missing field {exc}") from exc
     except (XmodcatError, TypeError, ValueError) as exc:
-        raise InputError(f"inputs.{name}: {exc}") from exc
+        raise InputError(f"{where}.{name}: {exc}") from exc
 
 
 def _group(obj):
@@ -109,7 +112,7 @@ def _seed(options):
             return int(env)
         except ValueError as exc:
             raise InputError(f"XMODCAT_SEED must be an integer: {env!r}") from exc
-    return int(options.get("seed", 0))
+    return _decode(options, "seed", int, "options", default=0)
 
 
 def _report_axioms(lines, report, prefix=""):
@@ -152,7 +155,7 @@ def run_check_axioms(inputs, options, guard):
     if "module" in inputs:
         mods.append(_decode(inputs, "module",
                             BraidedGammaCrossedModule.from_json))
-    count = int(options.get("random_count", 0))
+    count = _decode(options, "random_count", int, "options", default=0)
     if count:
         mods.extend(samples.random_corpus(_seed(options), count))
     if not mods:

@@ -26,6 +26,7 @@ from .groups import (
     GammaAction,
     GammaModule,
     GroupHom,
+    _action_failures,
     commutator_subgroup,
     identity_hom,
     is_normal,
@@ -328,25 +329,6 @@ class BraidedGammaCrossedModule:
             B, D, obj["d"], obj["theta"], obj["eta"], gamma,
             GammaAction(gamma, B, obj["actB"]),
             GammaAction(gamma, D, obj["actD"]))
-
-
-def _action_failures(action):
-    G, T, act = action.gamma, action.target, action.act
-    for x in T.elements():
-        if act[0][x] != x:
-            yield ("identity", x)
-    for s in G.elements():
-        if len(set(act[s])) != T.order:
-            yield ("bijective", s)
-        for x in T.elements():
-            for y in T.elements():
-                if act[s][T.mul(x, y)] != T.mul(act[s][x], act[s][y]):
-                    yield ("multiplicative", s, x, y)
-        for t in G.elements():
-            st = G.mul(s, t)
-            for x in T.elements():
-                if act[st][x] != act[s][act[t][x]]:
-                    yield ("composition", s, t, x)
 
 
 def validate(module):

@@ -470,7 +470,7 @@ class ClassifyResult:
 
 
 def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
-             guard=DEFAULT_GUARD, cross_check=True):
+             guard=DEFAULT_GUARD):
     """Obstruction-based classification of extensions of type M inducing psi.
 
     Pulls the skeletal 3-cochain of the built category back along psi,
@@ -494,7 +494,7 @@ def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
     S = dis(Qmod)
     labels = _psi_labels(M, T, psi)
     classes = homotopy_classes(S, T, labels, guard=guard)
-    if cross_check and len(classes) != res.class_count:
+    if len(classes) != res.class_count:
         raise AssertionError(
             f"class count {len(classes)} differs from |H2| = {res.class_count}")
     reps = [extension_from_functor(cls[0]) for cls in classes]

@@ -130,19 +130,12 @@ def _validate_table(tbl):
     for a in range(n):
         if not any(tbl[a][b] == 0 and tbl[b][a] == 0 for b in range(n)):
             raise NoInverse("element has no two-sided inverse", (a,))
-    if n <= 16:
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
-                        raise NotAssociative("associativity fails", (a, b, c))
-    else:
-        t = np.asarray(tbl, dtype=np.int64)
-        lhs = t[t, :]            # lhs[a,b,c] = (ab)c
-        rhs = t[:, t]            # rhs[a,b,c] = a(bc)
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            raise NotAssociative("associativity fails", tuple(int(v) for v in bad[0]))
+    t = np.asarray(tbl, dtype=np.int64)
+    lhs = t[t, :]            # lhs[a,b,c] = (ab)c
+    rhs = t[:, t]            # rhs[a,b,c] = a(bc)
+    bad = np.argwhere(lhs != rhs)
+    if len(bad):
+        raise NotAssociative("associativity fails", tuple(int(v) for v in bad[0]))
 
 
 def group_from_table(table):
@@ -424,24 +417,7 @@ class GammaAction:
         return self.act[s][x]
 
     def is_action(self):
-        G, T, act = self.gamma, self.target, self.act
-        if act[0] != tuple(range(T.order)):
-            return False
-        for s in range(G.order):
-            row = act[s]
-            if len(set(row)) != T.order:
-                return False
-            for x in range(T.order):
-                for y in range(T.order):
-                    if row[T.mul(x, y)] != T.mul(row[x], row[y]):
-                        return False
-        for s in range(G.order):
-            for t in range(G.order):
-                st = G.mul(s, t)
-                for x in range(T.order):
-                    if act[st][x] != act[s][act[t][x]]:
-                        return False
-        return True
+        return next(_action_failures(self), None) is None
 
     def __eq__(self, other):
         return (isinstance(other, GammaAction) and self.act == other.act
@@ -449,6 +425,27 @@ class GammaAction:
 
     def __hash__(self):
         return hash((self.gamma, self.target, self.act))
+
+
+def _action_failures(action):
+    """Witnesses of the failing action laws: identity, bijective rows,
+    multiplicative rows, and compatibility with the product of gamma."""
+    G, T, act = action.gamma, action.target, action.act
+    for x in T.elements():
+        if act[0][x] != x:
+            yield ("identity", x)
+    for s in G.elements():
+        if len(set(act[s])) != T.order:
+            yield ("bijective", s)
+        for x in T.elements():
+            for y in T.elements():
+                if act[s][T.mul(x, y)] != T.mul(act[s][x], act[s][y]):
+                    yield ("multiplicative", s, x, y)
+        for t in G.elements():
+            st = G.mul(s, t)
+            for x in T.elements():
+                if act[st][x] != act[s][act[t][x]]:
+                    yield ("composition", s, t, x)
 
 
 def trivial_action(gamma, target):

@@ -234,28 +234,7 @@ def presentation_from_generators(gen_cols, ambient_moduli):
     reduced mod the ambient moduli.  Invariant factors satisfy d1 | d2 | ...
     with the trivial factors dropped.
     """
-    n = len(ambient_moduli)
-    s = len(gen_cols)
-    if s == 0:
-        return Presented([], [])
-    K = [[gen_cols[j][i] for j in range(s)] for i in range(n)]
-    rel_cols = congruence_kernel_gens(K, ambient_moduli)
-    if not rel_cols:
-        raise MatrixShapeMismatch("generators of infinite order in finite ambient")
-    R = [[col[i] for col in rel_cols] for i in range(s)]
-    D, _, _, Sinv, _ = smith_normal_form(R)
-    invs, lifts = [], []
-    for j in range(s):
-        d = D[j][j] if j < min(len(D), len(D[0])) else 0
-        if d == 0:
-            raise MatrixShapeMismatch("generators of infinite order in finite ambient")
-        if d == 1:
-            continue
-        col = [Sinv[i][j] for i in range(s)]
-        lift = [sum(K[i][t] * col[t] for t in range(s)) for i in range(n)]
-        invs.append(d)
-        lifts.append(_reduce_vec(lift, ambient_moduli))
-    return Presented(invs, lifts)
+    return subquotient_presentation(gen_cols, [], ambient_moduli)
 
 
 def subquotient_presentation(ker_gens, sub_gens, ambient_moduli):

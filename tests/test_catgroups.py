@@ -1,12 +1,14 @@
 import random
 
 import numpy as np
+import pytest
 
 from xmodcat import catgroups as cg
 from xmodcat import cohomology as ch
 from xmodcat import crossed as xm
 from xmodcat import groups as g
 from xmodcat import samples
+from xmodcat.errors import ShapeMismatch
 from xmodcat.functors import check_graded_functor
 
 Z2 = g.cyclic(2)
@@ -237,3 +239,60 @@ def test_naturality_witness_is_a_failing_triple():
     lhs = comp(int(G.aset[G.tgt[u], G.tgt[v], G.tgt[w]]), ten(ten(u, v), w))
     rhs = comp(ten(u, ten(v, w)), int(G.aset[G.src[u], G.src[v], G.src[w]]))
     assert lhs != rhs or lhs < 0
+
+
+def _tables(G):
+    """The constructor arguments of G, read from its public attributes."""
+    return dict(gamma=G.gamma, n_obj=G.n_obj, src=G.src, tgt=G.tgt,
+                grd=G.grd, pay=G.pay, comp=G.comp, tob=G.tob, tmor=G.tmor,
+                unit=G.unit, idm=G.idm, aset=G.aset, lset=G.lset,
+                rset=G.rset, cset=G.cset, uI=G.uI, meta=G.meta)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("comp", lambda G: -2),
+    ("comp", lambda G: G.n_mor),
+    ("tmor", lambda G: -2),
+    ("src", lambda G: G.n_obj),
+    ("tob", lambda G: -1),
+], ids=["comp-minus-two", "comp-past-end", "tmor-minus-two",
+        "src-past-end", "tob-negative"])
+def test_out_of_range_index_is_refused(field, value):
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    tables = _tables(G)
+    bad = getattr(G, field).copy()
+    bad.flat[3] = value(G)
+    tables[field] = bad
+    with pytest.raises(ShapeMismatch):
+        cg.GradedCatGroup(**tables)
+
+
+def test_public_tables_leave_out_the_undefined_slot():
+    m = samples.s3_a3_module(True)
+    G = cg.build_catgroup(m)
+    n = G.n_mor
+    assert n == m.B.order * m.D.order * m.gamma.order
+    for name, shape in (("src", (n,)), ("tgt", (n,)), ("grd", (n,)),
+                        ("inv", (n,)), ("comp", (n, n)), ("tmor", (n, n))):
+        table = getattr(G, name)
+        assert table.shape == shape
+        assert table.dtype == np.int64
+        assert table.nbytes == 8 * table.size
+    blob = G.to_json()
+    assert blob["composition"] == G.comp.tolist()
+    assert blob["tensor"]["morphisms"] == G.tmor.tolist()
+    assert len(blob["morphisms"]) == n
+    rebuilt = cg.GradedCatGroup(**_tables(G))
+    assert rebuilt == G
+    assert rebuilt.to_json() == blob
+
+
+def test_undefined_arrow_propagates_and_edits_write_through():
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    # index -1 reads the undefined slot of every padded table
+    assert G._comp[-1, 0] == G._comp[0, -1] == G._tmor[-1, 0] == -1
+    assert G._src[-1] == G._tgt[-1] == G._grd[-1] == G._inv[-1] == -1
+    g, f = (int(v) for v in np.argwhere(G.comp >= 0)[5])
+    G.comp[g, f] = -1
+    rep = cg.check_axioms(G)
+    assert rep.first_failure() == ("composition-defined", (g, f))

@@ -107,12 +107,18 @@ def _unknown_h2_method():
     return "cohomology-h2", inputs, {"method": "nope"}, "nope"
 
 
+def _non_integer_random_count():
+    return "check-axioms", {}, {"random_count": "x"}, "options.random_count"
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
     _non_integer_boundary,
     _unknown_h2_method,
-], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method"])
+    _non_integer_random_count,
+], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
+        "non-integer-random-count"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)

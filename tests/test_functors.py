@@ -85,6 +85,25 @@ def test_out_of_range_map_is_reported(field, key, value):
     assert rep[key].fail_count == 1
 
 
+@pytest.mark.parametrize("field, key, value, where", [
+    ("ftilde", "comparison-typing", lambda G: G.n_mor + 5, (1, 2)),
+    ("ftilde", "comparison-typing", lambda G: -2, (1, 2)),
+    ("fstar", "unit-comparison-typing", lambda G: G.n_mor + 5, (0,)),
+], ids=["ftilde-past-end", "ftilde-minus-two", "fstar-past-end"])
+def test_out_of_range_comparison_fails_its_typing(field, key, value, where):
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    F = fn.identity_functor(G)
+    if field == "ftilde":
+        F.ftilde[1, 2] = value(G)
+    else:
+        F.fstar = value(G)
+    rep = fn.check_graded_functor(F)
+    assert len(rep.entries) == 13
+    assert not rep[key].ok
+    assert rep[key].first_witness == where
+    assert rep[key].fail_count == 1
+
+
 def test_bad_choices_rejected():
     m = samples.s3_a3_module(True)
     G = cg.build_catgroup(m)
