@@ -365,10 +365,162 @@ def _merge(key, checks):
                       sum(c.fail_count for c in checks))
 
 
+def _lifts(G: GradedCatGroup):
+    """(|gamma|, n_obj) table of the least grade-s morphism out of each
+    object, with the identity at grade 1; -1 where there is none.  In a
+    graded groupoid every grade-s arrow out of X is a grade-1 arrow after
+    the lift at X."""
+    ng, no = G.gamma.order, G.n_obj
+    keys, first = np.unique(G.grd * no + G.src, return_index=True)
+    ups = np.full(ng * no, -1, dtype=np.int64)
+    ups[keys] = first
+    ups = ups.reshape(ng, no)
+    ups[0] = G.idm
+    return ups
+
+
+def _arrows_into(G: GradedCatGroup):
+    """(|gamma|, n_obj, d) table of the morphisms of each grade into each
+    object, ascending, padded with the undefined arrow -1 to the largest
+    group (in-degrees need not be equal)."""
+    ng, no = G.gamma.order, G.n_obj
+    key = G.grd * no + G.tgt
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=ng * no)
+    pos = np.arange(G.n_mor) - (np.cumsum(counts) - counts)[key[order]]
+    out = np.full((ng * no, counts.max()), -1, dtype=np.int64)
+    out[key[order], pos] = order
+    return out.reshape(ng, no, -1)
+
+
+def _interchange_square(G, g, f, gp, fp):
+    """Mask of (g o f) (x) (g' o f') == (g (x) g') o (f (x) f'), defined."""
+    comp, tmor = G._comp, G._tmor
+    lhs = tmor[comp[g, f], comp[gp, fp]]
+    rhs = comp[tmor[g, gp], tmor[f, fp]]
+    return (lhs == rhs) & (lhs >= 0)
+
+
+def _nat_assoc_square(G, u, v, w):
+    """Mask of a(tgt) o ((u (x) v) (x) w) == (u (x) (v (x) w)) o a(src),
+    defined."""
+    comp, tmor, aset, SRC, TGT = G._comp, G._tmor, G.aset, G._src, G._tgt
+    lhs = comp[aset[TGT[u], TGT[v], TGT[w]], tmor[tmor[u, v], w]]
+    rhs = comp[tmor[u, tmor[v, w]], aset[SRC[u], SRC[v], SRC[w]]]
+    return (lhs == rhs) & (lhs >= 0)
+
+
+def _interchange_exhaustive(G: GradedCatGroup):
+    """tensor-interchange on every two composable pairs (g, f), (g', f')
+    with grd g = grd g' and grd f = grd f', one chunk per grade pair."""
+    gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[:, None])
+    pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
+    chunks = []
+    for key in np.unique(pair_grade):
+        sel = pair_grade == key
+        g, f = gsel[sel], fsel[sel]
+        quad = (g[:, None], f[:, None], g[None, :], f[None, :])
+        chunks.append(_entry("tensor-interchange", _interchange_square(G, *quad),
+                             np.broadcast_arrays(*quad)))
+    return _merge("tensor-interchange", chunks)
+
+
+def _by_grade(G, key, square):
+    """One check from square(sel, s), run on the morphisms sel of each
+    grade s; square returns the mask and its witness arrays."""
+    chunks = []
+    for s in range(G.gamma.order):
+        sel = np.nonzero(G.grd == s)[0]
+        if len(sel):
+            chunks.append(_entry(key, *square(sel, s)))
+    return _merge(key, chunks)
+
+
+def _nat_assoc_exhaustive(G: GradedCatGroup):
+    """naturality-assoc on every triple of same-grade morphisms."""
+    def square(sel, s):
+        u, v, w = sel[:, None, None], sel[None, :, None], sel[None, None, :]
+        return _nat_assoc_square(G, u, v, w), np.broadcast_arrays(u, v, w)
+    return _by_grade(G, "naturality-assoc", square)
+
+
+# squares per block of the generator interchange scan, which bounds its
+# temporaries to a few times 8 MB
+_BLOCK = 1 << 20
+
+
+def _interchange_on_generators(G, ups):
+    """Whether tensor-interchange holds where the outer pair (g, g') is a
+    generator of the same-grade pairs and (f, f') is every same-grade pair
+    composable with it, _BLOCK squares at a time.  The generators
+    are (k, id_Y) and (id_X, k) for grade-1 k and the lift pairs
+    (ups[s, X], ups[s, X'])."""
+    k = np.nonzero(G.grd == 0)[0]
+    idm = G.idm
+    gens = (np.broadcast_arrays(k[:, None], idm[None, :]),
+            np.broadcast_arrays(idm[:, None], k[None, :]),
+            np.broadcast_arrays(ups[:, :, None], ups[:, None, :]))
+    g = np.concatenate([a.ravel() for a, _ in gens])
+    gp = np.concatenate([b.ravel() for _, b in gens])
+    into = _arrows_into(G)
+    step = max(1, _BLOCK // into.shape[2] ** 2)
+    for t in range(G.gamma.order):
+        for lo in range(0, len(g), step):
+            a, b = g[lo:lo + step], gp[lo:lo + step]
+            f = into[t, G.src[a]][:, :, None]
+            fp = into[t, G.src[b]][:, None, :]
+            ok = _interchange_square(G, a[:, None, None], f, b[:, None, None], fp)
+            if not (ok | (f < 0) | (fp < 0)).all():
+                return False
+    return True
+
+
+def _nat_assoc_on_generators(G, ups):
+    """Whether naturality-assoc holds on the generating triples
+    (k, id, id), (id, k, id), (id, id, k) for grade-1 k and the lift
+    triples (ups[s, X], ups[s, Y], ups[s, Z])."""
+    k = np.nonzero(G.grd == 0)[0]
+    x, y, z = G.idm[:, None, None], G.idm[None, :, None], G.idm[None, None, :]
+    triples = ((k[:, None, None], y, z), (x, k[None, :, None], z),
+               (x, y, k[None, None, :]),
+               (ups[:, :, None, None], ups[:, None, :, None], ups[:, None, None, :]))
+    return all(_nat_assoc_square(G, *uvw).all() for uvw in triples)
+
+
+# Families after which the generator scans are sound: a Gamma-graded
+# groupoid with a grade-preserving, typed tensor and a lift of every grade
+# out of every object.  There a tensor that preserves composites with a
+# generator preserves all composites, and a transformation natural in each
+# variable separately is natural (CWM II.3), so lift tuples and per-variable
+# grade-1 squares suffice.
+_INTERCHANGE_NEEDS = frozenset((
+    "composition-defined", "composition-typing", "grade-composition",
+    "identity-typing", "identity-laws", "composition-associative",
+    "inverses", "tensor-defined", "tensor-typing", "tensor-identities",
+    "stability"))
+# ... and a bifunctorial tensor with typed associativity constraints.
+_NAT_ASSOC_NEEDS = _INTERCHANGE_NEEDS | {"tensor-interchange", "assoc-typing"}
+
+
+def _passed(checks):
+    return {c.key for c in checks if c.ok}
+
+
 def check_axioms(G: GradedCatGroup, symmetric=False):
     """Full coherence report: typing, groupoid structure, bifunctoriality,
     the pentagon/triangle/hexagon identities, naturality of every
-    constraint, grading stability, and object invertibility."""
+    constraint, grading stability, and object invertibility.
+
+    tensor-interchange and naturality-assoc are first checked on a
+    generating set: outer pairs (k, id_Y), (id_X, k) for grade-1 k and the
+    lift pairs (l_s(X), l_s(X')), and triples (k, id, id), (id, k, id),
+    (id, id, k) and (l_s(X), l_s(Y), l_s(Z)), where l_s(X) is the least
+    grade-s morphism out of X (`_lifts`).  That is sound once the groupoid,
+    tensor and stability families pass (`_INTERCHANGE_NEEDS`), plus
+    tensor-interchange and assoc-typing for naturality-assoc.  If a
+    precondition fails, or the generator scan finds a failure, the family
+    is scanned exhaustively, so every check (ok, fail count, witnesses) is
+    that of the exhaustive scan."""
     entries = []
     n, no = G.n_mor, G.n_obj
     gt = G.gamma.np_table
@@ -422,22 +574,18 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     ok = tmor[idm[:, None], idm[None, :]] == idm[tob]
     entries.append(_entry("tensor-identities", ok, None))
 
+    # stability: some morphism of each grade out of each object
+    counts = np.zeros((no, G.gamma.order), dtype=np.int64)
+    np.add.at(counts, (G.src, G.grd), 1)
+    stability = _entry("stability", counts > 0, None)
+
     # interchange: (g o f) (x) (g' o f') == (g (x) g') o (f (x) f')
-    chunks = []
-    pair_groups = {}
-    for g, f in zip(gsel, fsel):
-        pair_groups.setdefault((int(GRD[g]), int(GRD[f])), []).append((g, f))
-    for key, pairs in sorted(pair_groups.items()):
-        garr = np.array([p[0] for p in pairs])
-        farr = np.array([p[1] for p in pairs])
-        carr = comp[garr, farr]
-        lhs = tmor[carr[:, None], carr[None, :]]
-        rhs = comp[tmor[garr[:, None], garr[None, :]],
-                   tmor[farr[:, None], farr[None, :]]]
-        chunks.append(_entry("tensor-interchange", (lhs == rhs) & (lhs >= 0),
-                             np.broadcast_arrays(garr[:, None], farr[:, None],
-                                                 garr[None, :], farr[None, :])))
-    entries.append(_merge("tensor-interchange", chunks))
+    ups = _lifts(G)
+    if _passed(entries + [stability]) >= _INTERCHANGE_NEEDS and \
+            _interchange_on_generators(G, ups):
+        entries.append(AxiomCheck("tensor-interchange"))
+    else:
+        entries.append(_interchange_exhaustive(G))
 
     x2 = objs[:, None]
     y2 = objs[None, :]
@@ -489,23 +637,13 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
                inv[aset[x3, y3, z3]]]
     entries.append(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
 
-    # naturality, grouped by grade
-    def grouped(key, fn):
-        chunks = []
-        for s in range(G.gamma.order):
-            sel = np.nonzero(G.grd == s)[0]
-            if len(sel):
-                chunks.append(_entry(key, *fn(sel, s)))
-        entries.append(_merge(key, chunks))
+    if _passed(entries + [stability]) >= _NAT_ASSOC_NEEDS and \
+            _nat_assoc_on_generators(G, ups):
+        entries.append(AxiomCheck("naturality-assoc"))
+    else:
+        entries.append(_nat_assoc_exhaustive(G))
 
-    def nat_assoc(sel, s):
-        u = sel[:, None, None]
-        v = sel[None, :, None]
-        w = sel[None, None, :]
-        lhs = comp[aset[TGT[u], TGT[v], TGT[w]], tmor[tmor[u, v], w]]
-        rhs = comp[tmor[u, tmor[v, w]], aset[SRC[u], SRC[v], SRC[w]]]
-        return (lhs == rhs) & (lhs >= 0), np.broadcast_arrays(u, v, w)
-
+    # the other naturality families, grouped by grade
     def nat_braid(sel, s):
         u = sel[:, None]
         v = sel[None, :]
@@ -523,15 +661,11 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         rhs = comp[sel, rset[SRC[sel]]]
         return (lhs == rhs) & (lhs >= 0), (sel,)
 
-    grouped("naturality-assoc", nat_assoc)
-    grouped("naturality-braiding", nat_braid)
-    grouped("naturality-left-unit", nat_lunit)
-    grouped("naturality-right-unit", nat_runit)
+    entries.append(_by_grade(G, "naturality-braiding", nat_braid))
+    entries.append(_by_grade(G, "naturality-left-unit", nat_lunit))
+    entries.append(_by_grade(G, "naturality-right-unit", nat_runit))
 
-    # stability: some morphism of each grade out of each object
-    counts = np.zeros((no, G.gamma.order), dtype=np.int64)
-    np.add.at(counts, (G.src, G.grd), 1)
-    entries.append(_entry("stability", counts > 0, None))
+    entries.append(stability)
 
     # object invertibility: X (x) X' reaches the unit by a grade-1 arrow
     w_objs = np.unique(G.src[(G.grd == 0) & (G.tgt == G.unit)])

@@ -105,6 +105,12 @@ def _ints(obj):
     return [int(v) for v in obj]
 
 
+def _bool(obj):
+    if not isinstance(obj, bool):
+        raise TypeError(f"expected true or false, got {json.dumps(obj)}")
+    return obj
+
+
 def _seed(options):
     env = os.environ.get("XMODCAT_SEED")
     if env is not None:
@@ -145,7 +151,7 @@ def run_build_catgroup(inputs, options, guard):
              f"kernel-morphisms: {ker(G).n_mor}"]
     data = {"objects": G.n_obj, "morphisms": G.n_mor,
             "grades": G.gamma.order}
-    if options.get("dump"):
+    if _decode(options, "dump", _bool, "options", default=False):
         data["category"] = G.to_json()
     return 0, lines, data
 
@@ -156,6 +162,7 @@ def run_check_axioms(inputs, options, guard):
         mods.append(_decode(inputs, "module",
                             BraidedGammaCrossedModule.from_json))
     count = _decode(options, "random_count", int, "options", default=0)
+    symmetric = _decode(options, "symmetric", _bool, "options", default=False)
     if count:
         mods.extend(samples.random_corpus(_seed(options), count))
     if not mods:
@@ -164,7 +171,7 @@ def run_check_axioms(inputs, options, guard):
     all_ok = True
     for i, m in enumerate(mods):
         G = build_catgroup(m)
-        rep = check_axioms(G, symmetric=bool(options.get("symmetric")))
+        rep = check_axioms(G, symmetric=symmetric)
         ok = rep.ok and m.is_valid
         all_ok = all_ok and ok
         first = rep.first_failure() or m.validate().first_failure()
@@ -217,11 +224,13 @@ def run_obstruction(inputs, options, guard):
     hp = _decode(inputs, "hp", _cochain3(Mp, Np))
     phi = _decode(inputs, "phi", _ints)
     f = _decode(inputs, "f", _ints)
+    decide = _decode(options, "decide_vanishing", _bool, "options",
+                     default=True)
     k = obstruction(phi, f, h, hp, Qmod=M)
     ok3, wit = is_3cocycle(k)
     lines = [f"cocycle: {ok3}" + ("" if ok3 else f" witness={wit}")]
     data = {"obstruction": k.to_json(), "cocycle": ok3}
-    if options.get("decide_vanishing", True):
+    if decide:
         vanish = cohomology.class_vanishes(k, (M, N, h), (Mp, Np, hp),
                                            phi, f, guard=guard)
         lines.append(f"vanishes: {vanish}")

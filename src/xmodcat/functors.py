@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .catgroups import GradedCatGroup, _entry, build_catgroup, ker
+from .catgroups import GradedCatGroup, _entry, _lifts, build_catgroup, ker
 from .cohomology import SymmetricCochain2
 from .crossed import (
     AxiomCheck,
@@ -158,13 +158,7 @@ def check_graded_functor(F: GradedFunctor):
 def canonical_choices(G: GradedCatGroup):
     """Least grade-s morphism out of each object, with the identity at
     grade 1; these witness grading stability."""
-    ng, no = G.gamma.order, G.n_obj
-    ups = np.full((ng, no), -1, dtype=np.int64)
-    for m in range(G.n_mor):
-        s, x = int(G.grd[m]), int(G.src[m])
-        if ups[s, x] < 0:
-            ups[s, x] = m
-    ups[0] = G.idm
+    ups = _lifts(G)
     if (ups < 0).any():
         s, x = [int(v) for v in np.argwhere(ups < 0)[0]]
         raise BadChoice(f"no grade-{s} morphism out of object {x}")
@@ -215,10 +209,12 @@ def extract_factor_set(G: GradedCatGroup, choices=None):
     ng = G.gamma.order
     if ups.shape != (ng, G.n_obj):
         raise ShapeMismatch("choices must be |gamma| x objects")
+    # an entry outside [0, n_mor) reads as the undefined arrow, of no type
+    ups = G.arrows(ups)
     for s in range(ng):
         for x in range(G.n_obj):
             m = int(ups[s, x])
-            if int(G.grd[m]) != s or int(G.src[m]) != x:
+            if int(G._grd[m]) != s or int(G._src[m]) != x:
                 raise BadChoice(f"choice at grade {s}, object {x} has wrong type")
             if s == 0 and m != int(G.idm[x]):
                 raise BadChoice("grade-1 choices must be identities")
@@ -329,7 +325,11 @@ def is_regular(F: GradedFunctor):
     """Strict on object and grade-1 morphism tensors, symmetric comparison,
     and equivariant for the canonical gamma-actions on both ends."""
     S, T = F.source, F.target
-    obj, mor = F.obj, F.mor
+    # a morphism or comparison outside the target reads as undefined
+    obj, mor, ft = F.obj, T.arrows(F.mor), T.arrows(F.ftilde)
+    if not ((obj >= 0) & (obj < T.n_obj)).all() or (mor < 0).any() or \
+            (ft < 0).any():
+        return False
     if not np.array_equal(T.tob[obj[:, None], obj[None, :]], obj[S.tob]):
         return False
     g1 = np.nonzero(S.grd == 0)[0]
@@ -339,9 +339,9 @@ def is_regular(F: GradedFunctor):
     # comparison morphisms are labelled by payload; symmetry is equality of
     # the labels, the endpoints differ whenever the object tensor does
     if T.pay is not None:
-        ok = np.array_equal(T.pay[F.ftilde], T.pay[F.ftilde.T])
+        ok = np.array_equal(T.pay[ft], T.pay[ft.T])
     else:
-        ok = np.array_equal(F.ftilde, F.ftilde.T)
+        ok = np.array_equal(ft, ft.T)
     if not ok or S.gamma.order == 1:
         return ok
     ups_s = canonical_choices(S)
@@ -548,7 +548,8 @@ def is_homotopy(theta, F: GradedFunctor, F2: GradedFunctor):
     if F.source != F2.source or F.target != F2.target:
         return False, ("ends", None)
     S, T = F.source, F.target
-    th = np.asarray(theta, dtype=np.int64)
+    # an entry outside [0, n_mor) reads as the undefined arrow and fails typing
+    th = T.arrows(theta)
     if len(th) != S.n_obj:
         raise ShapeMismatch("homotopy table must assign one morphism per object")
     # the target's padded tables: an undefined (-1) index reads -1

@@ -296,3 +296,118 @@ def test_undefined_arrow_propagates_and_edits_write_through():
     G.comp[g, f] = -1
     rep = cg.check_axioms(G)
     assert rep.first_failure() == ("composition-defined", (g, f))
+
+
+# -- generator-reduced scans against the exhaustive ones -----------------------
+
+_REDUCED = (
+    ("tensor-interchange", cg._interchange_exhaustive,
+     cg._interchange_on_generators, cg._INTERCHANGE_NEEDS),
+    ("naturality-assoc", cg._nat_assoc_exhaustive,
+     cg._nat_assoc_on_generators, cg._NAT_ASSOC_NEEDS),
+)
+
+
+def _reduced_scans_agree(G):
+    """Assert that check_axioms reports tensor-interchange and
+    naturality-assoc exactly as their exhaustive scans do, and that where
+    a family's preconditions pass its generator scan gives the exhaustive
+    verdict.  Returns the (key, verdict) of each generator scan that ran."""
+    rep = cg.check_axioms(G)
+    passed = {e.key for e in rep.entries if e.ok}
+    ran = []
+    for key, exhaustive, on_generators, needs in _REDUCED:
+        full = exhaustive(G)
+        got = rep[key]
+        assert (got.ok, got.fail_count, got.first_witness) == \
+            (full.ok, full.fail_count, full.first_witness), key
+        assert got.witnesses == full.witnesses, key
+        if needs <= passed:
+            assert on_generators(G, cg._lifts(G)) == full.ok, key
+            ran.append((key, full.ok))
+    return ran
+
+
+def test_generator_scans_match_exhaustive_on_corpus():
+    for m in samples.standard_corpus():
+        assert _reduced_scans_agree(cg.build_catgroup(m)) == [
+            ("tensor-interchange", True), ("naturality-assoc", True)]
+
+
+def test_generator_scans_match_exhaustive_on_random_modules_and_mutants():
+    mods = samples.random_corpus(20260808, 200, max_order=8)
+    mutants = samples.random_breaking_mutations(
+        random.Random(20260808), samples.standard_corpus() + mods[:50], 100)
+    assert len(mutants) == 100
+    ran = set()
+    for m in mods + [mutant for mutant, _, _ in mutants]:
+        ran.update(_reduced_scans_agree(cg.build_catgroup(m)))
+    assert ran == {("tensor-interchange", True), ("tensor-interchange", False),
+                   ("naturality-assoc", True), ("naturality-assoc", False)}
+
+
+def test_generator_scans_match_exhaustive_on_random_cochains():
+    neg4 = module(Z4, Z2, [0, 3, 2, 1])
+    Z3neg = module(g.cyclic(3), Z2, [0, 2, 1])
+    pairs = [(module(Z2), module(Z2)), (module(Z2, Z2), module(Z2, Z2)),
+             (neg4, module(Z2, Z2)), (module(Z2, Z2), neg4),
+             (Z3neg, Z3neg), (module(Z4, Z2), neg4)]
+    rng = random.Random(20260808)
+    ran = set()
+    for M, N in pairs:
+        for _ in range(20):
+            G = cg.build_reduced(M, N, ch.random_cochain3(M, N, rng))
+            ran.update(_reduced_scans_agree(G))
+    assert ("tensor-interchange", False) in ran
+    assert ("naturality-assoc", False) in ran
+
+
+def _cochain(M, N, **parts):
+    h = ch.zero_cochain3(M, N)
+    return ch.Cochain3(M, N, parts.get("assoc", h.assoc), h.braid,
+                       parts.get("tensor", h.tensor), h.comp)
+
+
+def test_interchange_failure_found_by_the_generator_scan():
+    # one tensor twist on grade-s arrows: typed, but not bifunctorial
+    M, N = module(Z4, Z2, [0, 3, 2, 1]), module(Z2, Z2)
+    tensor = [[[0, int((r, s) == (1, 1))] for s in range(4)] for r in range(4)]
+    G = cg.build_reduced(M, N, _cochain(M, N, tensor=tensor))
+    assert _reduced_scans_agree(G) == [("tensor-interchange", False)]
+    assert [e.key for e in cg.check_axioms(G).failed()] == [
+        "tensor-interchange", "naturality-assoc"]
+
+
+def test_naturality_assoc_failure_found_by_the_generator_scan():
+    # an associator that grade s does not preserve: s.a(1,1,1) != a(1,1,1)
+    M, N = module(Z2, Z2), module(Z4, Z2, [0, 3, 2, 1])
+    assoc = [[[1 if (r, s, t) == (1, 1, 1) else 0 for t in range(2)]
+              for s in range(2)] for r in range(2)]
+    G = cg.build_reduced(M, N, _cochain(M, N, assoc=assoc))
+    assert _reduced_scans_agree(G) == [("tensor-interchange", True),
+                                       ("naturality-assoc", False)]
+    assert "naturality-assoc" in [e.key for e in cg.check_axioms(G).failed()]
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2], ids=["first", "second", "third"])
+def test_associator_unnatural_in_one_variable(pos):
+    # twist a(x, y, z) by the automorphism of payload 2 wherever the
+    # pos-th object is 1: natural in the other two variables only
+    G = cg.build_catgroup(samples.abelian_module(Z4, Z2, [0, 1, 0, 1]))
+    for idx in np.ndindex(G.aset.shape):
+        if idx[pos] == 1:
+            a = int(G.aset[idx])
+            G.aset[idx] = G.comp[a, G.record(0, 2, int(G.src[a]))]
+    assert _reduced_scans_agree(G) == [("tensor-interchange", True),
+                                       ("naturality-assoc", False)]
+    assert cg.check_axioms(G)["naturality-assoc"].fail_count == 256
+
+
+def test_lifts_are_least_arrows_of_each_grade():
+    G = cg.build_catgroup(samples.s3_a3_module(True))
+    ups = cg._lifts(G)
+    assert (ups[0] == G.idm).all()
+    for s in range(1, G.gamma.order):
+        for x in range(G.n_obj):
+            assert ups[s, x] == min(m for m in range(G.n_mor)
+                                    if G.grd[m] == s and G.src[m] == x)

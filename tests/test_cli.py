@@ -111,14 +111,43 @@ def _non_integer_random_count():
     return "check-axioms", {}, {"random_count": "x"}, "options.random_count"
 
 
+def _s3_inputs():
+    return {"module": samples.s3_a3_module(False).to_json()}
+
+
+def _string_symmetric():
+    return ("check-axioms", _s3_inputs(), {"symmetric": "false"},
+            "options.symmetric")
+
+
+def _list_symmetric():
+    return "check-axioms", _s3_inputs(), {"symmetric": [1]}, "options.symmetric"
+
+
+def _string_dump():
+    return "build-catgroup", _s3_inputs(), {"dump": "yes"}, "options.dump"
+
+
+def _string_decide_vanishing():
+    scenario = json.loads(
+        (cli.default_corpus_dir() / "obstruction_twisted.json").read_text())
+    return ("obstruction", scenario["inputs"], {"decide_vanishing": "no"},
+            "options.decide_vanishing")
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
     _non_integer_boundary,
     _unknown_h2_method,
     _non_integer_random_count,
+    _string_symmetric,
+    _list_symmetric,
+    _string_dump,
+    _string_decide_vanishing,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
-        "non-integer-random-count"])
+        "non-integer-random-count", "string-symmetric", "list-symmetric",
+        "string-dump", "string-decide-vanishing"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)

@@ -113,6 +113,16 @@ def test_bad_choices_rejected():
         fn.extract_factor_set(G, ups)
 
 
+@pytest.mark.parametrize("value", [lambda G: G.n_mor + 5, lambda G: -2],
+                         ids=["past-end", "minus-two"])
+def test_out_of_range_choice_is_refused(value):
+    G = cg.build_catgroup(samples.s3_a3_module(True))
+    ups = fn.canonical_choices(G).copy()
+    ups[1, 0] = value(G)
+    with pytest.raises(BadChoice):
+        fn.extract_factor_set(G, ups)
+
+
 def test_morphism_to_functor_identity_and_strict():
     m = samples.s3_a3_module(False)
     G = cg.build_catgroup(m)
@@ -215,6 +225,17 @@ def test_is_homotopy_identity_and_violations():
     assert fn.find_homotopy(F, F2) is None
 
 
+@pytest.mark.parametrize("value", [lambda G: G.n_mor + 5, lambda G: -2],
+                         ids=["past-end", "minus-two"])
+def test_out_of_range_homotopy_entry_fails_typing(value):
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    F = fn.identity_functor(G)
+    theta = G.idm[F.obj].copy()
+    assert fn.is_homotopy(theta, F, F) == (True, None)
+    theta[2] = value(G)
+    assert fn.is_homotopy(theta, F, F) == (False, ("typing", 2))
+
+
 def test_homotopy_class_counts_match_cohomology():
     Qm = module(Z2)
     G0 = cg.build_reduced(Qm, Qm)
@@ -271,3 +292,19 @@ def test_regularity_violation_detected():
     ft[0, 1] = G.record(0, emb[1], int(G.tob[0, 1]))
     F2 = fn.GradedFunctor(G, G, F.obj, F.mor, ft, F.fstar)
     assert not fn.is_regular(F2)
+
+
+@pytest.mark.parametrize("field, where, value", [
+    ("mor", 3, lambda G: G.n_mor + 5),
+    ("mor", 3, lambda G: -2),
+    ("mor", -1, lambda G: G.n_mor + 5),
+    ("obj", 3, lambda G: G.n_obj + 5),
+    ("ftilde", 3, lambda G: G.n_mor + 5),
+], ids=["morphism-past-end", "morphism-minus-two", "graded-morphism-past-end",
+        "object-past-end", "comparison-past-end"])
+def test_out_of_range_functor_is_not_regular(field, where, value):
+    G = cg.build_catgroup(samples.s3_a3_module(True))
+    F = fn.identity_functor(G)
+    assert fn.is_regular(F)
+    getattr(F, field).flat[where] = value(G)
+    assert not fn.is_regular(F)
