@@ -5,9 +5,12 @@ tables, so the coherence checker is vectorized table scanning.  Two
 builders produce instances: `build_catgroup` from a crossed module
 (objects = D, a grade-s morphism x -> y is a pair (b, s) with s.x = d(b)y)
 and `build_reduced` from a pair of gamma-modules and a degree-3 cochain
-(the skeletal model).  Both share the same index layout
+(the skeletal model).  Both use one morphism index layout
     index = (grade * n_pay + payload) * n_obj + target,
-which downstream translation code relies on.
+written once, in `_record`; every other module reaches it through
+`GradedCatGroup.record`.  Each builder computes only its sources and the
+payloads of composites, tensors and constraints, and `_assemble` turns
+them into the tables.
 
 An undefined composite or tensor is the index -1.  Every morphism-indexed
 table is stored with one trailing slot per morphism axis that holds -1,
@@ -36,6 +39,13 @@ def _padded(table):
     out = np.full([k + 1 for k in table.shape], -1, dtype=np.int64)
     out[tuple(slice(k) for k in table.shape)] = table
     return out
+
+
+def _record(n_pay, n_obj, grade, payload, target):
+    """Morphism index of the arrow of a built category with the given
+    grade and payload into target; plain arithmetic, so it also works on
+    whole arrays."""
+    return (grade * n_pay + payload) * n_obj + target
 
 
 class GradedCatGroup:
@@ -141,8 +151,7 @@ class GradedCatGroup:
 
     def record(self, grade, payload, target):
         """Morphism index from the shared (grade, payload, target) layout."""
-        n_pay = self.meta["n_pay"]
-        return (grade * n_pay + payload) * self.n_obj + target
+        return _record(self.meta["n_pay"], self.n_obj, grade, payload, target)
 
     def payload(self, m):
         return int(self.pay[m])
@@ -214,6 +223,44 @@ class GradedCatGroup:
         }
 
 
+def _layout(ng, n_pay, n_obj):
+    """(grade, payload, target) of every morphism, in index order."""
+    return np.indices((ng, n_pay, n_obj)).reshape(3, -1)
+
+
+def _assemble(gam, Ot, n_pay, grades, pays, tgts, srcs, comp_pay, ten_pay,
+              assoc_pay, braid_pay, meta):
+    """The category on objects with tensor table Ot and the morphisms of
+    _layout(|gam|, n_pay, n_obj) with sources srcs.  comp_pay[g, f] is the
+    payload of g o f, ten_pay[f, g] that of f (x) g, and assoc_pay[x, y, z]
+    and braid_pay[x, y] those of the grade-1 constraints; the unit is
+    object 0 and the unit constraints are identities."""
+    n_obj = len(Ot)
+    objs = np.arange(n_obj)
+    gt = gam.np_table
+
+    def record(grade, payload, target):
+        return _record(n_pay, n_obj, grade, payload, target)
+
+    # g o f, defined when tgt f == src g
+    comp = np.where(tgts[None, :] == srcs[:, None],
+                    record(gt[grades[:, None], grades[None, :]], comp_pay,
+                           tgts[:, None]), -1)
+    # f (x) g, defined when grades agree
+    tmor = np.where(grades[:, None] == grades[None, :],
+                    record(grades[:, None], ten_pay,
+                           Ot[tgts[:, None], tgts[None, :]]), -1)
+    idm = record(0, 0, objs)
+    aset = record(0, assoc_pay, Ot[Ot[objs[:, None, None], objs[None, :, None]],
+                                   objs[None, None, :]])
+    cset = record(0, braid_pay, Ot.T)
+    uI = record(np.arange(gam.order), 0, 0)
+    # the unit constraints are separate arrays: tables are edited in place
+    return GradedCatGroup(gam, n_obj, srcs, tgts, grades, pays, comp, Ot, tmor,
+                          0, idm, aset, idm.copy(), idm.copy(), cset, uI,
+                          {**meta, "n_pay": n_pay})
+
+
 def build_catgroup(module):
     """The strict graded categorical group attached to a crossed module.
 
@@ -222,55 +269,24 @@ def build_catgroup(module):
     mutants are detected.
     """
     B, D, gam = module.B, module.D, module.gamma
-    nb, nd, ng = B.order, D.order, gam.order
-    n_mor = ng * nb * nd
     Bt = B.np_table
     Dt = D.np_table
-    gt = gam.np_table
     actB = np.asarray(module.act_b.act, dtype=np.int64)
     actD = np.asarray(module.act_d.act, dtype=np.int64)
     theta = np.asarray(module.theta, dtype=np.int64)
     dmap = np.asarray(module.d, dtype=np.int64)
     ginv = np.asarray(gam.inverses, dtype=np.int64)
-    Dinv = np.asarray(D.inverses, dtype=np.int64)
 
-    grades, pays, tgts = np.meshgrid(
-        np.arange(ng), np.arange(nb), np.arange(nd), indexing="ij")
-    grades = grades.ravel()
-    pays = pays.ravel()
-    tgts = tgts.ravel()
+    grades, pays, tgts = _layout(gam.order, B.order, D.order)
     # source of (b, s): y  is  s^-1 (d(b) y)
     srcs = actD[ginv[grades], Dt[dmap[pays], tgts]]
-
-    # composition: g after f, defined when tgt f == src g
-    G = np.arange(n_mor)
-    gg = grades[G][:, None]
-    fb = pays[G][None, :]
-    comp_pay = Bt[actB[gg, fb], pays[G][:, None]]
-    comp_grd = gt[grades[:, None], grades[None, :]]
-    comp_idx = (comp_grd * nb + comp_pay) * nd + tgts[:, None]
-    defined = tgts[None, :] == srcs[:, None]
-    comp = np.where(defined, comp_idx, -1)
-
-    # tensor: f (x) g, defined when grades agree; payload b + theta_y c
+    # (c, t) o (b, s) carries t(b) c, and (b, s) (x) (c, s) with (b, s)
+    # into y carries b theta_y(c)
+    comp_pay = Bt[actB[grades[:, None], pays[None, :]], pays[:, None]]
     ten_pay = Bt[pays[:, None], theta[tgts[:, None], pays[None, :]]]
-    ten_tgt = Dt[tgts[:, None], tgts[None, :]]
-    ten_idx = (grades[:, None] * nb + ten_pay) * nd + ten_tgt
-    ten_def = grades[:, None] == grades[None, :]
-    tmor = np.where(ten_def, ten_idx, -1)
-
-    idm = np.arange(nd)                      # (grade 1, payload 0, target x)
-    objs = np.arange(nd)
-    aset = idm[Dt[Dt[objs[:, None, None], objs[None, :, None]],
-                  objs[None, None, :]]]
-    lset = idm.copy()
-    rset = idm.copy()
     eta = np.asarray(module.eta, dtype=np.int64)
-    cset = eta * nd + Dt[objs[None, :], objs[:, None]]
-    uI = np.arange(ng) * nb * nd
-    meta = {"kind": "module", "module": module, "n_pay": nb}
-    return GradedCatGroup(gam, nd, srcs, tgts, grades, pays, comp, Dt, tmor,
-                          0, idm, aset, lset, rset, cset, uI, meta)
+    return _assemble(gam, Dt, B.order, grades, pays, tgts, srcs, comp_pay,
+                     ten_pay, 0, eta, {"kind": "module", "module": module})
 
 
 def build_reduced(M: GammaModule, N: GammaModule, h: Cochain3 = None):
@@ -285,51 +301,24 @@ def build_reduced(M: GammaModule, N: GammaModule, h: Cochain3 = None):
     if h.M != M or h.N != N:
         raise ShapeMismatch("cochain modules do not match the arguments")
     gam = M.gamma
-    nm, nn, ng = M.group.order, N.group.order, gam.order
-    n_mor = ng * nn * nm
     Mt = M.group.np_table
     Nt = N.group.np_table
-    gt = gam.np_table
     actM = np.asarray(M.act.act, dtype=np.int64)
     actN = np.asarray(N.act.act, dtype=np.int64)
     ginv = np.asarray(gam.inverses, dtype=np.int64)
     h_comp = np.asarray(h.comp, dtype=np.int64)
     h_ten = np.asarray(h.tensor, dtype=np.int64)
-    h_a = np.asarray(h.assoc, dtype=np.int64)
-    h_c = np.asarray(h.braid, dtype=np.int64)
 
-    grades, pays, tgts = np.meshgrid(
-        np.arange(ng), np.arange(nn), np.arange(nm), indexing="ij")
-    grades = grades.ravel()
-    pays = pays.ravel()
-    tgts = tgts.ravel()
+    grades, pays, tgts = _layout(gam.order, N.group.order, M.group.order)
     srcs = actM[ginv[grades], tgts]
-
     comp_pay = Nt[Nt[actN[grades[:, None], pays[None, :]], pays[:, None]],
                   h_comp[srcs[None, :], grades[:, None], grades[None, :]]]
-    comp_grd = gt[grades[:, None], grades[None, :]]
-    comp_idx = (comp_grd * nn + comp_pay) * nm + tgts[:, None]
-    defined = tgts[None, :] == srcs[:, None]
-    comp = np.where(defined, comp_idx, -1)
-
     ten_pay = Nt[Nt[pays[:, None], pays[None, :]],
                  h_ten[srcs[:, None], srcs[None, :], grades[:, None]]]
-    ten_tgt = Mt[tgts[:, None], tgts[None, :]]
-    ten_idx = (grades[:, None] * nn + ten_pay) * nm + ten_tgt
-    ten_def = grades[:, None] == grades[None, :]
-    tmor = np.where(ten_def, ten_idx, -1)
-
-    idm = np.arange(nm)
-    objs = np.arange(nm)
-    sum3 = Mt[Mt[objs[:, None, None], objs[None, :, None]], objs[None, None, :]]
-    aset = h_a * nm + sum3
-    lset = idm.copy()
-    rset = idm.copy()
-    cset = h_c * nm + Mt[objs[None, :], objs[:, None]]
-    uI = np.arange(ng) * nn * nm
-    meta = {"kind": "reduced", "M": M, "N": N, "h": h, "n_pay": nn}
-    return GradedCatGroup(gam, nm, srcs, tgts, grades, pays, comp, Mt, tmor,
-                          0, idm, aset, lset, rset, cset, uI, meta)
+    return _assemble(gam, Mt, N.group.order, grades, pays, tgts, srcs,
+                     comp_pay, ten_pay, np.asarray(h.assoc, dtype=np.int64),
+                     np.asarray(h.braid, dtype=np.int64),
+                     {"kind": "reduced", "M": M, "N": N, "h": h})
 
 
 def dis(Q: GammaModule):
@@ -706,7 +695,7 @@ def reduce_abelian(module):
     reduced model into build_catgroup(module); tests verify that H is
     coherent, which is what certifies the extraction.
     """
-    from .functors import GradedFunctor
+    from .functors import _functor_into
 
     if not module.is_abelian_module():
         raise NotStrict("reduction implemented for abelian modules only")
@@ -756,21 +745,6 @@ def reduce_abelian(module):
                for s in range(ng)] for t in range(ng)] for r in range(q)]
     h = Cochain3(P, K, assoc, braid, tensor, compc)
 
-    reduced = build_reduced(P, K, h)
-    target = build_catgroup(module)
-    obj_map = np.asarray(reps, dtype=np.int64)
-    mor_map = np.zeros(reduced.n_mor, dtype=np.int64)
-    for m in range(reduced.n_mor):
-        s = int(reduced.grd[m])
-        a = int(reduced.pay[m])
-        r = int(reduced.src[m])
-        payload = Bm(emb[a], gamm[r][s])
-        mor_map[m] = target.record(s, payload, reps[int(reduced.tgt[m])])
-    ftilde = np.zeros((q, q), dtype=np.int64)
-    for r in range(q):
-        for s in range(q):
-            ftilde[r][s] = target.record(0, beta[r][s],
-                                         reps[P.group.mul(r, s)])
-    H = GradedFunctor(reduced, target, obj_map, mor_map, ftilde,
-                      int(target.idm[target.unit]))
+    H = _functor_into(build_reduced(P, K, h), build_catgroup(module), reps,
+                      emb, beta, gamm)
     return h, H

@@ -111,6 +111,13 @@ def _bool(obj):
     return obj
 
 
+def _h2_method(obj):
+    if obj not in ("snf", "brute", "both"):
+        raise ValueError(
+            f'expected "snf", "brute" or "both", got {json.dumps(obj)}')
+    return obj
+
+
 def _seed(options):
     env = os.environ.get("XMODCAT_SEED")
     if env is not None:
@@ -202,7 +209,7 @@ def run_cohomology_h2(inputs, options, guard):
     gamma = _decode(inputs, "gamma", _group)
     Q = _decode(inputs, "Q", _gamma_module(gamma))
     B = _decode(inputs, "B", _gamma_module(gamma))
-    method = options.get("method", "snf")
+    method = _decode(options, "method", _h2_method, "options", default="snf")
     res = h2(Q, B, guard=guard, method=method)
     lines = [f"invariants: {res.invariants}",
              f"class-count: {res.class_count}",

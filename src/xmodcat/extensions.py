@@ -14,8 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import cohomology
 from .catgroups import GradedCatGroup, build_catgroup, dis, reduce_abelian
 from .cohomology import SymmetricCochain2, is_2cocycle, pullback3
@@ -30,6 +28,7 @@ from .errors import (
 )
 from .functors import (
     GradedFunctor,
+    _functor_into,
     check_graded_functor,
     find_homotopy,
     homotopy_classes,
@@ -103,13 +102,6 @@ class GammaModuleExtension:
             out.append(min(e for e in self.E.group.elements()
                            if self.p(e) == u))
         return out
-
-    def decompose(self, x, section):
-        """Write x = j(b) + e_u; returns (b, u)."""
-        u = self.p(x)
-        rest = self.E.group.mul(x, self.E.group.inv(section[u]))
-        jpos = {self.j(b): b for b in self.module.B.elements()}
-        return jpos[rest], u
 
     def __repr__(self):
         return (f"GammaModuleExtension(|B|={self.module.B.order}, "
@@ -219,19 +211,9 @@ def functor_from_extension(ext: GammaModuleExtension, section=None,
         section = ext.canonical_section()
     T = target_cat if target_cat is not None else build_catgroup(M)
     S = source_cat if source_cat is not None else dis(Qmod)
-    q = Qmod.group.order
-    obj = np.asarray([ext.eps(section[u]) for u in range(q)], dtype=np.int64)
-    mor = np.zeros(S.n_mor, dtype=np.int64)
-    for m in range(S.n_mor):
-        s = int(S.grd[m])
-        u = int(S.src[m])
-        su = int(S.tgt[m])
-        mor[m] = T.record(s, f.qg[u][s], int(obj[su]))
-    ft = np.zeros((q, q), dtype=np.int64)
-    for u in range(q):
-        for v in range(q):
-            ft[u, v] = T.record(0, f.qq[u][v], int(obj[Qmod.group.mul(u, v)]))
-    F = GradedFunctor(S, T, obj, mor, ft, int(T.idm[T.unit]))
+    obj = [ext.eps(section[u]) for u in range(Qmod.group.order)]
+    # the discrete model's only payload is the identity
+    F = _functor_into(S, T, obj, [0], f.qq, f.qg)
     rep = check_graded_functor(F)
     if not rep.ok:
         raise BadSection(f"section functor fails coherence: {rep.first_failure()}")

@@ -161,7 +161,7 @@ def canonical_choices(G: GradedCatGroup):
     ups = _lifts(G)
     if (ups < 0).any():
         s, x = [int(v) for v in np.argwhere(ups < 0)[0]]
-        raise BadChoice(f"no grade-{s} morphism out of object {x}")
+        raise BadChoice(f"no morphism of grade index {s} out of object {x}")
     return ups
 
 
@@ -259,15 +259,11 @@ def validate_factor_set(fs: FactorSet):
         rep = check_graded_functor(fs.functor(s))
         entries.append(AxiomCheck(f"grade-{s}-functor",
                                   () if rep.ok else (rep.first_failure(),)))
-    bad_unit = [(s, t)
-                for s in range(ng) for t in range(ng)
-                if fs.theta[0][s][0] != K.idm[fs.obj_maps[s][0]] or
-                fs.theta[s][0][0] != K.idm[fs.obj_maps[s][0]]]
-    ok_unit = all(
-        np.array_equal(np.asarray(fs.theta[0][s]), K.idm[fs.obj_maps[s]]) and
-        np.array_equal(np.asarray(fs.theta[s][0]), K.idm[fs.obj_maps[s]])
-        for s in range(ng))
-    entries.append(AxiomCheck("theta-unit", bad_unit, int(not ok_unit)))
+    # theta^{1,s} and theta^{s,1} are identities, at (s, x)
+    theta = np.asarray(fs.theta, dtype=np.int64)
+    ident = K.idm[np.asarray(fs.obj_maps, dtype=np.int64)]
+    entries.append(_entry("theta-unit", (theta[0] == ident) &
+                          (theta[:, 0] == ident)))
     # theta^{s,t} natural and monoidal: F^s F^t -> F^{st}; the kernel's
     # padded tables read -1 at an undefined (-1) index
     comp, tmor = K._comp, K._tmor
@@ -344,8 +340,10 @@ def is_regular(F: GradedFunctor):
         ok = np.array_equal(ft, ft.T)
     if not ok or S.gamma.order == 1:
         return ok
-    ups_s = canonical_choices(S)
-    ups_t = canonical_choices(T)
+    # without a lift of every grade there is no canonical action to respect
+    ups_s, ups_t = _lifts(S), _lifts(T)
+    if (ups_s < 0).any() or (ups_t < 0).any():
+        return False
     if not np.array_equal(T.tgt[ups_t][:, obj], obj[S.tgt[ups_s]]):
         return False
     # grade s acts on a grade-1 arrow m: x -> y as up(y) o m o up(x)^-1
@@ -369,27 +367,25 @@ def morphism_to_functor(m: CrossedMorphism, source_cat=None, target_cat=None):
     G = source_cat if source_cat is not None else build_catgroup(M)
     T = target_cat if target_cat is not None else build_catgroup(Mp)
     proj = M.pi0_projection()
-    embp = Mp.pi1_embedding()
-    Bp = Mp.B
-    f0 = m.f0.map
-    f1 = m.f1.map
-    phi_qq = m.phi.qq
-    phi_qg = m.phi.qg
-    obj = np.asarray(f0, dtype=np.int64)
-    mor = np.zeros(G.n_mor, dtype=np.int64)
-    for i in range(G.n_mor):
-        s = int(G.grd[i])
-        b = int(G.pay[i])
-        y = int(G.tgt[i])
-        x = int(G.src[i])
-        payload = Bp.mul(embp[phi_qg[proj(x)][s]], f1[b])
-        mor[i] = T.record(s, payload, f0[y])
-    ft = np.zeros((G.n_obj, G.n_obj), dtype=np.int64)
-    for x in range(G.n_obj):
-        for y in range(G.n_obj):
-            ft[x, y] = T.record(0, embp[phi_qq[proj(x)][proj(y)]],
-                                f0[M.D.mul(x, y)])
-    return GradedFunctor(G, T, obj, mor, ft, int(T.idm[T.unit]))
+    cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
+    embp = np.asarray(Mp.pi1_embedding(), dtype=np.int64)
+    qq = embp[np.asarray(m.phi.qq, dtype=np.int64)]
+    qg = embp[np.asarray(m.phi.qg, dtype=np.int64)]
+    return _functor_into(G, T, m.f0.map, m.f1.map,
+                         qq[cls[:, None], cls[None, :]], qg[cls])
+
+
+def _functor_into(S, T, obj, pay, qq, qg):
+    """The functor into the built category T that sends a grade-s
+    morphism x -> y with payload b to the grade-s morphism into obj[y] with
+    payload qg[x, s] pay[b], with comparison x (x) y -> x y of payload
+    qq[x, y] and the identity unit comparison."""
+    Bt = T.meta["module"].B.np_table
+    obj, pay, qq, qg = (np.asarray(a, dtype=np.int64)
+                        for a in (obj, pay, qq, qg))
+    mor = T.record(S.grd, Bt[qg[S.src, S.grd], pay[S.pay]], obj[S.tgt])
+    ft = T.record(0, qq, obj[S.tob])
+    return GradedFunctor(S, T, obj, mor, ft, int(T.idm[T.unit]))
 
 
 def functor_to_morphism(F: GradedFunctor):
@@ -621,11 +617,6 @@ def _allowed(T: GradedCatGroup, src, tgt, grade=0):
         (T.grd == grade) & (T.src == src) & (T.tgt == tgt))[0]]
 
 
-def _grade1_at(T: GradedCatGroup, pay_mor, obj):
-    """The grade-1 endomorphism `pay_mor (x) id_obj`."""
-    return int(T._tmor[pay_mor, T.idm[obj]])
-
-
 def enumerate_functors(G: GradedCatGroup, T: GradedCatGroup, phi, f_map=None,
                        guard=DEFAULT_GUARD):
     """All normalized coherent graded symmetric monoidal functors G -> T
@@ -725,10 +716,11 @@ def enumerate_functors(G: GradedCatGroup, T: GradedCatGroup, phi, f_map=None,
 def _assemble_functor(G, T, obj, t2, ts, f_map, actM):
     """Fill the full comparison and morphism tables from free entries."""
     nm = G.n_obj
-    ng = G.gamma.order
     ft = np.zeros((nm, nm), dtype=np.int64)
     # the target's padded tables: an undefined (-1) index reads -1
-    comp, inv = T._comp, T._inv
+    comp, inv, tmor = T._comp, T._inv, T._tmor
+    # a grade-1 arrow with payload a into w goes to f_map[a] (x) id_obj[w]
+    fm = np.asarray(f_map, dtype=np.int64)
     for u in range(nm):
         ft[G.unit, u] = T.idm[obj[u]]
         ft[u, G.unit] = T.idm[obj[u]]
@@ -738,33 +730,17 @@ def _assemble_functor(G, T, obj, t2, ts, f_map, actM):
     # remaining entries (u > v) from the braiding compatibility
     for u in range(1, nm):
         for v in range(1, u):
-            fcs = _mor_image_grade1(G, T, obj, f_map, int(G.cset[v, u]))
+            c = G.cset[v, u]
+            fcs = tmor[fm[G.pay[c]], T.idm[obj[G.tgt[c]]]]
             ft[u, v] = comp[comp[fcs, ft[v, u]], inv[T.cset[obj[v], obj[u]]]]
-    mor = np.zeros(G.n_mor, dtype=np.int64)
-    for m, (s, a, u) in enumerate(zip(G.grd.tolist(), G.pay.tolist(),
-                                      G.src.tolist())):
-        su = int(actM[s, u]) if s else u
-        pay_part = _pay_at(G, T, obj, f_map, a, su)
-        if s == 0:
-            mor[m] = pay_part
-        else:
-            grade_part = ts[(u, s)] if u != G.unit else int(T.uI[s])
-            mor[m] = comp[pay_part, grade_part]
+    # a grade-s arrow out of u is its payload at s.u after the grade part
+    mor = tmor[fm[G.pay], T.idm[obj[actM[G.grd, G.src]]]]
+    for m in np.nonzero(G.grd != 0)[0]:
+        s, u = int(G.grd[m]), int(G.src[m])
+        mor[m] = comp[mor[m], ts[(u, s)] if u != G.unit else T.uI[s]]
     if (ft < 0).any() or (mor < 0).any():
         return None
     return GradedFunctor(G, T, obj, mor, ft, int(T.idm[T.unit]))
-
-
-def _pay_at(G, T, obj, f_map, a, w):
-    """Image of the grade-1 morphism with payload a at object w."""
-    base = f_map[a]
-    return _grade1_at(T, base, int(obj[w]))
-
-
-def _mor_image_grade1(G, T, obj, f_map, m):
-    a = int(G.pay[m])
-    w = int(G.tgt[m])
-    return _pay_at(G, T, obj, f_map, a, w)
 
 
 def homotopy_classes(G: GradedCatGroup, T: GradedCatGroup, phi, f_map=None,
@@ -813,8 +789,8 @@ def enumerate_regular_functors(G: GradedCatGroup, T: GradedCatGroup,
     Candidates are generated from hom pairs on the underlying groups plus
     kernel-valued comparison tables constant on boundary cosets (the
     descent condition satisfied by every regular functor); each record is
-    assembled by composing generator images in the target and kept only if
-    the generic coherence checker and the regularity predicate accept it.
+    kept only if the generic coherence checker and the regularity predicate
+    accept it.
     """
     from .groups import enumerate_homs
 
@@ -834,17 +810,11 @@ def enumerate_regular_functors(G: GradedCatGroup, T: GradedCatGroup,
     if total > guard:
         raise SearchSpaceTooLarge(total, guard)
     out = []
-    proj_np = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
-    actD = np.asarray(M.act_d.act, dtype=np.int64)
-    n_pay_t = T.meta["n_pay"]
-    Dt = M.D.np_table
+    cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
     for f0 in enumerate_homs(M.D, Mp.D):
-        f0np = np.asarray(f0.map, dtype=np.int64)
         for f1 in enumerate_homs(M.B, Mp.B):
             if any(f0(M.d[b]) != Mp.d[f1(b)] for b in M.B.elements()):
                 continue
-            f1np = np.asarray(f1.map, dtype=np.int64)
-            pay_part = (f1np[G.pay]) * T.n_obj + f0np[G.tgt]
             for combo in itertools.product(kerp,
                                            repeat=len(keys_qq) + len(keys_qg)):
                 fqq = np.zeros((q, q), dtype=np.int64)
@@ -853,15 +823,8 @@ def enumerate_regular_functors(G: GradedCatGroup, T: GradedCatGroup,
                     fqq[r, s] = v
                 for (r, s), v in zip(keys_qg, combo[len(keys_qq):]):
                     fqg[r, s] = v
-                grade_part = (G.grd * n_pay_t +
-                              fqg[proj_np[G.src], G.grd]) * T.n_obj + \
-                    f0np[actD[G.grd, G.src]]
-                mor = T.comp[pay_part, grade_part]
-                if (mor < 0).any():
-                    continue
-                ft = fqq[proj_np[:, None], proj_np[None, :]] * T.n_obj + \
-                    f0np[Dt]
-                F = GradedFunctor(G, T, f0np, mor, ft, int(T.idm[T.unit]))
+                F = _functor_into(G, T, f0.map, f1.map,
+                                  fqq[cls[:, None], cls[None, :]], fqg[cls])
                 if check_graded_functor(F).ok and is_regular(F):
                     out.append(F)
     return out

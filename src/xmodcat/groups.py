@@ -506,11 +506,6 @@ class GammaModule:
         return f"GammaModule(order={self.group.order}, gamma={self.gamma.order})"
 
 
-def trivial_module(gamma):
-    return GammaModule(trivial_group(), trivial_action(gamma, trivial_group()),
-                       _validated=True)
-
-
 # -- finite abelian structure ------------------------------------------------
 
 class FiniteAbelianGroup:

@@ -13,7 +13,6 @@ import random
 from .crossed import BraidedGammaCrossedModule, conjugation_module
 from .groups import (
     GammaAction,
-    GammaModule,
     action_from_automorphism,
     cyclic,
     dihedral,
@@ -29,17 +28,6 @@ from .groups import (
 )
 
 Z2 = cyclic(2)
-
-
-def trivial_gamma_module(G):
-    return GammaModule(G, trivial_action(trivial_group(), G))
-
-
-def z2_module(G, alpha=None):
-    """G as a Z/2-module, the generator acting by alpha (identity default)."""
-    if alpha is None:
-        return GammaModule(G, trivial_action(Z2, G))
-    return GammaModule(G, action_from_automorphism(Z2, G, alpha))
 
 
 def abelian_module(B, D, d, gamma=None, act_b=None, act_d=None):

@@ -20,13 +20,6 @@ def _mat_vec(A, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in A]
 
 
-def _mat_mul(A, B):
-    n = len(B)
-    cols = len(B[0]) if B else 0
-    return [[sum(row[k] * B[k][j] for k in range(n)) for j in range(cols)]
-            for row in A]
-
-
 def smith_normal_form(A):
     """Diagonalize an integer matrix.
 

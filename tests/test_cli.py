@@ -107,6 +107,11 @@ def _unknown_h2_method():
     return "cohomology-h2", inputs, {"method": "nope"}, "nope"
 
 
+def _non_string_method():
+    inputs = _unknown_h2_method()[1]
+    return "cohomology-h2", inputs, {"method": 5}, "options.method"
+
+
 def _non_integer_random_count():
     return "check-axioms", {}, {"random_count": "x"}, "options.random_count"
 
@@ -140,14 +145,15 @@ def _string_decide_vanishing():
     _missing_q,
     _non_integer_boundary,
     _unknown_h2_method,
+    _non_string_method,
     _non_integer_random_count,
     _string_symmetric,
     _list_symmetric,
     _string_dump,
     _string_decide_vanishing,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
-        "non-integer-random-count", "string-symmetric", "list-symmetric",
-        "string-dump", "string-decide-vanishing"])
+        "non-string-method", "non-integer-random-count", "string-symmetric",
+        "list-symmetric", "string-dump", "string-decide-vanishing"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)

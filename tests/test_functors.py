@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from xmodcat import catgroups as cg
 from xmodcat import cohomology as ch
 from xmodcat import crossed as xm
+from xmodcat import extensions as ex
 from xmodcat import functors as fn
 from xmodcat import groups as g
 from xmodcat import samples
@@ -13,6 +15,7 @@ from xmodcat.errors import BadChoice, NotStrict
 
 Z2 = g.cyclic(2)
 Z4 = g.cyclic(4)
+Z8 = g.cyclic(8)
 TRIV = g.trivial_group()
 
 
@@ -308,3 +311,125 @@ def test_out_of_range_functor_is_not_regular(field, where, value):
     assert fn.is_regular(F)
     getattr(F, field).flat[where] = value(G)
     assert not fn.is_regular(F)
+
+
+def test_category_without_lifts_is_not_regular():
+    # the grade-1 part of a Gamma=Z2 category, graded over Z2 again: no
+    # arrow has grade index 1, so there is no canonical action to respect
+    K = cg.ker(cg.build_catgroup(samples.s3_a3_module(True)))
+    T = cg.GradedCatGroup(Z2, K.n_obj, K.src, K.tgt, K.grd, K.pay, K.comp,
+                          K.tob, K.tmor, K.unit, K.idm, K.aset, K.lset,
+                          K.rset, K.cset, [K.idm[K.unit], -1])
+    with pytest.raises(BadChoice, match="grade index 1 out of object 0"):
+        fn.canonical_choices(T)
+    assert not fn.is_regular(fn.identity_functor(T))
+
+
+@pytest.mark.parametrize("x", [0, 2])
+def test_theta_unit_reports_each_failing_grade_and_object(x):
+    fs = fn.extract_factor_set(cg.build_catgroup(samples.s3_a3_module(True)))
+    assert fn.validate_factor_set(fs)["theta-unit"].ok
+    fs.theta[0][1][x] = (fs.theta[0][1][x] + 1) % fs.kernel.n_mor
+    check = fn.validate_factor_set(fs)["theta-unit"]
+    assert check.fail_count == 1
+    assert check.witnesses == ((1, x),)
+
+
+# -- _functor_into against the per-morphism record loops it replaces -----------
+
+def _record_loop(S, T, obj, payload, qq):
+    """Morphism m of S goes to the arrow of T of grade grd m into
+    obj[tgt m] with payload payload(m); the comparison at (x, y) has payload
+    qq(x, y)."""
+    n = S.n_obj
+    mor = [T.record(int(S.grd[m]), payload(m), int(obj[S.tgt[m]]))
+           for m in range(S.n_mor)]
+    ft = [[T.record(0, qq(x, y), int(obj[S.tob[x, y]])) for y in range(n)]
+          for x in range(n)]
+    return fn.GradedFunctor(S, T, obj, mor, ft, int(T.idm[T.unit]))
+
+
+def _morphism_loop(mor, G, T):
+    M, Bp = mor.source, mor.target.B
+    proj, embp = M.pi0_projection(), mor.target.pi1_embedding()
+    phi, f1 = mor.phi, mor.f1.map
+    return _record_loop(
+        G, T, mor.f0.map,
+        lambda m: Bp.mul(embp[phi.qg[proj(int(G.src[m]))][int(G.grd[m])]],
+                         f1[int(G.pay[m])]),
+        lambda x, y: embp[phi.qq[proj(x)][proj(y)]])
+
+
+def _z8_mod_4():
+    """Z8 -> Z8, b -> 4b, gamma negating the target only: gamma moves the
+    classes of Z8 / 4 and the kernel is cyclic of order 4, so the grade
+    parts at the source and at the target of a graded arrow can differ."""
+    neg = g.action_from_automorphism(Z2, Z8, [(-x) % 8 for x in range(8)])
+    return samples.abelian_module(Z8, Z8, [(4 * b) % 8 for b in range(8)],
+                                  Z2, g.trivial_action(Z2, Z8), neg)
+
+
+def test_morphism_to_functor_matches_the_record_loop():
+    pairs = [(M, M) for M in samples.standard_corpus() + [_z8_mod_4()]] + [
+        (samples.abelian_module(Z2, Z4, [0, 2]),
+         samples.abelian_module(Z4, Z2, [0, 1, 0, 1]))]
+    rng = random.Random(3)
+    for M, Mp in pairs:
+        G, T = cg.build_catgroup(M), cg.build_catgroup(Mp)
+        morphs = fn.enumerate_crossed_morphisms(M, Mp)
+        # a seeded sample of at most 64 per pair
+        for mor in rng.sample(morphs, min(64, len(morphs))):
+            assert fn.morphism_to_functor(mor, G, T) == _morphism_loop(mor, G, T)
+
+
+def test_functor_from_extension_matches_the_record_loop():
+    neg = g.action_from_automorphism(Z2, Z4, [0, 3, 2, 1])
+    cases = [(samples.abelian_module(Z4, Z2, [0, 1, 0, 1]), module(Z4)),
+             (samples.abelian_module(Z4, TRIV, [0] * 4, Z2, neg,
+                                     g.trivial_action(Z2, TRIV)),
+              module(Z2, Z2)),
+             (samples.abelian_module(Z2, TRIV, [0, 0], Z2,
+                                     g.trivial_action(Z2, Z2),
+                                     g.trivial_action(Z2, TRIV)),
+              module(Z4, Z2, [0, 3, 2, 1]))]
+    exts = [e for M, Q in cases for cls in ex.schreier_bijection_check(
+        M, Q, [0] * Q.group.order).extension_classes for e in cls]
+    assert len(exts) > 4
+    for e in exts:
+        f = ex.extract_section_cochain(e)
+        obj = [e.eps(v) for v in e.canonical_section()]
+        F = ex.functor_from_extension(e)
+        assert F == _record_loop(F.source, F.target, obj,
+                                 lambda m: f.qg[int(F.source.src[m])][
+                                     int(F.source.grd[m])],
+                                 lambda u, v: f.qq[u][v])
+
+
+def test_reduce_abelian_functor_matches_the_record_loop():
+    neg = g.action_from_automorphism(Z2, Z4, [0, 3, 2, 1])
+    for m in [samples.abelian_module(Z4, Z4, [0, 2, 0, 2]),
+              samples.abelian_module(Z4, Z4, [0, 2, 0, 2], Z2, neg,
+                                     g.trivial_action(Z2, Z4)),
+              _z8_mod_4()]:
+        B, D, P = m.B, m.D, m.pi0()
+        proj, emb = m.pi0_projection(), m.pi1_embedding()
+        q = P.group.order
+        # least representatives of the classes, and least preimages of
+        # their defects under the product and the grade action
+        reps = [min(x for x in D.elements() if proj(x) == r) for r in range(q)]
+
+        def pre(x):
+            return min(b for b in B.elements() if m.d[b] == x)
+
+        beta = [[pre(D.mul(D.mul(reps[r], reps[s]),
+                           D.inv(reps[P.group.mul(r, s)])))
+                 for s in range(q)] for r in range(q)]
+        gamm = [[pre(D.mul(m.act_d(s, reps[r]), D.inv(reps[P.act(s, r)])))
+                 for s in range(m.gamma.order)] for r in range(q)]
+        _, H = cg.reduce_abelian(m)
+        S = H.source
+        assert H == _record_loop(
+            S, H.target, reps,
+            lambda i: B.mul(emb[int(S.pay[i])],
+                            gamm[int(S.src[i])][int(S.grd[i])]),
+            lambda r, s: beta[r][s])
