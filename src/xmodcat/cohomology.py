@@ -4,9 +4,12 @@ tests, and the degree-2 cohomology of a pair of gamma-modules.
 A degree-2 cochain is a table f on Q^2 plus a mixed table on Q x Gamma,
 with values in the coefficient module B; both are normalized to vanish
 whenever an argument is a unit.  Degree-2 cohomology is computed along two
-independent routes: exhaustive enumeration of symmetric tables, and an
-integer-linear route that feeds the cocycle identities to the Smith normal
-form backend.  The two are cross-checked in the test suite.
+routes: exhaustive enumeration of symmetric tables, and an integer-linear
+route through the Smith normal form backend.  Both apply one cocycle
+system, the four identity families written once as integer rows over B's
+invariant-factor coordinates (_identities, _delta2); the test suite checks
+those rows against the literal identities of is_2cocycle and the two
+routes against each other.
 
 Convention note: in the mixed identity family ("action-addition") the same
 grade acts on every degree-1 term, i.e.
@@ -65,6 +68,10 @@ class SymmetricCochain2:
             raise ShapeMismatch("qq table has wrong shape")
         if len(self.qg) != q or any(len(r) != g for r in self.qg):
             raise ShapeMismatch("qg table has wrong shape")
+        n = B.group.order
+        if min(map(min, self.qq + self.qg)) < 0 or \
+                max(map(max, self.qq + self.qg)) >= n:
+            raise ShapeMismatch(f"cochain value outside [0, {n})")
         for u in range(q):
             if self.qq[0][u] or self.qq[u][0]:
                 raise NotNormalized("qq table nonzero on a unit argument")
@@ -198,125 +205,125 @@ class H2Result:
         return self.class_count
 
 
-def _sym_keys(q, g):
-    keys = [("qq", u, v) for u in range(1, q) for v in range(u, q)]
-    keys += [("qg", u, s) for u in range(1, q) for s in range(1, g)]
-    return keys
+_CHUNK = 1 << 16   # most candidates per vectorized block, unless |B| is more
 
 
-def _full_keys(q, g):
-    keys = [("qq", u, v) for u in range(1, q) for v in range(1, q)]
-    keys += [("qg", u, s) for u in range(1, q) for s in range(1, g)]
-    return keys
+def _keys(q, g):
+    """The free entries of a normalized 2-cochain, in order: f(u, v) for
+    u, v != 0, then f(u, s) for u, s != 0."""
+    return ([("qq", u, v) for u in range(1, q) for v in range(1, q)]
+            + [("qg", u, s) for u in range(1, q) for s in range(1, g)])
 
 
-def _tables_from_sym_values(Q, vals, keys):
+def _cochain(Q, B, keys, vals):
+    """The normalized cochain with value vals[i] at keys[i]; where keys
+    holds f(u, v) but not f(v, u), both get its value."""
+    at = dict(zip(keys, vals))
     q, g = Q.group.order, Q.gamma.order
-    qq = [[0] * q for _ in range(q)]
-    qg = [[0] * g for _ in range(q)]
-    for key, v in zip(keys, vals):
-        if key[0] == "qq":
-            _, u, w = key
-            qq[u][w] = int(v)
-            qq[w][u] = int(v)
-        else:
-            _, u, s = key
-            qg[u][s] = int(v)
-    return qq, qg
+    qq = [[at.get(("qq", u, v), at.get(("qq", v, u), 0)) for v in range(q)]
+          for u in range(q)]
+    qg = [[at.get(("qg", u, s), 0) for s in range(g)] for u in range(q)]
+    return SymmetricCochain2(Q, B, qq, qg)
 
 
-def enumerate_symmetric_cocycles(Q, B, guard=DEFAULT_GUARD, chunk=1 << 16):
-    """All normalized symmetric 2-cocycles, by exhaustive table enumeration.
+def _identities(Q):
+    """Every instance of the four families of is_2cocycle, in its order,
+    as a list of terms (t, sign, key) that says sum(sign * t.f(key)) = 0;
+    terms with a unit argument are dropped."""
+    Qg, gam, act = Q.group, Q.gamma, Q.act
+    q, g = Qg.order, gam.order
 
-    Symmetry is built into the candidate space; the remaining identity
-    families are applied as vectorized filters over flat chunks.
-    """
-    q, g, b = Q.group.order, Q.gamma.order, B.group.order
-    keys = _sym_keys(q, g)
-    total = b ** len(keys)
-    if total > guard:
-        raise SearchSpaceTooLarge(total, guard)
-    if not keys:
-        return [zero_cochain2(Q, B)]
-    Qt = Q.group.np_table
-    Bt = B.group.np_table
-    actQ = np.asarray(Q.act.act, dtype=np.int64)
-    actB = np.asarray(B.act.act, dtype=np.int64)
-    gam = Q.gamma.np_table
+    def eq(*terms):
+        return [(t, sign, (kind, u, v))
+                for t, sign, kind, u, v in terms if u and v]
+
+    out = [eq((t, 1, "qg", x, s), (0, 1, "qg", act(s, x), t),
+              (0, -1, "qg", x, gam.mul(t, s)))
+           for x in range(q) for s in range(g) for t in range(g)]
+    out += [eq((s, 1, "qq", x, y), (0, 1, "qg", Qg.mul(x, y), s),
+               (0, -1, "qg", x, s), (0, -1, "qg", y, s),
+               (0, -1, "qq", act(s, x), act(s, y)))
+            for x in range(q) for y in range(q) for s in range(g)]
+    out += [eq((0, 1, "qq", y, z), (0, 1, "qq", x, Qg.mul(y, z)),
+               (0, -1, "qq", x, y), (0, -1, "qq", Qg.mul(x, y), z))
+            for x in range(q) for y in range(q) for z in range(q)]
+    out += [eq((0, 1, "qq", x, y), (0, -1, "qq", y, x))
+            for x in range(q) for y in range(q)]
+    return out
+
+
+def _delta2(Q, B, keys):
+    """The cocycle system as (rows, moduli): distinct nonzero integer rows
+    over B's invariant-factor coordinates of the entries at keys (r per
+    key, in order), reduced mod one modulus each.  A cochain is a cocycle
+    exactly when every row vanishes mod its modulus.  Where keys holds
+    f(u, v) but not f(v, u), both share its coordinates."""
+    dec = B.abelian
+    r = len(dec.invariants)
     pos = {}
     for i, key in enumerate(keys):
-        pos[key] = i
+        pos[key] = i * r
         if key[0] == "qq":
-            pos[("qq", key[2], key[1])] = i
+            pos.setdefault(("qq", key[2], key[1]), i * r)
+    act = [B.action_matrix(t) for t in range(B.gamma.order)]
+    rows = {}
+    for terms in _identities(Q):
+        for a, m in enumerate(dec.invariants):
+            row = [0] * (len(keys) * r)
+            for t, sign, key in terms:
+                for c in range(r):
+                    row[pos[key] + c] += sign * act[t][a][c]
+            row = tuple(v % m for v in row)
+            if any(row):
+                rows.setdefault((row, m))
+    return [list(row) for row, _ in rows], [m for _, m in rows]
 
-    def entry(arrs, kind, u, v):
-        # value array for f(u, v) over the chunk; normalized entries are 0
-        if kind == "qq" and (u == 0 or v == 0):
-            return 0
-        if kind == "qg" and (u == 0 or v == 0):
-            return 0
-        return arrs[pos[(kind, u, v)]]
 
-    instances = []
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                instances.append(("add", x, y, z))
-    for x in range(q):
-        for y in range(q):
-            for s in range(g):
-                instances.append(("mix", x, y, s))
-    for x in range(q):
-        for s in range(g):
-            for t in range(g):
-                instances.append(("act", x, s, t))
+def enumerate_symmetric_cocycles(Q, B, guard=DEFAULT_GUARD):
+    """All normalized symmetric 2-cocycles, by exhaustive table enumeration.
 
+    The candidates are every assignment of f(u, v) for u <= v and of
+    f(u, s), so symmetry holds by construction; each row of the cocycle
+    system, folded onto those entries, is a vectorized filter.  Candidates
+    are scanned in blocks that share every digit but the lowest `low`; a
+    row that reads only the shared digits accepts or rejects a whole block.
+    """
+    q, g, b = Q.group.order, Q.gamma.order, B.group.order
+    keys = [k for k in _keys(q, g) if k[0] == "qg" or k[1] <= k[2]]
+    k = len(keys)
+    if b ** k > guard:
+        raise SearchSpaceTooLarge(b ** k, guard)
+    if not keys:
+        return [zero_cochain2(Q, B)]
+    low = 1
+    while low < k and b ** (low + 1) <= _CHUNK:
+        low += 1
+    coords = np.array(B.abelian.coords, dtype=np.int64)
+    filters = []
+    for row, m in zip(*_delta2(Q, B, keys)):
+        coef = np.array(row, dtype=np.int64).reshape(k, -1)
+        used = np.flatnonzero(coef.any(axis=1))
+        filters.append((used.tolist(), coef[used] @ coords.T % m, m))
+    filters.sort(key=lambda f: f[0][0] < low)   # block-wide rows first
+    grid = list(np.indices((b,) * low).reshape(low, -1)[::-1])
     survivors = []
-    nk = len(keys)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        arrs = []
-        rem = np.arange(start, stop, dtype=np.int64)
-        for _ in range(nk):
-            rem, dig = np.divmod(rem, b)
-            arrs.append(dig)
-        alive = stop - start
-        for inst in instances:
-            if inst[0] == "add":
-                _, x, y, z = inst
-                lhs = Bt[entry(arrs, "qq", y, z),
-                         entry(arrs, "qq", x, int(Qt[y, z]))]
-                rhs = Bt[entry(arrs, "qq", x, y),
-                         entry(arrs, "qq", int(Qt[x, y]), z)]
-            elif inst[0] == "mix":
-                _, x, y, s = inst
-                lhs = Bt[actB[s, entry(arrs, "qq", x, y)],
-                         entry(arrs, "qg", int(Qt[x, y]), s)]
-                rhs = Bt[Bt[entry(arrs, "qg", x, s), entry(arrs, "qg", y, s)],
-                         entry(arrs, "qq", int(actQ[s, x]), int(actQ[s, y]))]
-            else:
-                _, x, s, t = inst
-                lhs = Bt[actB[t, entry(arrs, "qg", x, s)],
-                         entry(arrs, "qg", int(actQ[s, x]), t)]
-                rhs = entry(arrs, "qg", x, int(gam[t, s]))
-            if not isinstance(lhs, np.ndarray) and \
-               not isinstance(rhs, np.ndarray):
-                continue  # both sides normalized constants
-            ok = lhs == rhs
-            if ok is True or (isinstance(ok, np.bool_) and ok):
-                continue
-            sel = np.nonzero(ok)[0]
-            if len(sel) == alive:
-                continue
-            arrs = [a[sel] if isinstance(a, np.ndarray) else a for a in arrs]
-            alive = len(sel)
-            if alive == 0:
+    for block in range(b ** (k - low)):
+        digits = grid + [block // b ** i % b for i in range(k - low)]
+        for used, tables, m in filters:
+            ok = sum(tables[i][digits[j]] for i, j in enumerate(used)) % m == 0
+            if not isinstance(ok, np.ndarray):
+                if ok:
+                    continue
                 break
-        for idx in range(alive):
-            vals = [int(a[idx]) if isinstance(a, np.ndarray) else 0
-                    for a in arrs]
-            qq, qg = _tables_from_sym_values(Q, vals, keys)
-            survivors.append(SymmetricCochain2(Q, B, qq, qg))
+            keep = np.flatnonzero(ok)
+            if len(keep) < len(ok):
+                digits[:low] = [d[keep] for d in digits[:low]]
+                if not len(keep):
+                    break
+        else:
+            cols = np.broadcast_arrays(*digits)
+            survivors += [_cochain(Q, B, keys, c)
+                          for c in np.array(cols).T.tolist()]
     return survivors
 
 
@@ -374,113 +381,33 @@ def _class_group(Q, B, reps, cobs_flat, method):
 
 
 def _h2_snf(Q, B, guard):
-    q, g = Q.group.order, Q.gamma.order
-    keys = _full_keys(q, g)
+    q = Q.group.order
+    keys = _keys(q, Q.gamma.order)
     dec = B.abelian
     r = len(dec.invariants)
     if not keys or r == 0:
         reps = [zero_cochain2(Q, B).flat()]
         return _class_group(Q, B, reps, reps, "snf")
-    pos = {key: i for i, key in enumerate(keys)}
-    moduli = [int(d) for d in dec.invariants] * len(keys)
-    act_mat = [B.action_matrix(s) for s in range(g)]
-    ident = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    neg = [[-v for v in row] for row in ident]
-
-    def term(eq, kind, u, v, mat):
-        # add mat * f(u, v) to the equation; unit arguments contribute zero
-        if u == 0 or v == 0:
-            return
-        i = pos[(kind, u, v)]
-        blk = eq.setdefault(i, [[0] * r for _ in range(r)])
-        for a in range(r):
-            for c in range(r):
-                blk[a][c] += mat[a][c]
-
-    Qg, gam = Q.group, Q.gamma
-    equations = []
-    for x in range(q):
-        for s in range(g):
-            for t in range(g):
-                eq = {}
-                term(eq, "qg", x, s, act_mat[t])
-                term(eq, "qg", Q.act(s, x), t, ident)
-                term(eq, "qg", x, gam.mul(t, s), neg)
-                equations.append(eq)
-    for x in range(q):
-        for y in range(q):
-            for s in range(g):
-                eq = {}
-                term(eq, "qq", x, y, act_mat[s])
-                term(eq, "qg", Qg.mul(x, y), s, ident)
-                term(eq, "qg", x, s, neg)
-                term(eq, "qg", y, s, neg)
-                term(eq, "qq", Q.act(s, x), Q.act(s, y), neg)
-                equations.append(eq)
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                eq = {}
-                term(eq, "qq", y, z, ident)
-                term(eq, "qq", x, Qg.mul(y, z), ident)
-                term(eq, "qq", x, y, neg)
-                term(eq, "qq", Qg.mul(x, y), z, neg)
-                equations.append(eq)
-    for x in range(1, q):
-        for y in range(1, q):
-            eq = {}
-            term(eq, "qq", x, y, ident)
-            term(eq, "qq", y, x, neg)
-            equations.append(eq)
-    L, cod_moduli, seen = [], [], set()
-    for eq in equations:
-        if not eq:
-            continue
-        for a in range(r):
-            row = [0] * (len(keys) * r)
-            for i, mat in eq.items():
-                for c in range(r):
-                    row[i * r + c] = mat[a][c]
-            t = tuple(row)
-            if any(row) and t not in seen:
-                seen.add(t)
-                L.append(row)
-                cod_moduli.append(int(dec.invariants[a]))
-    ker_gens = zlinalg.congruence_kernel_gens(L, cod_moduli) if L else \
-        [[1 if i == j else 0 for i in range(len(keys) * r)]
-         for j in range(len(keys) * r)]
-    # coboundary image generators
+    n = len(keys) * r
+    rows, cod_moduli = _delta2(Q, B, keys)
+    ker_gens = zlinalg.congruence_kernel_gens(rows, cod_moduli) if rows else \
+        [[int(i == j) for i in range(n)] for j in range(n)]
+    # coboundary image generators: delta of one generator of B at one u
     delta_cols = []
-    for u0 in range(1, q):
-        for i in range(r):
+    for u in range(1, q):
+        for gen in dec.generators:
             g_table = [0] * q
-            g_table[u0] = dec.generators[i]
+            g_table[u] = gen
             d = coboundary2(Q, B, g_table)
-            col = []
-            for key in keys:
-                if key[0] == "qq":
-                    val = d.qq[key[1]][key[2]]
-                else:
-                    val = d.qg[key[1]][key[2]]
-                col.extend(int(c) for c in dec.coords[val])
-            delta_cols.append(col)
-    pres = zlinalg.subquotient_presentation(ker_gens, delta_cols, moduli)
+            delta_cols.append([c for kind, x, y in keys
+                               for c in dec.coords[getattr(d, kind)[x][y]]])
+    pres = zlinalg.subquotient_presentation(ker_gens, delta_cols,
+                                            list(dec.invariants) * len(keys))
     cobs_flat = _flat_coboundaries(Q, B, guard)
     Bt = B.group.table
-    gens = []
-    for lift in pres.lifts:
-        vals = []
-        for i in range(len(keys)):
-            vec = lift[i * r:(i + 1) * r]
-            vals.append(dec.from_coords(vec))
-        qq = [[0] * q for _ in range(q)]
-        qg = [[0] * Q.gamma.order for _ in range(q)]
-        for key, v in zip(keys, vals):
-            if key[0] == "qq":
-                qq[key[1]][key[2]] = v
-            else:
-                qg[key[1]][key[2]] = v
-        gens.append(SymmetricCochain2(Q, B, qq, qg).flat())
+    gens = [_cochain(Q, B, keys, [dec.from_coords(lift[i:i + r])
+                                  for i in range(0, n, r)]).flat()
+            for lift in pres.lifts]
     reps = set()
     for combo in itertools.product(*(range(d) for d in pres.invariants)):
         elt = zero_cochain2(Q, B).flat()
@@ -565,21 +492,13 @@ class Cochain3:
         if (len(self.comp) != m or any(len(p) != g for p in self.comp)
                 or any(len(r) != g for p in self.comp for r in p)):
             raise ShapeMismatch("comp table has wrong shape")
-        for r in range(m):
-            for s in range(m):
-                for t in range(m):
-                    if (r == 0 or s == 0 or t == 0) and self.assoc[r][s][t]:
-                        raise NotNormalized("assoc nonzero on a unit argument")
-                if (r == 0 or s == 0) and self.braid[r][s]:
-                    raise NotNormalized("braid nonzero on a unit argument")
-            for s in range(m):
-                for t in range(g):
-                    if (r == 0 or s == 0 or t == 0) and self.tensor[r][s][t]:
-                        raise NotNormalized("tensor nonzero on a unit argument")
-            for t in range(g):
-                for u in range(g):
-                    if (r == 0 or t == 0 or u == 0) and self.comp[r][t][u]:
-                        raise NotNormalized("comp nonzero on a unit argument")
+        n = N.group.order
+        for name in ("assoc", "braid", "tensor", "comp"):
+            a = np.array(getattr(self, name))
+            if a.min() < 0 or a.max() >= n:
+                raise ShapeMismatch(f"{name} value outside [0, {n})")
+            if any(np.take(a, 0, axis=i).any() for i in range(a.ndim)):
+                raise NotNormalized(f"{name} nonzero on a unit argument")
 
     def __eq__(self, other):
         return (isinstance(other, Cochain3)

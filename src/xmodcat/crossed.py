@@ -219,9 +219,6 @@ class BraidedGammaCrossedModule:
     def kernel_elements(self):
         return tuple(b for b in self.B.elements() if self.d[b] == 0)
 
-    def image_elements(self):
-        return tuple(sorted(set(self.d)))
-
     def pi1(self):
         """Ker d as a gamma-module, re-indexed with its own identity at 0.
 

@@ -372,9 +372,6 @@ class GroupHom:
     def kernel_elements(self):
         return tuple(a for a in range(self.domain.order) if self.map[a] == 0)
 
-    def image_elements(self):
-        return tuple(sorted(set(self.map)))
-
     def is_injective(self):
         return len(set(self.map)) == self.domain.order
 

@@ -166,6 +166,16 @@ def kernel_basis(A):
     return out
 
 
+def _with_moduli(F, cod_moduli):
+    """The block [F | diag(cod_moduli)]: x solves F x == b (mod cod_moduli)
+    exactly when (x, y) solves the block over the integers for some y."""
+    m = len(F)
+    if len(cod_moduli) != m:
+        raise MatrixShapeMismatch("moduli length mismatch")
+    return [list(F[i]) + [cod_moduli[i] if j == i else 0 for j in range(m)]
+            for i in range(m)]
+
+
 def congruence_kernel_gens(F, cod_moduli):
     """Generators of {x in Z^n : F x == 0 (mod cod_moduli componentwise)}.
 
@@ -176,25 +186,16 @@ def congruence_kernel_gens(F, cod_moduli):
     n = len(F[0]) if m else 0
     if len(cod_moduli) != m:
         raise MatrixShapeMismatch("moduli length mismatch")
-    block = [list(F[i]) + [cod_moduli[i] if j == i else 0 for j in range(m)]
-             for i in range(m)]
     if n == 0:
         return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return [col[:n] for col in kernel_basis(block)]
+    return [col[:n] for col in kernel_basis(_with_moduli(F, cod_moduli))]
 
 
 def solve_mod(F, b, cod_moduli):
     """One solution of F x == b (mod cod_moduli), or None."""
-    m = len(F)
-    block = [list(F[i]) + [cod_moduli[i] if j == i else 0 for j in range(m)]
-             for i in range(m)]
-    n = len(F[0]) if m else 0
-    sol = solve(block, list(b))
-    if sol is None:
-        return None
-    return sol[:n]
+    n = len(F[0]) if F else 0
+    sol = solve(_with_moduli(F, cod_moduli), list(b))
+    return None if sol is None else sol[:n]
 
 
 class Presented:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodcat import cli, samples
 from xmodcat import groups as g
@@ -140,6 +146,21 @@ def _string_decide_vanishing():
             "options.decide_vanishing")
 
 
+def _hp_braid(value):
+    scenario = json.loads(
+        (cli.default_corpus_dir() / "obstruction_twisted.json").read_text())
+    scenario["inputs"]["hp"]["braid"][1][1] = value
+    return "obstruction", scenario["inputs"], {}, "inputs.hp"
+
+
+def _hp_entry_past_end():
+    return _hp_braid(7)
+
+
+def _hp_entry_negative():
+    return _hp_braid(-1)
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
@@ -151,9 +172,12 @@ def _string_decide_vanishing():
     _list_symmetric,
     _string_dump,
     _string_decide_vanishing,
+    _hp_entry_past_end,
+    _hp_entry_negative,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
         "non-string-method", "non-integer-random-count", "string-symmetric",
-        "list-symmetric", "string-dump", "string-decide-vanishing"])
+        "list-symmetric", "string-dump", "string-decide-vanishing",
+        "hp-entry-past-end", "hp-entry-negative"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)
@@ -252,3 +276,39 @@ def test_seed_env_controls_fuzz(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("XMODCAT_SEED", "6")
     code, out3, _ = run_cli(["check-axioms", path], capsys)
     assert code == 0
+
+
+def _entry_paths(table, path=()):
+    if isinstance(table, list):
+        for i, sub in enumerate(table):
+            yield from _entry_paths(sub, path + (i,))
+    else:
+        yield path
+
+
+_TWISTED = json.loads(
+    (cli.default_corpus_dir() / "obstruction_twisted.json").read_text())
+_COCHAIN_ENTRIES = [(name, part) + path
+                    for name in ("h", "hp")
+                    for part, table in sorted(_TWISTED["inputs"][name].items())
+                    for path in _entry_paths(table)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.lists(st.tuples(st.sampled_from(_COCHAIN_ENTRIES),
+                          st.integers(-3, 9)), max_size=4))
+def test_obstruction_cochain_entries_never_escape(edits):
+    """Any h/hp entries in [-3, 9] end in an exit code, never a traceback."""
+    scenario = json.loads(json.dumps(_TWISTED))
+    for (name, part, *path), value in edits:
+        cell = scenario["inputs"][name][part]
+        for i in path[:-1]:
+            cell = cell[i]
+        cell[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "o.json"
+        path.write_text(json.dumps(scenario))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["obstruction", str(path)])
+    assert code in (0, 1, 2, 3)

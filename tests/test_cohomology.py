@@ -5,7 +5,7 @@ import pytest
 
 from xmodcat import cohomology as ch
 from xmodcat import groups as g
-from xmodcat.errors import NotNormalized, WrongType
+from xmodcat.errors import NotNormalized, ShapeMismatch, WrongType
 
 Z2 = g.cyclic(2)
 Z3 = g.cyclic(3)
@@ -19,6 +19,49 @@ def module(G, gamma=None, alpha=None):
     if alpha is None:
         return g.GammaModule(G, g.trivial_action(gamma, G))
     return g.GammaModule(G, g.action_from_automorphism(gamma, G, alpha))
+
+
+S3 = g.dihedral(3)
+
+
+def s3_module(G):
+    """G with S3 = dihedral(3) acting: on Z3 by the sign (reflections
+    negate), on K4 through Aut(K4) = S3 (r^a s^b moves the nonzero element
+    1 + i to 1 + (a + (-1)^b i) mod 3), on any other G trivially."""
+    rows = []
+    for x in range(S3.order):
+        a, b = x % 3, x // 3
+        if G == Z3:
+            rows.append([0, 1, 2] if b == 0 else [0, 2, 1])
+        elif G == K4:
+            rows.append([0] + [1 + (a + (-1) ** b * i) % 3 for i in range(3)])
+        else:
+            rows.append(list(range(G.order)))
+    return g.GammaModule(G, g.GammaAction(S3, G, rows))
+
+
+def s3_pairs():
+    """(Q, B) pairs over the nonabelian S3 small enough for enumeration."""
+    return [(s3_module(Z3), s3_module(K4)), (s3_module(Z3), s3_module(Z3)),
+            (s3_module(K4), s3_module(Z2)), (s3_module(Z2), s3_module(K4))]
+
+
+def criterion_4_pairs():
+    """The (Q, B) pairs of the acceptance dual-path grid."""
+    groups = [TRIV, Z2, Z3, Z4, K4]
+    options = {1: [None], 2: [None], 3: [None, [0, 2, 1]],
+               4: [None, [0, 3, 2, 1]]}
+
+    def actions(G):
+        return [None, [0, 2, 1, 3], [0, 1, 3, 2]] if G is K4 \
+            else options[G.order]
+
+    out = [(module(Qg), module(Bg)) for Qg in groups for Bg in groups]
+    for Qg in groups:
+        for Bg in groups:
+            out += [(module(Qg, Z2, qa), module(Bg, Z2, ba))
+                    for qa in actions(Qg) for ba in actions(Bg)]
+    return out
 
 
 def small_pairs():
@@ -140,6 +183,73 @@ def test_h2_dual_path_sample():
         assert snf.invariants == brute.invariants
         assert [f.flat() for f in snf.representatives] == \
             [f.flat() for f in brute.representatives]
+
+
+def test_h2_dual_path_nonabelian_gamma():
+    for Q, B in s3_pairs():
+        snf = ch.h2(Q, B, method="snf")
+        brute = ch.h2(Q, B, method="brute")
+        assert snf.invariants == brute.invariants
+        assert [f.flat() for f in snf.representatives] == \
+            [f.flat() for f in brute.representatives]
+
+
+def _random_symmetric(Q, B, rng):
+    q, gn, b = Q.group.order, Q.gamma.order, B.group.order
+    qq = [[0] * q for _ in range(q)]
+    for u in range(1, q):
+        for v in range(u, q):
+            qq[u][v] = qq[v][u] = rng.randrange(b)
+    qg = [[0] + [rng.randrange(b) if u else 0 for _ in range(1, gn)]
+          for u in range(q)]
+    return ch.SymmetricCochain2(Q, B, qq, qg)
+
+
+def _rows_accept(f, keys, rows, moduli):
+    coords = f.B.abelian.coords
+    vec = [c for kind, u, v in keys for c in coords[getattr(f, kind)[u][v]]]
+    return all(sum(a * x for a, x in zip(row, vec)) % m == 0
+               for row, m in zip(rows, moduli))
+
+
+def test_cocycle_rows_agree_with_is_2cocycle():
+    """Membership in the kernel of the integer rows of delta^2 is decided
+    exactly as the literal identities of is_2cocycle decide it."""
+    rng = random.Random(20261018)
+    verdicts = set()
+    pairs = criterion_4_pairs() + s3_pairs() + \
+        [(s3_module(K4), s3_module(Z3))]
+    assert len(pairs) == 111
+    for Q, B in pairs:
+        keys = ch._keys(Q.group.order, Q.gamma.order)
+        rows, moduli = ch._delta2(Q, B, keys)
+        q, b = Q.group.order, B.group.order
+        cochains = [_random_symmetric(Q, B, rng) for _ in range(8)]
+        for _ in range(4):
+            d = ch.coboundary2(Q, B, [0] + [rng.randrange(b)
+                                            for _ in range(q - 1)])
+            cochains += [d, d.add(_random_symmetric(Q, B, rng))]
+        if b ** len(keys) <= 1 << 16:
+            cochains += ch.enumerate_symmetric_cocycles(Q, B)[:8]
+        for f in cochains:
+            verdict = ch.is_2cocycle(f)[0]
+            assert _rows_accept(f, keys, rows, moduli) == verdict, (Q, B, f.flat())
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_cochain_values_must_lie_in_the_coefficient_group():
+    Q = module(Z2)
+    for v in (2, -1):
+        with pytest.raises(ShapeMismatch):
+            ch.SymmetricCochain2(Q, Q, [[0, 0], [0, v]], [[0], [0]])
+    h0 = ch.zero_cochain3(Q, Q)
+    for v in (7, -1):
+        with pytest.raises(ShapeMismatch):
+            ch.Cochain3(Q, Q, h0.assoc, [[0, 0], [0, v]], h0.tensor, h0.comp)
+        with pytest.raises(ShapeMismatch):
+            ch.Cochain3(Q, Q, [[[0, 0], [0, 0]], [[0, 0], [0, v]]],
+                        h0.braid, h0.tensor, h0.comp)
 
 
 def test_all_cocycles_counts():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from xmodcat import zlinalg as zl
+from xmodcat.errors import MatrixShapeMismatch
 
 
 def mat(A):
@@ -72,6 +73,16 @@ def test_congruence_kernel_matches_enumeration():
         if (2 * x[0] + x[1]) % 4 == 0 and (x[0] + x[1]) % 2 == 0:
             direct.add(x)
     assert direct <= spanned
+
+
+@pytest.mark.parametrize("moduli", [[2], [2, 2, 2]])
+def test_moduli_must_match_the_rows(moduli):
+    F = [[2, 1], [1, 1]]
+    with pytest.raises(MatrixShapeMismatch):
+        zl.congruence_kernel_gens(F, moduli)
+    with pytest.raises(MatrixShapeMismatch):
+        zl.solve_mod(F, [0, 0], moduli)
+    assert zl.solve_mod(F, [1, 1], [4, 2]) is not None
 
 
 def test_presentation_from_generators_subgroup_of_z4xz2():
