@@ -22,12 +22,10 @@ its constructor keeps the invariant it needs: morphism indices lie in
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .cohomology import Cochain3, zero_cochain3
-from .crossed import AxiomCheck, AxiomReport
+from .crossed import _WITNESS_CAP, AxiomCheck, AxiomReport
 from .errors import NotStrict, ShapeMismatch
 from .groups import GammaModule, trivial_group
 
@@ -332,26 +330,30 @@ def dis(Q: GammaModule):
 
 # -- coherence checking -------------------------------------------------------
 
+def _tally(key, blocks):
+    """One check from the consecutive blocks of an axiom's scan, in scan
+    order.  A block is (bad, witness_arrays): the mask of failing instances
+    and, as for _entry, None or arrays that broadcast to the mask's shape.
+    Every block is counted; failing positions are located, in C order,
+    only until _WITNESS_CAP witnesses are kept."""
+    count, wits = 0, []
+    for bad, witness_arrays in blocks:
+        k = np.count_nonzero(bad)
+        if k and len(wits) < _WITNESS_CAP:
+            pos = np.unravel_index(
+                np.flatnonzero(bad)[:_WITNESS_CAP - len(wits)], bad.shape)
+            if witness_arrays is not None:
+                pos = [np.broadcast_to(w, bad.shape)[pos] for w in witness_arrays]
+            wits += zip(*(p.tolist() for p in pos))
+        count += k
+    return AxiomCheck(key, wits, count)
+
+
 def _entry(key, ok_mask, witness_arrays=None):
     """The check of an axiom from its mask of passing instances.  A
     witness is the index tuple of a failing instance, or the values of
-    witness_arrays (each shaped like ok_mask) there."""
-    ok_mask = np.asarray(ok_mask)
-    if ok_mask.all():
-        return AxiomCheck(key)
-    bad = np.argwhere(~ok_mask)
-    if witness_arrays is None:
-        wit = (tuple(int(v) for v in row) for row in bad)
-    else:
-        wit = (tuple(int(w[tuple(row)]) for w in witness_arrays) for row in bad)
-    return AxiomCheck(key, wit, len(bad))
-
-
-def _merge(key, checks):
-    """One check from the checks of consecutive chunks of an axiom's scan."""
-    checks = list(checks)
-    return AxiomCheck(key, chain.from_iterable(c.witnesses for c in checks),
-                      sum(c.fail_count for c in checks))
+    witness_arrays (each broadcast to the shape of ok_mask) there."""
+    return _tally(key, [(~np.asarray(ok_mask), witness_arrays)])
 
 
 def _lifts(G: GradedCatGroup):
@@ -399,43 +401,93 @@ def _nat_assoc_square(G, u, v, w):
     return (lhs == rhs) & (lhs >= 0)
 
 
+# instances per block of the blocked scans (the exhaustive ones and the
+# generator interchange scan): each int64 temporary is then at most 512 KB
+# and stays in cache, which measured faster than 2^18 or 2^20 on both scans
+_BLOCK = 1 << 16
+
+
+def _rows_per_block(row):
+    """Rows of row instances each that fill a block, at least one."""
+    return max(1, _BLOCK // row)
+
+
+# The blocked scans gather from the flat padded tables: g o f is
+# _comp.flat[g (n_mor + 1) + f].  An undefined factor -1 still reads -1,
+# since g = -1 lands in the padding row and f = -1 in the padding column
+# of row g - 1 (or, for g = 0, in the last slot).
+
 def _interchange_exhaustive(G: GradedCatGroup):
     """tensor-interchange on every two composable pairs (g, f), (g', f')
-    with grd g = grd g' and grd f = grd f', one chunk per grade pair."""
+    with grd g = grd g' and grd f = grd f': per grade pair, the square of
+    its pairs in blocks of rows."""
+    n1 = G.n_mor + 1
+    comp, tmor = G._comp.ravel(), G._tmor.ravel()
     gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[:, None])
     pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
-    chunks = []
-    for key in np.unique(pair_grade):
-        sel = pair_grade == key
-        g, f = gsel[sel], fsel[sel]
-        quad = (g[:, None], f[:, None], g[None, :], f[None, :])
-        chunks.append(_entry("tensor-interchange", _interchange_square(G, *quad),
-                             np.broadcast_arrays(*quad)))
-    return _merge("tensor-interchange", chunks)
+
+    def blocks():
+        for key in np.unique(pair_grade):
+            sel = pair_grade == key
+            g, f = gsel[sel], fsel[sel]
+            gf = comp[g * n1 + f]
+            step = _rows_per_block(len(g))
+            for lo in range(0, len(g), step):
+                rows = slice(lo, lo + step)
+                # (g o f) (x) (g' o f') against (g (x) g') o (f (x) f')
+                lhs = tmor[gf[rows, None] * n1 + gf]
+                rhs = tmor[g[rows, None] * n1 + g] * n1
+                rhs += tmor[f[rows, None] * n1 + f]
+                rhs = comp[rhs]
+                bad = lhs != rhs
+                bad |= lhs < 0
+                yield bad, (g[rows, None], f[rows, None], g, f)
+    return _tally("tensor-interchange", blocks())
 
 
 def _by_grade(G, key, square):
     """One check from square(sel, s), run on the morphisms sel of each
     grade s; square returns the mask and its witness arrays."""
-    chunks = []
-    for s in range(G.gamma.order):
-        sel = np.nonzero(G.grd == s)[0]
-        if len(sel):
-            chunks.append(_entry(key, *square(sel, s)))
-    return _merge(key, chunks)
+    def blocks():
+        for s in range(G.gamma.order):
+            sel = np.nonzero(G.grd == s)[0]
+            if len(sel):
+                ok, witness_arrays = square(sel, s)
+                yield ~ok, witness_arrays
+    return _tally(key, blocks())
 
 
 def _nat_assoc_exhaustive(G: GradedCatGroup):
-    """naturality-assoc on every triple of same-grade morphisms."""
-    def square(sel, s):
-        u, v, w = sel[:, None, None], sel[None, :, None], sel[None, None, :]
-        return _nat_assoc_square(G, u, v, w), np.broadcast_arrays(u, v, w)
-    return _by_grade(G, "naturality-assoc", square)
+    """naturality-assoc on every triple (u, v, w) of same-grade morphisms:
+    per grade, the cube of its triples in blocks of u.  u (x) v is one
+    table per grade, which also gives v (x) w, and the constraint at
+    (x, y, z) is aset.flat[(x n_obj + y) n_obj + z]."""
+    n1, no = G.n_mor + 1, G.n_obj
+    comp, tmor, aset = G._comp.ravel(), G._tmor.ravel(), G.aset.ravel()
 
-
-# squares per block of the generator interchange scan, which bounds its
-# temporaries to a few times 8 MB
-_BLOCK = 1 << 20
+    def blocks():
+        for s in range(G.gamma.order):
+            sel = np.nonzero(G.grd == s)[0]
+            if not len(sel):
+                continue
+            uv = tmor[sel[:, None] * n1 + sel]
+            tgt, src = G.tgt[sel] * no, G.src[sel] * no
+            tgt_vw, src_vw = tgt[:, None] + G.tgt[sel], src[:, None] + G.src[sel]
+            step = _rows_per_block(len(sel) ** 2)
+            for lo in range(0, len(sel), step):
+                rows = slice(lo, lo + step)
+                u = sel[rows, None, None]
+                # a(tgt) o ((u (x) v) (x) w) against (u (x) (v (x) w)) o a(src)
+                lhs = aset[tgt[rows, None, None] * no + tgt_vw] * n1
+                lhs += tmor[uv[rows, :, None] * n1 + sel]
+                lhs = comp[lhs]
+                rhs = tmor[u * n1 + uv] * n1
+                rhs += aset[src[rows, None, None] * no + src_vw]
+                rhs = comp[rhs]
+                bad = lhs != rhs
+                bad |= lhs < 0
+                yield bad, (u, sel[:, None], sel)
+    return _tally("naturality-assoc", blocks())
 
 
 def _interchange_on_generators(G, ups):
@@ -452,7 +504,7 @@ def _interchange_on_generators(G, ups):
     g = np.concatenate([a.ravel() for a, _ in gens])
     gp = np.concatenate([b.ravel() for _, b in gens])
     into = _arrows_into(G)
-    step = max(1, _BLOCK // into.shape[2] ** 2)
+    step = _rows_per_block(into.shape[2] ** 2)
     for t in range(G.gamma.order):
         for lo in range(0, len(g), step):
             a, b = g[lo:lo + step], gp[lo:lo + step]
@@ -537,18 +589,16 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("identity-laws", ok, [mors]))
 
     # associativity over composable triples
-    chunks = []
-    for hmor in range(n):
-        gmask = comp[hmor, gsel] >= 0
-        if not gmask.any():
-            continue
-        gsub, fsub = gsel[gmask], fsel[gmask]
-        lhs = comp[hmor, comp[gsub, fsub]]
-        rhs = comp[comp[hmor, gsub], fsub]
-        chunks.append(_entry("composition-associative",
-                             (lhs == rhs) & (lhs >= 0),
-                             np.broadcast_arrays(hmor, gsub, fsub)))
-    entries.append(_merge("composition-associative", chunks))
+    def assoc_blocks():
+        for hmor in range(n):
+            gmask = comp[hmor, gsel] >= 0
+            if not gmask.any():
+                continue
+            gsub, fsub = gsel[gmask], fsel[gmask]
+            lhs = comp[hmor, comp[gsub, fsub]]
+            rhs = comp[comp[hmor, gsub], fsub]
+            yield (lhs != rhs) | (lhs < 0), (hmor, gsub, fsub)
+    entries.append(_tally("composition-associative", assoc_blocks()))
 
     entries.append(_entry("inverses", G.inv >= 0, [mors]))
 
@@ -638,7 +688,7 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         v = sel[None, :]
         lhs = comp[cset[TGT[u], TGT[v]], tmor[u, v]]
         rhs = comp[tmor[v, u], cset[SRC[u], SRC[v]]]
-        return (lhs == rhs) & (lhs >= 0), np.broadcast_arrays(u, v)
+        return (lhs == rhs) & (lhs >= 0), (u, v)
 
     def nat_lunit(sel, s):
         lhs = comp[lset[TGT[sel]], tmor[uI[s], sel]]

@@ -255,9 +255,10 @@ def _identities(Q):
 def _delta2(Q, B, keys):
     """The cocycle system as (rows, moduli): distinct nonzero integer rows
     over B's invariant-factor coordinates of the entries at keys (r per
-    key, in order), reduced mod one modulus each.  A cochain is a cocycle
-    exactly when every row vanishes mod its modulus.  Where keys holds
-    f(u, v) but not f(v, u), both share its coordinates."""
+    key, in order), reduced mod one modulus each, as an int64 array of
+    shape (rows, r len(keys)) even when there are no rows.  A cochain is
+    a cocycle exactly when every row vanishes mod its modulus.  Where keys
+    holds f(u, v) but not f(v, u), both share its coordinates."""
     dec = B.abelian
     r = len(dec.invariants)
     pos = {}
@@ -276,7 +277,8 @@ def _delta2(Q, B, keys):
             row = tuple(v % m for v in row)
             if any(row):
                 rows.setdefault((row, m))
-    return [list(row) for row, _ in rows], [m for _, m in rows]
+    return (np.array([row for row, _ in rows], dtype=np.int64)
+            .reshape(len(rows), len(keys) * r), [m for _, m in rows])
 
 
 def enumerate_symmetric_cocycles(Q, B, guard=DEFAULT_GUARD):
@@ -389,9 +391,7 @@ def _h2_snf(Q, B, guard):
         reps = [zero_cochain2(Q, B).flat()]
         return _class_group(Q, B, reps, reps, "snf")
     n = len(keys) * r
-    rows, cod_moduli = _delta2(Q, B, keys)
-    ker_gens = zlinalg.congruence_kernel_gens(rows, cod_moduli) if rows else \
-        [[int(i == j) for i in range(n)] for j in range(n)]
+    ker_gens = zlinalg.congruence_kernel_gens(*_delta2(Q, B, keys))
     # coboundary image generators: delta of one generator of B at one u
     delta_cols = []
     for u in range(1, q):

@@ -617,7 +617,9 @@ def hom_kernel_image(dom_invariants, cod_invariants, matrix):
         col = [F[i][j] * d for i in range(len(cod))]
         if any(v % m for v, m in zip(col, cod)):
             raise MatrixShapeMismatch("matrix does not respect the relations")
-    ker_gens = zlinalg.congruence_kernel_gens(F, cod)
+    # the width of the system is len(dom) even when cod has no factors
+    ker_gens = zlinalg.congruence_kernel_gens(
+        np.array(F, dtype=object).reshape(len(cod), len(dom)), cod)
     kernel = zlinalg.presentation_from_generators(ker_gens, dom) if ker_gens \
         else zlinalg.Presented([], [])
     img_gens = [[F[i][j] for i in range(len(cod))] for j in range(len(dom))]

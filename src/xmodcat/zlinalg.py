@@ -2,12 +2,16 @@
 and presentations of finitely generated abelian groups.
 
 All matrices are lists of lists of Python ints (arbitrary precision, so
-pivoting can never overflow).  A finite abelian group is presented by a
-list of moduli [m1, ..., mr]; its elements are integer coordinate vectors
-taken mod the moduli.
+pivoting can never overflow).  The congruence solvers also take any
+matrix with a 2-D shape, such as a numpy array, and read the number of
+unknowns from that shape, so a system with no rows still has a width.
+A finite abelian group is presented by a list of moduli [m1, ..., mr];
+its elements are integer coordinate vectors taken mod the moduli.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import MatrixShapeMismatch
 
@@ -166,36 +170,41 @@ def kernel_basis(A):
     return out
 
 
-def _with_moduli(F, cod_moduli):
-    """The block [F | diag(cod_moduli)]: x solves F x == b (mod cod_moduli)
+def _system(F, cod_moduli):
+    """The block [F | diag(cod_moduli)] of a congruence system F with a 2-D
+    shape, and F's number of unknowns n: x solves F x == b (mod cod_moduli)
     exactly when (x, y) solves the block over the integers for some y."""
-    m = len(F)
+    try:
+        m, n = np.shape(F)
+    except ValueError:   # ragged, or not two axes
+        raise MatrixShapeMismatch("congruence system is not a 2-D matrix") from None
     if len(cod_moduli) != m:
         raise MatrixShapeMismatch("moduli length mismatch")
-    return [list(F[i]) + [cod_moduli[i] if j == i else 0 for j in range(m)]
-            for i in range(m)]
+    return [[int(v) for v in F[i]] + [cod_moduli[i] if j == i else 0
+                                      for j in range(m)] for i in range(m)], n
 
 
 def congruence_kernel_gens(F, cod_moduli):
     """Generators of {x in Z^n : F x == 0 (mod cod_moduli componentwise)}.
 
     Returned as a list of length-n integer columns; they generate the full
-    solution lattice.
+    solution lattice, which is all of Z^n when F has no rows.
     """
-    m = len(F)
-    n = len(F[0]) if m else 0
-    if len(cod_moduli) != m:
-        raise MatrixShapeMismatch("moduli length mismatch")
+    block, n = _system(F, cod_moduli)
+    if not block:
+        return _identity(n)   # no conditions: the unit columns
     if n == 0:
         return []
-    return [col[:n] for col in kernel_basis(_with_moduli(F, cod_moduli))]
+    return [col[:n] for col in kernel_basis(block)]
 
 
 def solve_mod(F, b, cod_moduli):
     """One solution of F x == b (mod cod_moduli), or None."""
-    n = len(F[0]) if F else 0
-    sol = solve(_with_moduli(F, cod_moduli), list(b))
-    return None if sol is None else sol[:n]
+    block, n = _system(F, cod_moduli)
+    sol = solve(block, list(b))
+    if sol is None:
+        return None
+    return sol[:n] if block else [0] * n
 
 
 class Presented:
@@ -243,12 +252,13 @@ def subquotient_presentation(ker_gens, sub_gens, ambient_moduli):
         if any(any(x % mod for x, mod in zip(col, ambient_moduli)) for col in sub_gens):
             raise ValueError("subgroup not contained in kernel")
         return Presented([], [])
-    K = [[ker_gens[j][i] for j in range(s)] for i in range(n)]
+    # generators as the columns of n-row matrices, n = 0 included
+    K = np.array(ker_gens, dtype=object).reshape(s, n).T
     for col in sub_gens:
         if solve_mod(K, col, ambient_moduli) is None:
             raise ValueError("subgroup not contained in kernel")
-    t = len(sub_gens)
-    block = [K[i] + [sub_gens[j][i] for j in range(t)] for i in range(n)]
+    sub = np.array(sub_gens, dtype=object).reshape(len(sub_gens), n).T
+    block = np.hstack([K, sub])
     rel_cols = [col[:s] for col in congruence_kernel_gens(block, ambient_moduli)]
     if not rel_cols:
         raise MatrixShapeMismatch("empty relation set for finite subquotient")

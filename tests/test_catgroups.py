@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -411,6 +413,132 @@ def test_lifts_are_least_arrows_of_each_grade():
         for x in range(G.n_obj):
             assert ups[s, x] == min(m for m in range(G.n_mor)
                                     if G.grd[m] == s and G.src[m] == x)
+
+
+# -- blocked exhaustive scans against one-piece references ---------------------
+
+def _one_piece(key, chunks):
+    """The check of an axiom from its (failure mask, witness arrays) chunks,
+    each mask built whole and every failure located by argwhere."""
+    checks = []
+    for bad, arrays in chunks:
+        rows = np.argwhere(bad)
+        checks.append(xm.AxiomCheck(
+            key, (tuple(int(w[tuple(r)]) for w in arrays) for r in rows),
+            len(rows)))
+    return xm.AxiomCheck(key, chain.from_iterable(c.witnesses for c in checks),
+                         sum(c.fail_count for c in checks))
+
+
+def _interchange_one_piece(G):
+    """tensor-interchange as one (P x P) square per grade pair."""
+    comp, tmor = G._comp, G._tmor
+    gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[:, None])
+    pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
+
+    def chunks():
+        for key in np.unique(pair_grade):
+            sel = pair_grade == key
+            g1, f1 = gsel[sel], fsel[sel]
+            gi, fi, gj, fj = np.broadcast_arrays(
+                g1[:, None], f1[:, None], g1[None, :], f1[None, :])
+            lhs = tmor[comp[gi, fi], comp[gj, fj]]
+            rhs = comp[tmor[gi, gj], tmor[fi, fj]]
+            yield ~((lhs == rhs) & (lhs >= 0)), (gi, fi, gj, fj)
+    return _one_piece("tensor-interchange", chunks())
+
+
+def _nat_assoc_one_piece(G):
+    """naturality-assoc as one (P x P x P) cube per grade."""
+    comp, tmor, aset, SRC, TGT = G._comp, G._tmor, G.aset, G._src, G._tgt
+
+    def chunks():
+        for s in range(G.gamma.order):
+            sel = np.nonzero(G.grd == s)[0]
+            if not len(sel):
+                continue
+            u, v, w = np.broadcast_arrays(
+                sel[:, None, None], sel[None, :, None], sel[None, None, :])
+            lhs = comp[aset[TGT[u], TGT[v], TGT[w]], tmor[tmor[u, v], w]]
+            rhs = comp[tmor[u, tmor[v, w]], aset[SRC[u], SRC[v], SRC[w]]]
+            yield ~((lhs == rhs) & (lhs >= 0)), (u, v, w)
+    return _one_piece("naturality-assoc", chunks())
+
+
+def _ladder(n, k):
+    """Z_n -> Z_n, d = multiplication by k, Z2 negating both."""
+    Zn = g.cyclic(n)
+    neg = g.action_from_automorphism(Z2, Zn, [(-x) % n for x in range(n)])
+    return samples.abelian_module(Zn, Zn, [(k * x) % n for x in range(n)],
+                                  Z2, neg, neg)
+
+
+def test_blocked_scans_match_the_one_piece_scans(monkeypatch):
+    # eight ladder mutants, seven of the n_mor-128 rung and one of the 288
+    rng = random.Random(20261018)
+    mutants = [m for base, count in ((_ladder(8, 3), 7), (_ladder(12, 5), 1))
+               for m, _, _ in samples.random_breaking_mutations(rng, [base], count)]
+    mutants += [m for m, _, _ in samples.random_breaking_mutations(
+        rng, samples.standard_corpus(), 12)]
+    seen = set()
+    for m in mutants:
+        G = cg.build_catgroup(m)
+        for blocked, one_piece in ((cg._interchange_exhaustive, _interchange_one_piece),
+                                   (cg._nat_assoc_exhaustive, _nat_assoc_one_piece)):
+            want = one_piece(G)
+            seen.add((want.key, want.ok))
+            # 1 and 7 split every grade pair (or grade) into many blocks;
+            # 2^10 and the shipped size split the larger ones mid-way
+            for block in (1, 7, 1 << 10, cg._BLOCK):
+                monkeypatch.setattr(cg, "_BLOCK", block)
+                got = blocked(G)
+                assert (got.key, got.fail_count, got.witnesses) == \
+                    (want.key, want.fail_count, want.witnesses), (block, m)
+            monkeypatch.undo()
+    assert {("tensor-interchange", False), ("naturality-assoc", False)} <= seen
+
+
+def test_entry_counts_every_failure_and_keeps_the_first_sixteen():
+    ok = np.random.default_rng(7).random((6, 5)) < 0.3
+    failing = [(i, j) for i in range(6) for j in range(5) if not ok[i, j]]
+    assert len(failing) > 16
+    e = cg._entry("k", ok)
+    assert (e.fail_count, e.witnesses) == (len(failing), tuple(failing[:16]))
+    # witness arrays of the mask's shape, or broadcasting to it
+    rows = np.arange(6)[:, None] * 10 + np.zeros((6, 5), dtype=np.int64)
+    e = cg._entry("k", ok, [rows, np.arange(5)])
+    assert e.fail_count == len(failing)
+    assert e.witnesses == tuple((10 * i, j) for i, j in failing[:16])
+    assert cg._entry("k", np.ones((6, 5), dtype=bool), [rows]).witnesses == ()
+    # across blocks the count continues and the cap is shared
+    check = cg._tally("k", [(~ok, None), (~ok, [rows, np.arange(5)])])
+    assert check.fail_count == 2 * len(failing)
+    assert check.witnesses == tuple(failing[:16])
+    short = ~ok
+    short[3:] = False
+    first = [w for w in failing if w[0] < 3]
+    assert 0 < len(first) < 16
+    check = cg._tally("k", [(short, None), (~ok, [rows, np.arange(5)])])
+    assert check.fail_count == len(first) + len(failing)
+    assert check.witnesses == tuple(first) + tuple(
+        (10 * i, j) for i, j in failing[:16 - len(first)])
+
+
+def test_failing_category_check_stays_within_its_memory_bound():
+    mutant, _, desc = samples.random_breaking_mutations(
+        random.Random(0), [_ladder(12, 5)], 1)[0]
+    G = cg.build_catgroup(mutant)
+    assert G.n_mor == 288
+    tracemalloc.start()
+    try:
+        rep = cg.check_axioms(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # both families took the exhaustive scan, and found failures
+    assert not rep["tensor-interchange"].ok and not rep["naturality-assoc"].ok
+    assert not cg._INTERCHANGE_NEEDS <= {e.key for e in rep.entries if e.ok}
+    assert peak < 32 << 20, (desc, peak)
 
 
 # -- both builders against a per-morphism reference ----------------------------

@@ -151,6 +151,11 @@ def test_cocycle_plus_coboundary_stays_in_class():
 
 def test_h2_z2_z2_has_order_two():
     Q = module(Z2)
+    # every identity instance cancels: the cocycle system has no rows but
+    # still one unknown per coordinate
+    keys = ch._keys(Q.group.order, Q.gamma.order)
+    rows, moduli = ch._delta2(Q, Q, keys)
+    assert rows.shape == (0, len(keys)) and moduli == []
     res = ch.h2(Q, Q, method="both")
     assert res.class_count == 2
     assert res.invariants == [2]

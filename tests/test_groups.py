@@ -179,6 +179,11 @@ def test_hom_kernel_image_examples():
         g.hom_kernel_image([4], [8], [[1]])  # 4 * 1 != 0 mod 8
 
 
+def test_hom_kernel_image_into_the_trivial_group():
+    ker, img = g.hom_kernel_image([4, 2], [], [])
+    assert sorted(ker.invariants) == [2, 4] and img.invariants == []
+
+
 def brute_hom_kernel_image(dom_invs, cod_invs, matrix):
     """Oracle: enumerate elements of the domain, map them, read off orders."""
     dom = list(itertools.product(*(range(d) for d in dom_invs)))

@@ -85,6 +85,17 @@ def test_moduli_must_match_the_rows(moduli):
     assert zl.solve_mod(F, [1, 1], [4, 2]) is not None
 
 
+def test_a_system_without_rows_takes_its_width_from_its_shape():
+    F = np.zeros((0, 3), dtype=np.int64)
+    assert zl.congruence_kernel_gens(F, []) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert zl.solve_mod(F, [], []) == [0, 0, 0]
+    with pytest.raises(MatrixShapeMismatch):
+        zl.solve_mod(F, [1], [])
+    # a bare empty list has no width
+    with pytest.raises(MatrixShapeMismatch):
+        zl.congruence_kernel_gens([], [])
+
+
 def test_presentation_from_generators_subgroup_of_z4xz2():
     # subgroup generated by (2, 1) inside Z/4 x Z/2 is cyclic of order 2
     pres = zl.presentation_from_generators([[2, 1]], [4, 2])
