@@ -5,6 +5,9 @@ Exit codes: 0 all checks passed, 1 an axiom or claim failed, 2 input
 error, 3 enumeration guard tripped.  Reports are byte-identical across
 runs and thread counts; --threads is accepted for interface stability and
 validated, the table scans are already vectorized internally.
+
+Each run_<kind> imports the layers its kind needs, so a process loads only
+those: a validate run never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,22 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import cohomology, extensions, samples
-from .catgroups import build_catgroup, check_axioms, ker
-from .cohomology import Cochain3, h2, is_3cocycle, obstruction
-from .crossed import BraidedGammaCrossedModule
 from .errors import SearchSpaceTooLarge, XmodcatError
-from .functors import (
-    catgroup_to_crossed,
-    check_graded_functor,
-    extract_factor_set,
-    functor_to_morphism,
-    is_regular_factor_set,
-    morphism_to_functor,
-    validate_factor_set,
-)
 from .groups import FiniteGroup, GammaAction, GammaModule
-from .crossed import identity_morphism
 
 SCHEMA_VERSION = 1
 KINDS = ("validate", "build-catgroup", "check-axioms", "factor-set",
@@ -96,7 +85,13 @@ def _gamma_module(gamma):
     return build
 
 
+def _module(inputs):
+    from .crossed import BraidedGammaCrossedModule
+    return _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+
+
 def _cochain3(M, N):
+    from .cohomology import Cochain3
     return lambda obj: Cochain3(M, N, obj["assoc"], obj["braid"],
                                 obj["tensor"], obj["comp"])
 
@@ -138,7 +133,7 @@ def _report_axioms(lines, report, prefix=""):
 
 
 def run_validate(inputs, options, guard):
-    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    m = _module(inputs)
     report = m.validate()
     lines = [f"module |B|={m.B.order} |D|={m.D.order} |gamma|={m.gamma.order}"]
     ok = _report_axioms(lines, report)
@@ -151,7 +146,8 @@ def run_validate(inputs, options, guard):
 
 
 def run_build_catgroup(inputs, options, guard):
-    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    from .catgroups import build_catgroup, ker
+    m = _module(inputs)
     G = build_catgroup(m)
     lines = [f"objects: {G.n_obj}", f"morphisms: {G.n_mor}",
              f"grades: {G.gamma.order}",
@@ -164,10 +160,11 @@ def run_build_catgroup(inputs, options, guard):
 
 
 def run_check_axioms(inputs, options, guard):
+    from . import samples
+    from .catgroups import build_catgroup, check_axioms
     mods = []
     if "module" in inputs:
-        mods.append(_decode(inputs, "module",
-                            BraidedGammaCrossedModule.from_json))
+        mods.append(_module(inputs))
     count = _decode(options, "random_count", int, "options", default=0)
     symmetric = _decode(options, "symmetric", _bool, "options", default=False)
     if count:
@@ -190,7 +187,10 @@ def run_check_axioms(inputs, options, guard):
 
 
 def run_factor_set(inputs, options, guard):
-    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    from .catgroups import build_catgroup
+    from .functors import (extract_factor_set, is_regular_factor_set,
+                           validate_factor_set)
+    m = _module(inputs)
     G = build_catgroup(m)
     fs = extract_factor_set(G)
     rep = validate_factor_set(fs)
@@ -206,6 +206,7 @@ def run_factor_set(inputs, options, guard):
 
 
 def run_cohomology_h2(inputs, options, guard):
+    from .cohomology import h2
     gamma = _decode(inputs, "gamma", _group)
     Q = _decode(inputs, "Q", _gamma_module(gamma))
     B = _decode(inputs, "B", _gamma_module(gamma))
@@ -222,6 +223,7 @@ def run_cohomology_h2(inputs, options, guard):
 
 
 def run_obstruction(inputs, options, guard):
+    from .cohomology import class_vanishes, is_3cocycle, obstruction
     gamma = _decode(inputs, "gamma", _group)
     M = _decode(inputs, "M", _gamma_module(gamma))
     N = _decode(inputs, "N", _gamma_module(gamma))
@@ -238,8 +240,8 @@ def run_obstruction(inputs, options, guard):
     lines = [f"cocycle: {ok3}" + ("" if ok3 else f" witness={wit}")]
     data = {"obstruction": k.to_json(), "cocycle": ok3}
     if decide:
-        vanish = cohomology.class_vanishes(k, (M, N, h), (Mp, Np, hp),
-                                           phi, f, guard=guard)
+        vanish = class_vanishes(k, (M, N, h), (Mp, Np, hp), phi, f,
+                                guard=guard)
         lines.append(f"vanishes: {vanish}")
         data["vanishes"] = vanish
     lines.append("result: all-pass" if ok3 else "result: axiom-failure")
@@ -247,10 +249,11 @@ def run_obstruction(inputs, options, guard):
 
 
 def run_schreier(inputs, options, guard):
-    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    from .extensions import schreier_bijection_check
+    m = _module(inputs)
     Q = _decode(inputs, "Q", _gamma_module(m.gamma))
     psi = _decode(inputs, "psi", _ints)
-    rep = extensions.schreier_bijection_check(m, Q, psi, guard=guard)
+    rep = schreier_bijection_check(m, Q, psi, guard=guard)
     lines = [f"functor-classes: {rep.functor_class_count}",
              f"extension-classes: {rep.extension_class_count}",
              f"well-defined: {rep.well_defined}",
@@ -265,15 +268,16 @@ def run_schreier(inputs, options, guard):
 
 
 def run_classify(inputs, options, guard):
-    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    from .extensions import classify
+    from .groups import abelian_invariants
+    m = _module(inputs)
     Q = _decode(inputs, "Q", _gamma_module(m.gamma))
     psi = _decode(inputs, "psi", _ints)
-    res = extensions.classify(m, Q, psi, guard=guard)
+    res = classify(m, Q, psi, guard=guard)
     lines = [f"obstructed: {res.obstructed}"]
     if not res.obstructed:
         lines.append(f"h2-invariants: {res.h2_invariants}")
         lines.append(f"class-count: {res.class_count}")
-        from .groups import abelian_invariants
         for i, e in enumerate(res.representatives):
             lines.append(f"representative[{i}]: |E|={e.E.group.order} "
                          f"invariants={abelian_invariants(e.E.group)}")
@@ -282,7 +286,11 @@ def run_classify(inputs, options, guard):
 
 
 def run_roundtrip(inputs, options, guard):
-    m = _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    from .catgroups import build_catgroup, check_axioms
+    from .crossed import identity_morphism
+    from .functors import (catgroup_to_crossed, check_graded_functor,
+                           functor_to_morphism, morphism_to_functor)
+    m = _module(inputs)
     G = build_catgroup(m)
     rep = check_axioms(G)
     m2 = catgroup_to_crossed(G)
@@ -333,6 +341,9 @@ def run_corpus(path, update, guard):
     if not scenarios:
         print(f"no scenario files under {base}")
         return 2
+    # Load every layer up front: compiled later, on a heap the scenarios
+    # have grown, they raise this process's peak RSS.
+    from . import extensions, samples  # noqa: F401
     worst = 0
     for sc in scenarios:
         try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .cohomology import SymmetricCochain2, is_2cocycle, zero_cochain2
 from .errors import (
     GroupError,
     NotComposable,
@@ -398,6 +397,7 @@ class CrossedMorphism:
         self.f1 = f1
         self.f0 = f0
         if phi is None:
+            from .cohomology import zero_cochain2
             phi = zero_cochain2(source.pi0(), target.pi1())
         self.phi = phi
 
@@ -453,6 +453,7 @@ def validate_morphism(m: CrossedMorphism, M=None, Mp=None):
     phi_ok = m.phi.Q == M.pi0() and m.phi.B == Mp.pi1()
     entries.append(AxiomCheck("phi-modules", () if phi_ok else ((),)))
     if phi_ok:
+        from .cohomology import is_2cocycle
         ok, witness = is_2cocycle(m.phi)
         entries.append(AxiomCheck("phi-cocycle", () if ok else (witness,)))
     return AxiomReport(entries)
@@ -460,6 +461,7 @@ def validate_morphism(m: CrossedMorphism, M=None, Mp=None):
 
 def compose_morphisms(m2: CrossedMorphism, m1: CrossedMorphism):
     """m2 after m1, with third component f1'_* phi + f0^* phi'."""
+    from .cohomology import SymmetricCochain2
     if m1.target != m2.source:
         raise NotComposable("morphism ends do not match")
     M, Mm, Mpp = m1.source, m1.target, m2.target

@@ -11,8 +11,6 @@ import itertools
 from functools import lru_cache
 from math import lcm
 
-import numpy as np
-
 from . import zlinalg
 from .errors import (
     GroupError,
@@ -92,6 +90,7 @@ class FiniteGroup:
     @property
     def np_table(self):
         if self._np is None:
+            import numpy as np
             self._np = np.asarray(self.table, dtype=np.int64)
         return self._np
 
@@ -130,12 +129,57 @@ def _validate_table(tbl):
     for a in range(n):
         if not any(tbl[a][b] == 0 and tbl[b][a] == 0 for b in range(n)):
             raise NoInverse("element has no two-sided inverse", (a,))
+    if not _light_associative(tbl):
+        raise NotAssociative("associativity fails", _associativity_witness(tbl))
+
+
+def _magma_generators(tbl):
+    """A set that generates the table's magma (with the identity 0) under
+    multiplication alone: greedily the least element not yet reached, each
+    pair of reached elements multiplied once, O(n^2) in all."""
+    n = len(tbl)
+    reached = [False] * n
+    reached[0] = True
+    elems, gens = [0], []
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        todo = [g]
+        while todo:
+            x = todo.pop()
+            elems.append(x)
+            row = tbl[x]
+            for y in elems:
+                for z in (row[y], tbl[y][x]):
+                    if not reached[z]:
+                        reached[z] = True
+                        todo.append(z)
+    return gens
+
+
+def _light_associative(tbl):
+    """Light's test: the middles a with (xa)y = x(ay) for all x, y are closed
+    under the product (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1.2), so the table is associative exactly when every
+    generator of its magma is a middle.  0 is one, being the identity."""
+    for a in _magma_generators(tbl):
+        row_a = tbl[a]
+        for x, row_x in enumerate(tbl):
+            if tbl[row_x[a]] != tuple(map(row_x.__getitem__, row_a)):
+                return False
+    return True
+
+
+def _associativity_witness(tbl):
+    """The lexicographically first (a, b, c) with (ab)c != a(bc), by a scan
+    of every triple; the table must have one."""
+    import numpy as np
     t = np.asarray(tbl, dtype=np.int64)
     lhs = t[t, :]            # lhs[a,b,c] = (ab)c
     rhs = t[:, t]            # rhs[a,b,c] = a(bc)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        raise NotAssociative("associativity fails", tuple(int(v) for v in bad[0]))
+    return tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
 
 
 def group_from_table(table):
@@ -409,6 +453,8 @@ class GammaAction:
         self.act = tuple(tuple(int(v) for v in row) for row in act)
         if len(self.act) != gamma.order or any(len(r) != target.order for r in self.act):
             raise ShapeMismatch("action table has wrong shape")
+        if any(not 0 <= v < target.order for r in self.act for v in r):
+            raise ShapeMismatch("action table value out of range")
 
     def __call__(self, s, x):
         return self.act[s][x]
@@ -618,6 +664,7 @@ def hom_kernel_image(dom_invariants, cod_invariants, matrix):
         if any(v % m for v, m in zip(col, cod)):
             raise MatrixShapeMismatch("matrix does not respect the relations")
     # the width of the system is len(dom) even when cod has no factors
+    import numpy as np
     ker_gens = zlinalg.congruence_kernel_gens(
         np.array(F, dtype=object).reshape(len(cod), len(dom)), cod)
     kernel = zlinalg.presentation_from_generators(ker_gens, dom) if ker_gens \

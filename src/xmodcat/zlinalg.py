@@ -2,16 +2,14 @@
 and presentations of finitely generated abelian groups.
 
 All matrices are lists of lists of Python ints (arbitrary precision, so
-pivoting can never overflow).  The congruence solvers also take any
-matrix with a 2-D shape, such as a numpy array, and read the number of
+pivoting can never overflow).  The congruence solvers also take a matrix
+with a 2-D `.shape`, such as a numpy array, and read the number of
 unknowns from that shape, so a system with no rows still has a width.
 A finite abelian group is presented by a list of moduli [m1, ..., mr];
 its elements are integer coordinate vectors taken mod the moduli.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import MatrixShapeMismatch
 
@@ -171,17 +169,22 @@ def kernel_basis(A):
 
 
 def _system(F, cod_moduli):
-    """The block [F | diag(cod_moduli)] of a congruence system F with a 2-D
-    shape, and F's number of unknowns n: x solves F x == b (mod cod_moduli)
-    exactly when (x, y) solves the block over the integers for some y."""
+    """The block [F | diag(cod_moduli)] of a congruence system F, and F's
+    number of unknowns n: x solves F x == b (mod cod_moduli) exactly when
+    (x, y) solves the block over the integers for some y.  n is read from
+    F's `.shape` when it has one, else from its rows; a ragged F, or one
+    with neither rows nor a shape, has no width."""
     try:
-        m, n = np.shape(F)
-    except ValueError:   # ragged, or not two axes
+        rows = [[int(v) for v in row] for row in F]
+        m, n = F.shape if hasattr(F, "shape") else (len(rows), len(rows[0]))
+    except (TypeError, ValueError, IndexError):   # not two axes, or no rows
         raise MatrixShapeMismatch("congruence system is not a 2-D matrix") from None
+    if any(len(row) != n for row in rows):
+        raise MatrixShapeMismatch("congruence system is not a 2-D matrix")
     if len(cod_moduli) != m:
         raise MatrixShapeMismatch("moduli length mismatch")
-    return [[int(v) for v in F[i]] + [cod_moduli[i] if j == i else 0
-                                      for j in range(m)] for i in range(m)], n
+    return [rows[i] + [cod_moduli[i] if j == i else 0 for j in range(m)]
+            for i in range(m)], n
 
 
 def congruence_kernel_gens(F, cod_moduli):
@@ -248,17 +251,16 @@ def subquotient_presentation(ker_gens, sub_gens, ambient_moduli):
     """
     n = len(ambient_moduli)
     s = len(ker_gens)
-    if s == 0:
+    if s == 0 or n == 0:   # no generators, or a trivial ambient group
         if any(any(x % mod for x, mod in zip(col, ambient_moduli)) for col in sub_gens):
             raise ValueError("subgroup not contained in kernel")
         return Presented([], [])
-    # generators as the columns of n-row matrices, n = 0 included
-    K = np.array(ker_gens, dtype=object).reshape(s, n).T
+    # generators as the columns of n-row matrices
+    K = [[col[i] for col in ker_gens] for i in range(n)]
     for col in sub_gens:
         if solve_mod(K, col, ambient_moduli) is None:
             raise ValueError("subgroup not contained in kernel")
-    sub = np.array(sub_gens, dtype=object).reshape(len(sub_gens), n).T
-    block = np.hstack([K, sub])
+    block = [K[i] + [col[i] for col in sub_gens] for i in range(n)]
     rel_cols = [col[:s] for col in congruence_kernel_gens(block, ambient_moduli)]
     if not rel_cols:
         raise MatrixShapeMismatch("empty relation set for finite subquotient")

@@ -161,6 +161,29 @@ def _hp_entry_negative():
     return _hp_braid(-1)
 
 
+def _corpus_inputs(name):
+    return json.loads(
+        (cli.default_corpus_dir() / f"{name}.json").read_text())["inputs"]
+
+
+def _action_entry_past_end():
+    inputs = _corpus_inputs("validate_q8_gamma")
+    inputs["module"]["actB"][0][0] = 7
+    return "validate", inputs, {}, "inputs.module"
+
+
+def _action_entry_negative():
+    inputs = _corpus_inputs("check_axioms_z4_negation")
+    inputs["module"]["actB"][0][0] = -1
+    return "check-axioms", inputs, {}, "inputs.module"
+
+
+def _q_action_entry_past_end():
+    inputs = _corpus_inputs("cohomology_h2_z4_negation")
+    inputs["Q"]["act"][1][3] = 7
+    return "cohomology-h2", inputs, {}, "inputs.Q"
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
@@ -174,10 +197,14 @@ def _hp_entry_negative():
     _string_decide_vanishing,
     _hp_entry_past_end,
     _hp_entry_negative,
+    _action_entry_past_end,
+    _action_entry_negative,
+    _q_action_entry_past_end,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
         "non-string-method", "non-integer-random-count", "string-symmetric",
         "list-symmetric", "string-dump", "string-decide-vanishing",
-        "hp-entry-past-end", "hp-entry-negative"])
+        "hp-entry-past-end", "hp-entry-negative", "action-entry-past-end",
+        "action-entry-negative", "q-action-entry-past-end"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)
@@ -312,3 +339,51 @@ def test_obstruction_cochain_entries_never_escape(edits):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["obstruction", str(path)])
     assert code in (0, 1, 2, 3)
+
+
+def _input_fields(node, path=()):
+    """Every keyed entry under a scenario's inputs, with the paths below it
+    that a fuzz edit may replace: each entry of a table, or the whole of an
+    object."""
+    for key, value in node.items():
+        here = path + (key,)
+        if isinstance(value, dict):
+            yield here, [()]
+            yield from _input_fields(value, here)
+        else:
+            yield here, list(_entry_paths(value))
+
+
+_FUZZ_SCENARIOS = {
+    name: json.loads((cli.default_corpus_dir() / f"{name}.json").read_text())
+    for name in ("validate_q8_gamma", "validate_s3_a3", "cohomology_h2_z2",
+                 "cohomology_h2_z4_negation")}
+_FUZZ_FIELDS = [(name, field, below)
+                for name, scenario in sorted(_FUZZ_SCENARIOS.items())
+                for field, below in _input_fields(scenario["inputs"])]
+_FUZZ_VALUES = [-1, *range(10), "x", None, 1.5, []]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(st.sampled_from(_FUZZ_FIELDS).flatmap(
+           lambda f: st.tuples(st.just(f), st.sampled_from(f[2]))),
+       st.sampled_from(_FUZZ_VALUES))
+def test_validate_and_h2_inputs_never_escape(pick, value):
+    """One inputs entry of a validate or cohomology-h2 golden scenario set
+    to a small or ill-typed value ends in an exit code, never a traceback."""
+    (name, field, _), below = pick
+    scenario = json.loads(json.dumps(_FUZZ_SCENARIOS[name]))
+    path = field + below
+    cell = scenario["inputs"]
+    for key in path[:-1]:
+        cell = cell[key]
+    cell[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = Path(tmp) / "f.json"
+        scenario_path.write_text(json.dumps(scenario))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([scenario["kind"], str(scenario_path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

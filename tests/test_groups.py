@@ -1,8 +1,11 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from xmodcat import groups as g
+from xmodcat import samples
 from xmodcat.errors import (
     MatrixShapeMismatch,
     NoInverse,
@@ -64,6 +67,94 @@ def test_not_associative_detected():
     tbl = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises((NotAssociative, NoInverse)):
         g.group_from_table(tbl)
+
+
+def _scan_witness(tbl):
+    """Oracle: the lexicographically first (a, b, c) with (ab)c != a(bc),
+    by comparing every triple at once, or None."""
+    t = np.asarray(tbl, dtype=np.int64)
+    bad = np.argwhere(t[t, :] != t[:, t])
+    return tuple(int(v) for v in bad[0]) if len(bad) else None
+
+
+def _relabel(tbl, perm):
+    """The table with element x renamed perm[x]."""
+    out = [[0] * len(tbl) for _ in tbl]
+    for a, row in enumerate(tbl):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = perm[v]
+    return out
+
+
+# A Latin square with identity 0 in which every element is its own
+# inverse: a loop of order 5 that is no group, since Z5 has one involution.
+_LOOP5 = [[0, 1, 2, 3, 4],
+          [1, 0, 3, 4, 2],
+          [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1],
+          [4, 3, 1, 2, 0]]
+
+
+def _product(s, t):
+    """The product table of s and t, with (a, b) packed as a * |t| + b."""
+    k = len(t)
+    return [[s[a1][a2] * k + t[b1][b2] for a2 in range(len(s)) for b2 in range(k)]
+            for a1 in range(len(s)) for b1 in range(k)]
+
+
+def _light_cases():
+    rng = random.Random(20261018)
+    extra = (g.cyclic(7), g.quaternion8(), g.dihedral(6),
+             g.direct_product(g.klein_four(), g.cyclic(4)))
+    distinct = {G.table for m in samples.standard_corpus()
+                for G in (m.B, m.D, m.gamma)} | {G.table for G in extra}
+    tables = [[list(r) for r in t] for t in sorted(distinct)]
+    for t in list(tables):
+        for _ in range(2):
+            perm = [0] + rng.sample(range(1, len(t)), len(t) - 1)
+            tables.append(_relabel(t, perm))
+    cases = [(t, "group") for t in tables]
+    # Single-entry mutants off the identity row and column that neither
+    # make nor break a 0 entry, so every element keeps its inverse and the
+    # table reaches the associativity check.
+    for t in tables:
+        n = len(t)
+        if n < 3:
+            continue
+        for _ in range(4):
+            a, b = rng.randrange(1, n), rng.randrange(1, n)
+            if t[a][b] == 0:
+                continue
+            mutant = [list(r) for r in t]
+            mutant[a][b] = rng.choice([v for v in range(1, n) if v != t[a][b]])
+            cases.append((mutant, "mutant"))
+    # In the loop times a group, the least element outside the identity
+    # is a middle; only a later generator can show the failure.
+    loops = [_LOOP5] + [_product(_LOOP5, t)
+                        for t in ([[0, 1], [1, 0]], g.cyclic(3).table)]
+    for t in list(loops):
+        perm = [0] + rng.sample(range(1, len(t)), len(t) - 1)
+        loops.append(_relabel(t, perm))
+    return cases + [(t, "loop") for t in loops]
+
+
+def test_light_test_agrees_with_the_full_scan():
+    """Light's test over a generating set accepts exactly the associative
+    tables, and a rejected table raises with the full scan's witness."""
+    kinds = {"group": 0, "mutant": 0, "loop": 0}
+    for tbl, kind in _light_cases():
+        want = _scan_witness(tbl)
+        assert g._light_associative(tuple(map(tuple, tbl))) == (want is None)
+        if want is None:
+            assert g.group_from_table(tbl).order == len(tbl)
+        else:
+            with pytest.raises(NotAssociative) as err:
+                g.group_from_table(tbl)
+            assert err.value.witness == want
+            assert str(err.value) == f"associativity fails at {want}"
+        kinds[kind] += want is not None
+    assert kinds["group"] == 0
+    assert kinds["mutant"] >= 40 and kinds["loop"] == 6
 
 
 def test_cancellation_rows_and_columns():
