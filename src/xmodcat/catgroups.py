@@ -185,6 +185,8 @@ class GradedCatGroup:
     def __eq__(self, other):
         if not isinstance(other, GradedCatGroup):
             return NotImplemented
+        if self is other:
+            return True
         return (self.gamma == other.gamma and self.n_obj == other.n_obj
                 and self.unit == other.unit
                 and np.array_equal(self.src, other.src)
@@ -370,18 +372,47 @@ def _lifts(G: GradedCatGroup):
     return ups
 
 
+def _grouped(key, n_keys):
+    """(n_keys, d) table of the morphisms with each key, ascending, padded
+    with the undefined arrow -1 to the largest group."""
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=n_keys)
+    pos = np.arange(len(key)) - (np.cumsum(counts) - counts)[key[order]]
+    out = np.full((n_keys, counts.max()), -1, dtype=np.int64)
+    out[key[order], pos] = order
+    return out
+
+
 def _arrows_into(G: GradedCatGroup):
     """(|gamma|, n_obj, d) table of the morphisms of each grade into each
     object, ascending, padded with the undefined arrow -1 to the largest
     group (in-degrees need not be equal)."""
     ng, no = G.gamma.order, G.n_obj
-    key = G.grd * no + G.tgt
-    order = np.argsort(key, kind="stable")
-    counts = np.bincount(key, minlength=ng * no)
-    pos = np.arange(G.n_mor) - (np.cumsum(counts) - counts)[key[order]]
-    out = np.full((ng * no, counts.max()), -1, dtype=np.int64)
-    out[key[order], pos] = order
-    return out.reshape(ng, no, -1)
+    return _grouped(G.grd * no + G.tgt, ng * no).reshape(ng, no, -1)
+
+
+def _grade1_generators(G: GradedCatGroup):
+    """A generating set of the grade-1 groupoid: the grade-1 arrows, in
+    ascending order, that the earlier picks do not already generate.  The
+    generated set is the closure of the identities under composing picks
+    on the left; in a finite groupoid an inverse is a power, so that is
+    the generated subgroupoid."""
+    comp = G._comp
+    reached = np.zeros(G.n_mor + 1, dtype=bool)
+    reached[-1] = True                  # the undefined arrow is never new
+    reached[G.idm] = True
+    picks = []
+    for k in np.nonzero(G.grd == 0)[0]:
+        if reached[k]:
+            continue
+        picks.append(k)
+        left = np.array(picks)[:, None]
+        new = np.nonzero(reached[:-1])[0]
+        while len(new):
+            new = np.unique(comp[left, new])
+            new = new[~reached[new]]
+            reached[new] = True
+    return np.array(picks, dtype=np.int64)
 
 
 def _interchange_square(G, g, f, gp, fp):
@@ -401,9 +432,10 @@ def _nat_assoc_square(G, u, v, w):
     return (lhs == rhs) & (lhs >= 0)
 
 
-# instances per block of the blocked scans (the exhaustive ones and the
-# generator interchange scan): each int64 temporary is then at most 512 KB
-# and stays in cache, which measured faster than 2^18 or 2^20 on both scans
+# instances per block of the blocked scans (associativity, the exhaustive
+# ones and the generator interchange scan): each int64 temporary is then at
+# most 512 KB and stays in cache, which measured faster than 2^18 or 2^20 on
+# both exhaustive scans
 _BLOCK = 1 << 16
 
 
@@ -416,6 +448,31 @@ def _rows_per_block(row):
 # _comp.flat[g (n_mor + 1) + f].  An undefined factor -1 still reads -1,
 # since g = -1 lands in the padding row and f = -1 in the padding column
 # of row g - 1 (or, for g = 0, in the last slot).
+
+def _associative(G: GradedCatGroup):
+    """composition-associative on every triple (h, g, f) with h o g
+    defined in `comp` and tgt f = src g, in C order of (h, g, f): the
+    (h, g) pairs in blocks of rows, each against the arrows into src g
+    (all grades, ascending, padded with -1 and masked out)."""
+    n1 = G.n_mor + 1
+    comp = G._comp.ravel()
+    hsel, gsel = np.nonzero(G.comp >= 0)
+    into = _grouped(G.tgt, G.n_obj)
+
+    def blocks():
+        step = _rows_per_block(into.shape[1])
+        for lo in range(0, len(hsel), step):
+            h, g = hsel[lo:lo + step, None], gsel[lo:lo + step, None]
+            f = into[G.src[g[:, 0]]]
+            # h o (g o f) against (h o g) o f
+            lhs = comp[h * n1 + comp[g * n1 + f]]
+            rhs = comp[comp[h * n1 + g] * n1 + f]
+            bad = lhs != rhs
+            bad |= lhs < 0
+            bad &= f >= 0
+            yield bad, (h, g, f)
+    return _tally("composition-associative", blocks())
+
 
 def _interchange_exhaustive(G: GradedCatGroup):
     """tensor-interchange on every two composable pairs (g, f), (g', f')
@@ -494,9 +551,10 @@ def _interchange_on_generators(G, ups):
     """Whether tensor-interchange holds where the outer pair (g, g') is a
     generator of the same-grade pairs and (f, f') is every same-grade pair
     composable with it, _BLOCK squares at a time.  The generators
-    are (k, id_Y) and (id_X, k) for grade-1 k and the lift pairs
+    are (k, id_Y) and (id_X, k) for k in a generating set of the grade-1
+    groupoid (`_grade1_generators`) and the lift pairs
     (ups[s, X], ups[s, X'])."""
-    k = np.nonzero(G.grd == 0)[0]
+    k = _grade1_generators(G)
     idm = G.idm
     gens = (np.broadcast_arrays(k[:, None], idm[None, :]),
             np.broadcast_arrays(idm[:, None], k[None, :]),
@@ -518,9 +576,10 @@ def _interchange_on_generators(G, ups):
 
 def _nat_assoc_on_generators(G, ups):
     """Whether naturality-assoc holds on the generating triples
-    (k, id, id), (id, k, id), (id, id, k) for grade-1 k and the lift
-    triples (ups[s, X], ups[s, Y], ups[s, Z])."""
-    k = np.nonzero(G.grd == 0)[0]
+    (k, id, id), (id, k, id), (id, id, k) for k in a generating set of the
+    grade-1 groupoid and the lift triples (ups[s, X], ups[s, Y],
+    ups[s, Z])."""
+    k = _grade1_generators(G)
     x, y, z = G.idm[:, None, None], G.idm[None, :, None], G.idm[None, None, :]
     triples = ((k[:, None, None], y, z), (x, k[None, :, None], z),
                (x, y, k[None, None, :]),
@@ -533,7 +592,9 @@ def _nat_assoc_on_generators(G, ups):
 # out of every object.  There a tensor that preserves composites with a
 # generator preserves all composites, and a transformation natural in each
 # variable separately is natural (CWM II.3), so lift tuples and per-variable
-# grade-1 squares suffice.
+# grade-1 squares suffice.  By induction on word length the grade-1 squares
+# need only a generating set of the grade-1 groupoid: interchange squares
+# compose and naturality squares paste along g1 o g2.
 _INTERCHANGE_NEEDS = frozenset((
     "composition-defined", "composition-typing", "grade-composition",
     "identity-typing", "identity-laws", "composition-associative",
@@ -553,15 +614,19 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     constraint, grading stability, and object invertibility.
 
     tensor-interchange and naturality-assoc are first checked on a
-    generating set: outer pairs (k, id_Y), (id_X, k) for grade-1 k and the
-    lift pairs (l_s(X), l_s(X')), and triples (k, id, id), (id, k, id),
-    (id, id, k) and (l_s(X), l_s(Y), l_s(Z)), where l_s(X) is the least
-    grade-s morphism out of X (`_lifts`).  That is sound once the groupoid,
-    tensor and stability families pass (`_INTERCHANGE_NEEDS`), plus
-    tensor-interchange and assoc-typing for naturality-assoc.  If a
-    precondition fails, or the generator scan finds a failure, the family
-    is scanned exhaustively, so every check (ok, fail count, witnesses) is
-    that of the exhaustive scan."""
+    generating set: outer pairs (k, id_Y), (id_X, k) and the lift pairs
+    (l_s(X), l_s(X')), and triples (k, id, id), (id, k, id), (id, id, k)
+    and (l_s(X), l_s(Y), l_s(Z)), where k runs over a generating set of
+    the grade-1 groupoid (`_grade1_generators`), not every grade-1 arrow,
+    and l_s(X) is the least grade-s morphism out of X (`_lifts`).  That is
+    sound once the groupoid, tensor and stability families pass
+    (`_INTERCHANGE_NEEDS`), plus tensor-interchange and assoc-typing for
+    naturality-assoc.  If a precondition fails, or the generator scan finds
+    a failure, the family is scanned exhaustively, so every check (ok, fail
+    count, witnesses) is that of the exhaustive scan.
+
+    composition-associative scans only the triples (h, g, f) with h o g
+    defined in `comp` and tgt f = src g, in blocks (`_associative`)."""
     entries = []
     n, no = G.n_mor, G.n_obj
     gt = G.gamma.np_table
@@ -588,17 +653,7 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     ok = (comp[mors, idm[G.src]] == mors) & (comp[idm[G.tgt], mors] == mors)
     entries.append(_entry("identity-laws", ok, [mors]))
 
-    # associativity over composable triples
-    def assoc_blocks():
-        for hmor in range(n):
-            gmask = comp[hmor, gsel] >= 0
-            if not gmask.any():
-                continue
-            gsub, fsub = gsel[gmask], fsel[gmask]
-            lhs = comp[hmor, comp[gsub, fsub]]
-            rhs = comp[comp[hmor, gsub], fsub]
-            yield (lhs != rhs) | (lhs < 0), (hmor, gsub, fsub)
-    entries.append(_tally("composition-associative", assoc_blocks()))
+    entries.append(_associative(G))
 
     entries.append(_entry("inverses", G.inv >= 0, [mors]))
 

@@ -208,6 +208,12 @@ def test_category_equality_and_json():
     G1 = cg.build_catgroup(m)
     G2 = cg.build_catgroup(m)
     assert G1 == G2
+    # a category equals itself and an equal rebuilt copy, and an edit of
+    # either side shows
+    rebuilt = cg.GradedCatGroup(**_tables(G1))
+    assert G1 == G1 and rebuilt == G1 and G1 == rebuilt
+    G2.cset[1, 2] = (G2.cset[1, 2] + 1) % G2.n_mor
+    assert G2 == G2 and G2 != G1 and G1 != G2
     blob = G1.to_json()
     assert blob["objects"] == 6
     assert len(blob["morphisms"]) == G1.n_mor
@@ -405,6 +411,52 @@ def test_associator_unnatural_in_one_variable(pos):
     assert cg.check_axioms(G)["naturality-assoc"].fail_count == 256
 
 
+def _closure(G, arrows):
+    """Every composite of the given arrows, identities included."""
+    have = set(map(int, G.idm)) | set(map(int, arrows))
+    while True:
+        cur = np.array(sorted(have))
+        comps = G.comp[cur[:, None], cur[None, :]]
+        more = set(map(int, comps[comps >= 0])) - have
+        if not more:
+            return have
+        have |= more
+
+
+def _assert_generates_grade_one(G):
+    gens = cg._grade1_generators(G)
+    grade1 = set(map(int, np.nonzero(G.grd == 0)[0]))
+    assert list(gens) == sorted(set(map(int, gens)))
+    assert set(map(int, gens)) <= grade1
+    assert _closure(G, gens) == grade1
+    return len(gens), len(grade1)
+
+
+def test_grade_one_generators_generate_the_grade_one_groupoid():
+    rng = random.Random(20261018)
+    cats = [cg.build_catgroup(m) for m in
+            samples.standard_corpus() + samples.random_corpus(20261018, 40)]
+    M, N = module(Z4, Z2, [0, 3, 2, 1]), module(Z2, Z2)
+    cats += [cg.build_reduced(M, N, ch.random_cochain3(M, N, rng))
+             for _ in range(5)]
+    # d not surjective: two components of the grade-1 groupoid
+    split = cg.build_catgroup(samples.abelian_module(Z2, Z4, [0, 2]))
+    assert split.pi0_partition()[1] == 2
+    for G in cats + [split]:
+        _assert_generates_grade_one(G)
+    sizes = [_assert_generates_grade_one(cg.build_catgroup(_ladder(n, k)))
+             for n, k in ((8, 3), (12, 5), (16, 7))]
+    assert all(gens < grade1 for gens, grade1 in sizes)
+
+
+def test_each_grade_one_generator_is_new():
+    # an arrow is picked only when the earlier picks do not generate it
+    G = cg.build_catgroup(_ladder(8, 2))
+    gens = list(cg._grade1_generators(G))
+    for i, k in enumerate(gens):
+        assert int(k) not in _closure(G, gens[:i])
+
+
 def test_lifts_are_least_arrows_of_each_grade():
     G = cg.build_catgroup(samples.s3_a3_module(True))
     ups = cg._lifts(G)
@@ -473,6 +525,45 @@ def _ladder(n, k):
                                   Z2, neg, neg)
 
 
+def _associative_per_morphism(G):
+    """composition-associative one morphism h at a time: every (g, f)
+    with tgt f = src g, where h o g is defined in comp."""
+    comp = G._comp
+    gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[:, None])
+
+    def chunks():
+        for h in range(G.n_mor):
+            gmask = comp[h, gsel] >= 0
+            g1, f1 = gsel[gmask], fsel[gmask]
+            lhs = comp[h, comp[g1, f1]]
+            rhs = comp[comp[h, g1], f1]
+            yield (lhs != rhs) | (lhs < 0), (np.full_like(g1, h), g1, f1)
+    return _one_piece("composition-associative", chunks())
+
+
+_BLOCKED = ((cg._associative, _associative_per_morphism),
+            (cg._interchange_exhaustive, _interchange_one_piece),
+            (cg._nat_assoc_exhaustive, _nat_assoc_one_piece))
+
+
+def _blocked_scans_agree(monkeypatch, G, scans=_BLOCKED):
+    """Assert that each blocked scan gives its reference's fail count and
+    witnesses at every block size; returns the reference (key, ok)s."""
+    seen = set()
+    for blocked, reference in scans:
+        want = reference(G)
+        seen.add((want.key, want.ok))
+        # 1 and 7 split every scan into many blocks; 2^10 and the shipped
+        # size split the larger ones mid-way
+        for block in (1, 7, 1 << 10, cg._BLOCK):
+            monkeypatch.setattr(cg, "_BLOCK", block)
+            got = blocked(G)
+            assert (got.key, got.fail_count, got.witnesses) == \
+                (want.key, want.fail_count, want.witnesses), block
+        monkeypatch.undo()
+    return seen
+
+
 def test_blocked_scans_match_the_one_piece_scans(monkeypatch):
     # eight ladder mutants, seven of the n_mor-128 rung and one of the 288
     rng = random.Random(20261018)
@@ -482,20 +573,39 @@ def test_blocked_scans_match_the_one_piece_scans(monkeypatch):
         rng, samples.standard_corpus(), 12)]
     seen = set()
     for m in mutants:
-        G = cg.build_catgroup(m)
-        for blocked, one_piece in ((cg._interchange_exhaustive, _interchange_one_piece),
-                                   (cg._nat_assoc_exhaustive, _nat_assoc_one_piece)):
-            want = one_piece(G)
-            seen.add((want.key, want.ok))
-            # 1 and 7 split every grade pair (or grade) into many blocks;
-            # 2^10 and the shipped size split the larger ones mid-way
-            for block in (1, 7, 1 << 10, cg._BLOCK):
-                monkeypatch.setattr(cg, "_BLOCK", block)
-                got = blocked(G)
-                assert (got.key, got.fail_count, got.witnesses) == \
-                    (want.key, want.fail_count, want.witnesses), (block, m)
-            monkeypatch.undo()
+        seen |= _blocked_scans_agree(monkeypatch, cg.build_catgroup(m))
     assert {("tensor-interchange", False), ("naturality-assoc", False)} <= seen
+
+
+def test_associativity_reads_its_instances_from_the_composition_table(monkeypatch):
+    # comp edited to be defined where tgt != src, then undefined or wrong
+    # where tgt = src: the scan takes its (h, g) pairs from comp, its
+    # (g, f) pairs from the types
+    rng = random.Random(20261018)
+    scans = _BLOCKED[:1]
+    mods = [m for m in samples.standard_corpus() if m.D.order > 1]
+    for m in mods[:6] + [_ladder(8, 3)]:
+        G = cg.build_catgroup(m)
+        assert _blocked_scans_agree(monkeypatch, G, scans) == {
+            ("composition-associative", True)}
+        off = np.argwhere(G.src[:, None] != G.tgt[None, :])
+        h, g_ = (int(v) for v in off[rng.randrange(len(off))])
+        elsewhere = np.nonzero(G.src != G.src[g_])[0]
+        G.comp[h, g_] = elsewhere[rng.randrange(len(elsewhere))]
+        # each (h, g, f) with f into src g is an instance, and fails:
+        # h o (g o f) is undefined but at f = id, where (h o g) o id is
+        # undefined instead
+        into = [int(f) for f in np.nonzero(G.tgt == G.src[g_])[0]]
+        got = _associative_per_morphism(G)
+        assert got.fail_count == len(into)
+        assert got.witnesses == tuple((h, g_, f) for f in into[:16])
+        assert _blocked_scans_agree(monkeypatch, G, scans) == {
+            ("composition-associative", False)}
+        on = np.argwhere(G.src[:, None] == G.tgt[None, :])
+        for value in (-1, rng.randrange(G.n_mor)):
+            G.comp[tuple(on[rng.randrange(len(on))])] = value
+        assert _blocked_scans_agree(monkeypatch, G, scans) == {
+            ("composition-associative", False)}
 
 
 def test_entry_counts_every_failure_and_keeps_the_first_sixteen():

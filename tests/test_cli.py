@@ -354,23 +354,27 @@ def _input_fields(node, path=()):
             yield here, list(_entry_paths(value))
 
 
+# validate and cohomology-h2, then the module-taking kinds that go on to
+# build a category and check its axioms
 _FUZZ_SCENARIOS = {
     name: json.loads((cli.default_corpus_dir() / f"{name}.json").read_text())
     for name in ("validate_q8_gamma", "validate_s3_a3", "cohomology_h2_z2",
-                 "cohomology_h2_z4_negation")}
+                 "cohomology_h2_z4_negation", "build_d4",
+                 "check_axioms_z4_negation", "roundtrip_s3")}
 _FUZZ_FIELDS = [(name, field, below)
                 for name, scenario in sorted(_FUZZ_SCENARIOS.items())
                 for field, below in _input_fields(scenario["inputs"])]
 _FUZZ_VALUES = [-1, *range(10), "x", None, 1.5, []]
 
 
-@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@settings(derandomize=True, deadline=None, max_examples=240, database=None)
 @given(st.sampled_from(_FUZZ_FIELDS).flatmap(
            lambda f: st.tuples(st.just(f), st.sampled_from(f[2]))),
        st.sampled_from(_FUZZ_VALUES))
 def test_validate_and_h2_inputs_never_escape(pick, value):
-    """One inputs entry of a validate or cohomology-h2 golden scenario set
-    to a small or ill-typed value ends in an exit code, never a traceback."""
+    """One inputs entry of a validate, cohomology-h2, build-catgroup,
+    check-axioms or roundtrip golden scenario set to a small or ill-typed
+    value ends in an exit code, never a traceback."""
     (name, field, _), below = pick
     scenario = json.loads(json.dumps(_FUZZ_SCENARIOS[name]))
     path = field + below
