@@ -22,11 +22,13 @@ its constructor keeps the invariant it needs: morphism indices lie in
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
-from .cohomology import Cochain3, zero_cochain3
+from .cohomology import DEFAULT_GUARD, Cochain3, zero_cochain3
 from .crossed import _WITNESS_CAP, AxiomCheck, AxiomReport
-from .errors import NotStrict, ShapeMismatch
+from .errors import NotStrict, SearchSpaceTooLarge, ShapeMismatch
 from .groups import GammaModule, trivial_group
 
 
@@ -261,14 +263,19 @@ def _assemble(gam, Ot, n_pay, grades, pays, tgts, srcs, comp_pay, ten_pay,
                           {**meta, "n_pay": n_pay})
 
 
-def build_catgroup(module):
+def build_catgroup(module, guard=DEFAULT_GUARD):
     """The strict graded categorical group attached to a crossed module.
 
     Works mechanically on any shape-consistent module; when the module
     fails validation the output simply fails check_axioms, which is how
-    mutants are detected.
+    mutants are detected.  A category whose n_mor x n_mor tables would
+    exceed guard entries is refused (SearchSpaceTooLarge) before any table
+    is allocated.
     """
     B, D, gam = module.B, module.D, module.gamma
+    n_mor = gam.order * B.order * D.order
+    if n_mor ** 2 > guard:
+        raise SearchSpaceTooLarge(n_mor ** 2, guard)
     Bt = B.np_table
     Dt = D.np_table
     actB = np.asarray(module.act_b.act, dtype=np.int64)
@@ -449,6 +456,46 @@ def _rows_per_block(row):
 # since g = -1 lands in the padding row and f = -1 in the padding column
 # of row g - 1 (or, for g = 0, in the last slot).
 
+def _take(table, idx, out, axis=None):
+    """out = table.take(idx, axis), written into out.  mode="wrap", because
+    "raise" buffers out.  With arrows in [-1, n_mor), as GradedCatGroup
+    keeps them, every index the scans form lies in [-n, n) for the n
+    entries along its axis, where wrapping is plain negative indexing."""
+    return table.take(idx, axis=axis, out=out, mode="wrap")
+
+
+def _undefined_as_minus_two(comp):
+    """Flat copy of the padded comp with every undefined entry -2.  One
+    side of a square reads through it and the other through comp, so an
+    undefined side reads -2 on the one and -1 on the other, and lhs != rhs
+    alone marks the failures, a square with both sides undefined included."""
+    return np.where(comp < 0, -2, comp).ravel()
+
+
+def _distinct(arrows):
+    """The distinct entries of arrows, ascending, and the position of each
+    entry among them: distinct[pos] == arrows."""
+    distinct, pos = np.unique(arrows, return_inverse=True)
+    return distinct, pos.reshape(arrows.shape)
+
+
+def _block_size(row):
+    """Instances in a full block of rows of row instances each."""
+    return _rows_per_block(row) * row
+
+
+def _block_buffers(count, size):
+    """count int64 buffers and one bool mask of size entries each, which
+    every block of a scan reuses through _views."""
+    return [np.empty(size, dtype=np.int64) for _ in range(count)] + \
+        [np.empty(size, dtype=bool)]
+
+
+def _views(buffers, shape):
+    """The leading elements of each buffer, as an array of the given shape."""
+    return [b[:prod(shape)].reshape(shape) for b in buffers]
+
+
 def _associative(G: GradedCatGroup):
     """composition-associative on every triple (h, g, f) with h o g
     defined in `comp` and tgt f = src g, in C order of (h, g, f): the
@@ -477,28 +524,41 @@ def _associative(G: GradedCatGroup):
 def _interchange_exhaustive(G: GradedCatGroup):
     """tensor-interchange on every two composable pairs (g, f), (g', f')
     with grd g = grd g' and grd f = grd f': per grade pair, the square of
-    its pairs in blocks of rows."""
+    its pairs in blocks of rows, evaluated into buffers that every block
+    reuses.  The three tensors of a square are read from tmor on the
+    distinct arrows of g o f, of g (pre-scaled by n_mor + 1) and of f: the
+    rows of a block are gathered whole, then each at the columns'
+    positions among those arrows."""
     n1 = G.n_mor + 1
-    comp, tmor = G._comp.ravel(), G._tmor.ravel()
+    comp, comp_rhs = G._comp.ravel(), _undefined_as_minus_two(G._comp)
     gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[:, None])
     pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
+    keys, sizes = np.unique(pair_grade, return_counts=True)
+    whole_rows, *buffers = _block_buffers(
+        4, max((_block_size(p) for p in sizes), default=0))
 
     def blocks():
-        for key in np.unique(pair_grade):
+        for key in keys:
             sel = pair_grade == key
             g, f = gsel[sel], fsel[sel]
-            gf = comp[g * n1 + f]
             step = _rows_per_block(len(g))
+            tensors = []
+            for arrows, scale in ((comp[g * n1 + f], 1), (g, n1), (f, 1)):
+                distinct, pos = _distinct(arrows)
+                table = G._tmor[distinct[:, None], distinct] * scale
+                whole, = _views([whole_rows], (step, len(distinct)))
+                tensors.append((table, pos, whole))
             for lo in range(0, len(g), step):
                 rows = slice(lo, lo + step)
-                # (g o f) (x) (g' o f') against (g (x) g') o (f (x) f')
-                lhs = tmor[gf[rows, None] * n1 + gf]
-                rhs = tmor[g[rows, None] * n1 + g] * n1
-                rhs += tmor[f[rows, None] * n1 + f]
-                rhs = comp[rhs]
-                bad = lhs != rhs
-                bad |= lhs < 0
-                yield bad, (g[rows, None], f[rows, None], g, f)
+                g_rows, f_rows = g[rows, None], f[rows, None]
+                lhs, rhs, idx, bad = _views(buffers, (len(g_rows), len(g)))
+                # (g o f) (x) (g' o f'), (g (x) g') n1 and f (x) f'
+                for (table, pos, whole), out in zip(tensors, (lhs, rhs, idx)):
+                    _take(_take(table, pos[rows], whole[:len(g_rows)], axis=0),
+                          pos, out, axis=1)
+                # (g (x) g') o (f (x) f'), -2 where undefined; the lhs is -1
+                _take(comp_rhs, np.add(rhs, idx, out=idx), rhs)
+                yield np.not_equal(lhs, rhs, out=bad), (g_rows, f_rows, g, f)
     return _tally("tensor-interchange", blocks())
 
 
@@ -516,45 +576,61 @@ def _by_grade(G, key, square):
 
 def _nat_assoc_exhaustive(G: GradedCatGroup):
     """naturality-assoc on every triple (u, v, w) of same-grade morphisms:
-    per grade, the cube of its triples in blocks of u.  u (x) v is one
-    table per grade, which also gives v (x) w, and the constraint at
-    (x, y, z) is aset.flat[(x n_obj + y) n_obj + z]."""
+    per grade, the cube of its triples in blocks of u, evaluated into
+    buffers that every block reuses.  u (x) v is one table per grade,
+    which also gives v (x) w.  (u (x) v) (x) w is read from the rows of
+    tmor over the grade at the distinct u (x) v, and u (x) (v (x) w),
+    pre-scaled by n_mor + 1, from rows u of tmor at those columns; a
+    constraint a(x, y, z) is read from the row of aset at (x, y), gathered
+    whole, at z."""
     n1, no = G.n_mor + 1, G.n_obj
-    comp, tmor, aset = G._comp.ravel(), G._tmor.ravel(), G.aset.ravel()
+    comp, comp_rhs = G._comp.ravel(), _undefined_as_minus_two(G._comp)
+    aset = G.aset.reshape(no * no, no)
+    aset_rows = aset * n1
+    grades = [np.nonzero(G.grd == s)[0] for s in range(G.gamma.order)]
+    sizes = [len(sel) for sel in grades if len(sel)]
+    whole_rows = np.empty(max((_block_size(p * p) // p * no for p in sizes),
+                              default=0), dtype=np.int64)
+    buffers = _block_buffers(
+        4, max((_block_size(p * p) for p in sizes), default=0))
 
     def blocks():
-        for s in range(G.gamma.order):
-            sel = np.nonzero(G.grd == s)[0]
+        for sel in grades:
             if not len(sel):
                 continue
-            uv = tmor[sel[:, None] * n1 + sel]
-            tgt, src = G.tgt[sel] * no, G.src[sel] * no
-            tgt_vw, src_vw = tgt[:, None] + G.tgt[sel], src[:, None] + G.src[sel]
+            distinct, uv_pos = _distinct(G._tmor[sel[:, None], sel])
+            uv_w = G._tmor[distinct[:, None], sel]
+            u_vw = G._tmor[sel[:, None], distinct] * n1
+            tgt_uv = G.tgt[sel, None] * no + G.tgt[sel]
+            src_uv = G.src[sel, None] * no + G.src[sel]
             step = _rows_per_block(len(sel) ** 2)
+            whole, = _views([whole_rows], (step, len(sel), no))
             for lo in range(0, len(sel), step):
                 rows = slice(lo, lo + step)
                 u = sel[rows, None, None]
-                # a(tgt) o ((u (x) v) (x) w) against (u (x) (v (x) w)) o a(src)
-                lhs = aset[tgt[rows, None, None] * no + tgt_vw] * n1
-                lhs += tmor[uv[rows, :, None] * n1 + sel]
-                lhs = comp[lhs]
-                rhs = tmor[u * n1 + uv] * n1
-                rhs += aset[src[rows, None, None] * no + src_vw]
-                rhs = comp[rhs]
-                bad = lhs != rhs
-                bad |= lhs < 0
-                yield bad, (u, sel[:, None], sel)
+                lhs, rhs, idx, part, bad = _views(
+                    buffers, (len(u), len(sel), len(sel)))
+                # a(tgt) o ((u (x) v) (x) w), -1 where undefined
+                _take(_take(aset_rows, tgt_uv[rows], whole[:len(u)], axis=0),
+                      G.tgt[sel], lhs, axis=2)
+                _take(uv_w, uv_pos[rows], part, axis=0)
+                _take(comp, np.add(lhs, part, out=idx), lhs)
+                # (u (x) (v (x) w)) o a(src), -2 where undefined
+                _take(u_vw[rows], uv_pos, rhs, axis=1)
+                _take(_take(aset, src_uv[rows], whole[:len(u)], axis=0),
+                      G.src[sel], part, axis=2)
+                _take(comp_rhs, np.add(rhs, part, out=idx), rhs)
+                yield np.not_equal(lhs, rhs, out=bad), (u, sel[:, None], sel)
     return _tally("naturality-assoc", blocks())
 
 
-def _interchange_on_generators(G, ups):
+def _interchange_on_generators(G, ups, k):
     """Whether tensor-interchange holds where the outer pair (g, g') is a
     generator of the same-grade pairs and (f, f') is every same-grade pair
     composable with it, _BLOCK squares at a time.  The generators
     are (k, id_Y) and (id_X, k) for k in a generating set of the grade-1
     groupoid (`_grade1_generators`) and the lift pairs
     (ups[s, X], ups[s, X'])."""
-    k = _grade1_generators(G)
     idm = G.idm
     gens = (np.broadcast_arrays(k[:, None], idm[None, :]),
             np.broadcast_arrays(idm[:, None], k[None, :]),
@@ -574,12 +650,11 @@ def _interchange_on_generators(G, ups):
     return True
 
 
-def _nat_assoc_on_generators(G, ups):
+def _nat_assoc_on_generators(G, ups, k):
     """Whether naturality-assoc holds on the generating triples
     (k, id, id), (id, k, id), (id, id, k) for k in a generating set of the
-    grade-1 groupoid and the lift triples (ups[s, X], ups[s, Y],
-    ups[s, Z])."""
-    k = _grade1_generators(G)
+    grade-1 groupoid (`_grade1_generators`) and the lift triples
+    (ups[s, X], ups[s, Y], ups[s, Z])."""
     x, y, z = G.idm[:, None, None], G.idm[None, :, None], G.idm[None, None, :]
     triples = ((k[:, None, None], y, z), (x, k[None, :, None], z),
                (x, y, k[None, None, :]),
@@ -674,9 +749,13 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     stability = _entry("stability", counts > 0, None)
 
     # interchange: (g o f) (x) (g' o f') == (g (x) g') o (f (x) f')
-    ups = _lifts(G)
-    if _passed(entries + [stability]) >= _INTERCHANGE_NEEDS and \
-            _interchange_on_generators(G, ups):
+    # the generating set is computed once, and only where a generator scan
+    # runs: _NAT_ASSOC_NEEDS contains _INTERCHANGE_NEEDS, whose families are
+    # all checked by now
+    ups, k = _lifts(G), None
+    if _passed(entries + [stability]) >= _INTERCHANGE_NEEDS:
+        k = _grade1_generators(G)
+    if k is not None and _interchange_on_generators(G, ups, k):
         entries.append(AxiomCheck("tensor-interchange"))
     else:
         entries.append(_interchange_exhaustive(G))
@@ -732,7 +811,7 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
 
     if _passed(entries + [stability]) >= _NAT_ASSOC_NEEDS and \
-            _nat_assoc_on_generators(G, ups):
+            _nat_assoc_on_generators(G, ups, k):
         entries.append(AxiomCheck("naturality-assoc"))
     else:
         entries.append(_nat_assoc_exhaustive(G))

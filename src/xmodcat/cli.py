@@ -148,7 +148,7 @@ def run_validate(inputs, options, guard):
 def run_build_catgroup(inputs, options, guard):
     from .catgroups import build_catgroup, ker
     m = _module(inputs)
-    G = build_catgroup(m)
+    G = build_catgroup(m, guard)
     lines = [f"objects: {G.n_obj}", f"morphisms: {G.n_mor}",
              f"grades: {G.gamma.order}",
              f"kernel-morphisms: {ker(G).n_mor}"]
@@ -174,7 +174,7 @@ def run_check_axioms(inputs, options, guard):
     lines = []
     all_ok = True
     for i, m in enumerate(mods):
-        G = build_catgroup(m)
+        G = build_catgroup(m, guard)
         rep = check_axioms(G, symmetric=symmetric)
         ok = rep.ok and m.is_valid
         all_ok = all_ok and ok
@@ -191,7 +191,7 @@ def run_factor_set(inputs, options, guard):
     from .functors import (extract_factor_set, is_regular_factor_set,
                            validate_factor_set)
     m = _module(inputs)
-    G = build_catgroup(m)
+    G = build_catgroup(m, guard)
     fs = extract_factor_set(G)
     rep = validate_factor_set(fs)
     lines = []
@@ -291,10 +291,10 @@ def run_roundtrip(inputs, options, guard):
     from .functors import (catgroup_to_crossed, check_graded_functor,
                            functor_to_morphism, morphism_to_functor)
     m = _module(inputs)
-    G = build_catgroup(m)
+    G = build_catgroup(m, guard)
     rep = check_axioms(G)
     m2 = catgroup_to_crossed(G)
-    G2 = build_catgroup(m2)
+    G2 = build_catgroup(m2, guard)
     rebuilt_equal = (G2 == G)
     mid = identity_morphism(m)
     Fid = morphism_to_functor(mid, G, G)

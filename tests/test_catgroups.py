@@ -331,7 +331,8 @@ def _reduced_scans_agree(G):
             (full.ok, full.fail_count, full.first_witness), key
         assert got.witnesses == full.witnesses, key
         if needs <= passed:
-            assert on_generators(G, cg._lifts(G)) == full.ok, key
+            assert on_generators(G, cg._lifts(G), cg._grade1_generators(G)) == \
+                full.ok, key
             ran.append((key, full.ok))
     return ran
 
@@ -606,6 +607,34 @@ def test_associativity_reads_its_instances_from_the_composition_table(monkeypatc
             G.comp[tuple(on[rng.randrange(len(on))])] = value
         assert _blocked_scans_agree(monkeypatch, G, scans) == {
             ("composition-associative", False)}
+
+
+def test_blocked_scans_fail_squares_with_both_sides_undefined(monkeypatch):
+    # one side of each square reads comp with its undefined entries as -2,
+    # so lhs != rhs alone must fail a square whose two sides are undefined
+    rng = random.Random(20261019)
+    scans = _BLOCKED[1:]
+    mods = [m for m in samples.standard_corpus() if m.D.order > 1]
+    for m in mods[:3] + [_ladder(8, 3)]:
+        G = cg.build_catgroup(m)
+        comp, tmor = G._comp, G._tmor
+        on = np.argwhere(G.src[:, None] == G.tgt[None, :])
+        same = np.argwhere(G.grd[:, None] == G.grd[None, :])
+        g_, f_ = (int(v) for v in on[rng.randrange(len(on))])
+        G.comp[g_, f_] = -1
+        G.tmor[g_, g_] = -1
+        # and a wrong arrow at one more defined entry of each table
+        for table, where in ((G.comp, on), (G.tmor, same)):
+            pos = tuple(where[rng.randrange(len(where))])
+            table[pos] = (table[pos] + rng.randrange(1, G.n_mor)) % G.n_mor
+        # the interchange square (g, f, g, f) and the naturality-assoc
+        # triple (g, g, g) now have both sides undefined
+        assert tmor[comp[g_, f_], comp[g_, f_]] == -1
+        assert comp[tmor[g_, g_], tmor[f_, f_]] == -1
+        assert comp[G.aset[(G.tgt[g_],) * 3], tmor[tmor[g_, g_], g_]] == -1
+        assert comp[tmor[g_, tmor[g_, g_]], G.aset[(G.src[g_],) * 3]] == -1
+        assert _blocked_scans_agree(monkeypatch, G, scans) == {
+            ("tensor-interchange", False), ("naturality-assoc", False)}
 
 
 def test_entry_counts_every_failure_and_keeps_the_first_sixteen():

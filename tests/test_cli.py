@@ -354,30 +354,29 @@ def _input_fields(node, path=()):
             yield here, list(_entry_paths(value))
 
 
-# validate and cohomology-h2, then the module-taking kinds that go on to
-# build a category and check its axioms
-_FUZZ_SCENARIOS = {
-    name: json.loads((cli.default_corpus_dir() / f"{name}.json").read_text())
-    for name in ("validate_q8_gamma", "validate_s3_a3", "cohomology_h2_z2",
-                 "cohomology_h2_z4_negation", "build_d4",
-                 "check_axioms_z4_negation", "roundtrip_s3")}
-_FUZZ_FIELDS = [(name, field, below)
-                for name, scenario in sorted(_FUZZ_SCENARIOS.items())
-                for field, below in _input_fields(scenario["inputs"])]
-_FUZZ_VALUES = [-1, *range(10), "x", None, 1.5, []]
+def _scenarios(*names):
+    return {name: json.loads(
+                (cli.default_corpus_dir() / f"{name}.json").read_text())
+            for name in names}
 
 
-@settings(derandomize=True, deadline=None, max_examples=240, database=None)
-@given(st.sampled_from(_FUZZ_FIELDS).flatmap(
-           lambda f: st.tuples(st.just(f), st.sampled_from(f[2]))),
-       st.sampled_from(_FUZZ_VALUES))
-def test_validate_and_h2_inputs_never_escape(pick, value):
-    """One inputs entry of a validate, cohomology-h2, build-catgroup,
-    check-axioms or roundtrip golden scenario set to a small or ill-typed
-    value ends in an exit code, never a traceback."""
-    (name, field, _), below = pick
-    scenario = json.loads(json.dumps(_FUZZ_SCENARIOS[name]))
-    path = field + below
+def _fields(scenarios):
+    """(scenario name, field, paths below it) of every inputs entry."""
+    return [(name, field, below)
+            for name, scenario in sorted(scenarios.items())
+            for field, below in _input_fields(scenario["inputs"])]
+
+
+def _fuzz_pick(fields):
+    """A field, and one path below it to replace."""
+    return st.sampled_from(fields).flatmap(
+        lambda f: st.tuples(st.just(f), st.sampled_from(f[2])))
+
+
+def _run_edited(scenario, path, value, *options):
+    """Exit code and stderr of the CLI on scenario with the inputs entry
+    at path set to value."""
+    scenario = json.loads(json.dumps(scenario))
     cell = scenario["inputs"]
     for key in path[:-1]:
         cell = cell[key]
@@ -388,6 +387,59 @@ def test_validate_and_h2_inputs_never_escape(pick, value):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = cli.main([scenario["kind"], str(scenario_path)])
+            code = cli.main([scenario["kind"], str(scenario_path), *options])
+    return code, err.getvalue()
+
+
+# validate and cohomology-h2, then the module-taking kinds that go on to
+# build a category and check its axioms
+_FUZZ_SCENARIOS = _scenarios(
+    "validate_q8_gamma", "validate_s3_a3", "cohomology_h2_z2",
+    "cohomology_h2_z4_negation", "build_d4", "check_axioms_z4_negation",
+    "roundtrip_s3")
+_FUZZ_FIELDS = _fields(_FUZZ_SCENARIOS)
+_FUZZ_VALUES = [-1, *range(10), "x", None, 1.5, []]
+
+
+@settings(derandomize=True, deadline=None, max_examples=240, database=None)
+@given(_fuzz_pick(_FUZZ_FIELDS), st.sampled_from(_FUZZ_VALUES))
+def test_validate_and_h2_inputs_never_escape(pick, value):
+    """One inputs entry of a validate, cohomology-h2, build-catgroup,
+    check-axioms or roundtrip golden scenario set to a small or ill-typed
+    value ends in an exit code, never a traceback."""
+    (name, field, _), below = pick
+    code, err = _run_edited(_FUZZ_SCENARIOS[name], field + below, value)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# the kinds that search: an edit may widen a search, so these run under a
+# small guard, which a widened search trips (exit 3) instead of running long
+_SEARCH_SCENARIOS = _scenarios("factor_set_q8", "classify_z2",
+                               "classify_obstructed", "schreier_z2")
+_SEARCH_FIELDS = _fields(_SEARCH_SCENARIOS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_fuzz_pick(_SEARCH_FIELDS), st.sampled_from(_FUZZ_VALUES))
+def test_factor_set_classify_and_schreier_inputs_never_escape(pick, value):
+    """One inputs entry of a factor-set, classify or schreier golden
+    scenario set to a small or ill-typed value ends in an exit code, never
+    a traceback, under a guard of 2^16."""
+    (name, field, _), below = pick
+    code, err = _run_edited(_SEARCH_SCENARIOS[name], field + below, value,
+                            "--guard", str(1 << 16))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+def test_oversize_category_trips_the_guard(capsys):
+    """build-catgroup refuses a category whose tables exceed --guard
+    entries (D4: 32 morphisms, 1024 entries) before building it."""
+    path = str(cli.default_corpus_dir() / "build_d4.json")
+    code, out, err = run_cli(["build-catgroup", path, "--guard", "16"], capsys)
+    assert code == 3 and out == ""
+    assert "guard tripped" in err
+    code, out, _ = run_cli(["build-catgroup", path, "--guard", "1024"], capsys)
+    assert code == 0
+    assert out == (cli.default_corpus_dir() / "build_d4.expected.txt").read_text()
