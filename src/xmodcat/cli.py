@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import SearchSpaceTooLarge, XmodcatError
+from .errors import DEFAULT_GUARD, SearchSpaceTooLarge, XmodcatError
 from .groups import FiniteGroup, GammaAction, GammaModule
 
 SCHEMA_VERSION = 1
@@ -394,7 +394,7 @@ def build_parser():
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("--json", dest="json_path", default=None,
                        help="also write the report as JSON to this path")
-        p.add_argument("--guard", type=int, default=2 ** 32,
+        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                        help="enumeration guard (candidate count)")
         p.add_argument("--threads", type=int, default=1,
                        help="parallelism degree (reports are identical at any value)")
@@ -403,7 +403,7 @@ def build_parser():
                    help="scenario directory (bundled corpus by default)")
     p.add_argument("--update", action="store_true",
                    help="rewrite the expected reports")
-    p.add_argument("--guard", type=int, default=2 ** 32)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.add_argument("--threads", type=int, default=1)
     return parser
 

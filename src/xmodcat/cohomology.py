@@ -31,6 +31,7 @@ import numpy as np
 
 from . import zlinalg
 from .errors import (
+    DEFAULT_GUARD,
     NotNormalized,
     SearchSpaceTooLarge,
     ShapeMismatch,
@@ -38,8 +39,6 @@ from .errors import (
     WrongType,
 )
 from .groups import FiniteGroup, GammaModule, GroupHom, decompose_abelian
-
-DEFAULT_GUARD = 2 ** 32
 
 
 def _require_same_gamma(*modules):
@@ -660,9 +659,9 @@ def class_vanishes(k: Cochain3, source, target, phi, f=None,
         S = catgroups.dis(Qmod)
         f_tab = None
     else:
-        S = catgroups.build_reduced(Qmod, Nsrc, h)
+        S = catgroups.build_reduced(Qmod, Nsrc, h, guard)
         f_tab = list(f)
-    T = catgroups.build_reduced(Mp, Np, hp)
+    T = catgroups.build_reduced(Mp, Np, hp, guard)
     if h is not None and f is not None:
         recomputed = obstruction(phi, f, h, hp, Qmod=Qmod)
         if recomputed != k:

@@ -18,6 +18,11 @@ class SearchSpaceTooLarge(XmodcatError):
         self.guard = guard
 
 
+# the guard of every search and table build unless the caller (or --guard)
+# gives another: the most candidates enumerated, or entries allocated
+DEFAULT_GUARD = 2 ** 32
+
+
 class GroupError(XmodcatError):
     """A multiplication table fails one of the group axioms."""
 

@@ -19,6 +19,7 @@ from .catgroups import GradedCatGroup, build_catgroup, dis, reduce_abelian
 from .cohomology import SymmetricCochain2, is_2cocycle, pullback3
 from .crossed import BraidedGammaCrossedModule
 from .errors import (
+    DEFAULT_GUARD,
     BadSection,
     NotCoherent,
     NotWellDefined,
@@ -34,8 +35,6 @@ from .functors import (
     homotopy_classes,
 )
 from .groups import FiniteGroup, GammaAction, GammaModule, GroupHom
-
-DEFAULT_GUARD = 2 ** 32
 
 
 class GammaModuleExtension:

@@ -24,6 +24,7 @@ from .crossed import (
     CrossedMorphism,
 )
 from .errors import (
+    DEFAULT_GUARD,
     BadChoice,
     FNotConstantOnCosets,
     NotCoherent,
@@ -35,8 +36,6 @@ from .errors import (
     WrongType,
 )
 from .groups import FiniteGroup, GammaAction, GroupHom
-
-DEFAULT_GUARD = 2 ** 32
 
 
 class GradedFunctor:

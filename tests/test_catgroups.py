@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -309,9 +310,9 @@ def test_undefined_arrow_propagates_and_edits_write_through():
 # -- generator-reduced scans against the exhaustive ones -----------------------
 
 _REDUCED = (
-    ("tensor-interchange", cg._interchange_exhaustive,
+    ("tensor-interchange", cg._interchange,
      cg._interchange_on_generators, cg._INTERCHANGE_NEEDS),
-    ("naturality-assoc", cg._nat_assoc_exhaustive,
+    ("naturality-assoc", cg._nat_assoc,
      cg._nat_assoc_on_generators, cg._NAT_ASSOC_NEEDS),
 )
 
@@ -483,10 +484,15 @@ def _one_piece(key, chunks):
                          sum(c.fail_count for c in checks))
 
 
-def _interchange_one_piece(G):
-    """tensor-interchange as one (P x P) square per grade pair."""
+def _interchange_one_piece(G, arrows=None):
+    """tensor-interchange as one (P x P) square per grade pair, over the
+    composable pairs (g, f) with g in arrows[grd g] (every g by default)."""
     comp, tmor = G._comp, G._tmor
     gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[:, None])
+    if arrows is not None:
+        # each arrows[s] holds grade-s arrows only
+        keep = np.isin(gsel, np.concatenate(arrows))
+        gsel, fsel = gsel[keep], fsel[keep]
     pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
 
     def chunks():
@@ -501,13 +507,14 @@ def _interchange_one_piece(G):
     return _one_piece("tensor-interchange", chunks())
 
 
-def _nat_assoc_one_piece(G):
-    """naturality-assoc as one (P x P x P) cube per grade."""
+def _nat_assoc_one_piece(G, arrows=None):
+    """naturality-assoc as one (P x P x P) cube per grade, over
+    arrows[s]^3 (every grade-s arrow by default)."""
     comp, tmor, aset, SRC, TGT = G._comp, G._tmor, G.aset, G._src, G._tgt
 
     def chunks():
         for s in range(G.gamma.order):
-            sel = np.nonzero(G.grd == s)[0]
+            sel = np.nonzero(G.grd == s)[0] if arrows is None else arrows[s]
             if not len(sel):
                 continue
             u, v, w = np.broadcast_arrays(
@@ -543,25 +550,42 @@ def _associative_per_morphism(G):
 
 
 _BLOCKED = ((cg._associative, _associative_per_morphism),
-            (cg._interchange_exhaustive, _interchange_one_piece),
-            (cg._nat_assoc_exhaustive, _nat_assoc_one_piece))
+            (cg._interchange, _interchange_one_piece),
+            (cg._nat_assoc, _nat_assoc_one_piece))
+
+
+def _generating_arrows(G):
+    """[union(k, idm)] + ups[1:], the arrow sets of the generator pass of
+    check_axioms, each ascending; lifts that do not exist are left out."""
+    ups = cg._lifts(G)
+    return [np.union1d(cg._grade1_generators(G), G.idm)] + \
+        [np.sort(u[u >= 0]) for u in ups[1:]]
+
+
+def _agrees_at_every_block(monkeypatch, G, blocked, reference):
+    """Assert that blocked gives reference's fail count and witnesses at
+    every block size; returns the reference (key, ok)."""
+    want = reference(G)
+    # 1 and 7 split every scan into many blocks; 2^10 and the shipped
+    # size split the larger ones mid-way
+    for block in (1, 7, 1 << 10, cg._BLOCK):
+        monkeypatch.setattr(cg, "_BLOCK", block)
+        got = blocked(G)
+        assert (got.key, got.fail_count, got.witnesses) == \
+            (want.key, want.fail_count, want.witnesses), block
+    monkeypatch.undo()
+    return want.key, want.ok
 
 
 def _blocked_scans_agree(monkeypatch, G, scans=_BLOCKED):
-    """Assert that each blocked scan gives its reference's fail count and
-    witnesses at every block size; returns the reference (key, ok)s."""
-    seen = set()
-    for blocked, reference in scans:
-        want = reference(G)
-        seen.add((want.key, want.ok))
-        # 1 and 7 split every scan into many blocks; 2^10 and the shipped
-        # size split the larger ones mid-way
-        for block in (1, 7, 1 << 10, cg._BLOCK):
-            monkeypatch.setattr(cg, "_BLOCK", block)
-            got = blocked(G)
-            assert (got.key, got.fail_count, got.witnesses) == \
-                (want.key, want.fail_count, want.witnesses), block
-        monkeypatch.undo()
+    """Assert that each blocked scan, and both coherence evaluators on the
+    generating arrow sets, agree with their references at every block
+    size; returns the reference (key, ok)s of the scans."""
+    seen = {_agrees_at_every_block(monkeypatch, G, *scan) for scan in scans}
+    arrows = _generating_arrows(G)
+    for blocked, reference in _BLOCKED[1:]:
+        _agrees_at_every_block(monkeypatch, G, partial(blocked, arrows=arrows),
+                               partial(reference, arrows=arrows))
     return seen
 
 
@@ -576,6 +600,10 @@ def test_blocked_scans_match_the_one_piece_scans(monkeypatch):
     for m in mutants:
         seen |= _blocked_scans_agree(monkeypatch, cg.build_catgroup(m))
     assert {("tensor-interchange", False), ("naturality-assoc", False)} <= seen
+    # the valid ladder rungs to n_mor 512, on the generating arrow sets only
+    for n, k in ((8, 3), (12, 5), (16, 7)):
+        assert _blocked_scans_agree(
+            monkeypatch, cg.build_catgroup(_ladder(n, k)), ()) == set()
 
 
 def test_associativity_reads_its_instances_from_the_composition_table(monkeypatch):

@@ -434,12 +434,17 @@ def test_factor_set_classify_and_schreier_inputs_never_escape(pick, value):
 
 
 def test_oversize_category_trips_the_guard(capsys):
-    """build-catgroup refuses a category whose tables exceed --guard
-    entries (D4: 32 morphisms, 1024 entries) before building it."""
-    path = str(cli.default_corpus_dir() / "build_d4.json")
-    code, out, err = run_cli(["build-catgroup", path, "--guard", "16"], capsys)
-    assert code == 3 and out == ""
-    assert "guard tripped" in err
-    code, out, _ = run_cli(["build-catgroup", path, "--guard", "1024"], capsys)
-    assert code == 0
-    assert out == (cli.default_corpus_dir() / "build_d4.expected.txt").read_text()
+    """A category whose tables exceed --guard entries is refused before it
+    is built: build-catgroup's D4 category (32 morphisms, 1024 entries) and
+    the reduced categories obstruction_twisted builds (4 morphisms, 16
+    entries).  At a large enough guard each gives its golden report."""
+    for kind, name, small, enough in (
+            ("build-catgroup", "build_d4", "16", ["--guard", "1024"]),
+            ("obstruction", "obstruction_twisted", "8", [])):
+        path = str(cli.default_corpus_dir() / f"{name}.json")
+        code, out, err = run_cli([kind, path, "--guard", small], capsys)
+        assert code == 3 and out == ""
+        assert "guard tripped" in err
+        code, out, _ = run_cli([kind, path] + enough, capsys)
+        assert code == 0
+        assert out == (cli.default_corpus_dir() / f"{name}.expected.txt").read_text()
