@@ -327,13 +327,14 @@ def build_reduced(M: GammaModule, N: GammaModule, h: Cochain3 = None,
                      {"kind": "reduced", "M": M, "N": N, "h": h})
 
 
-def dis(Q: GammaModule):
-    """The discrete graded model on Q: objects Q, only grade morphisms."""
+def dis(Q: GammaModule, guard=DEFAULT_GUARD):
+    """The discrete graded model on Q: objects Q, only grade morphisms.  A
+    category too large for guard is refused (`_layout`)."""
     from .groups import trivial_action
 
     N = GammaModule(trivial_group(),
                     trivial_action(Q.gamma, trivial_group()), _validated=True)
-    return build_reduced(Q, N)
+    return build_reduced(Q, N, guard=guard)
 
 
 # -- coherence checking -------------------------------------------------------
@@ -836,13 +837,14 @@ def ker(G: GradedCatGroup):
 
 # -- reduction of the built category on an abelian module ---------------------
 
-def reduce_abelian(module):
+def reduce_abelian(module, guard=DEFAULT_GUARD):
     """Skeletal data of the built category on an abelian module.
 
     Returns (h, H) where h is the degree-3 cochain of the reduced model
     over (coker d, ker d) and H is the comparison functor record from the
     reduced model into build_catgroup(module); tests verify that H is
-    coherent, which is what certifies the extraction.
+    coherent, which is what certifies the extraction.  Both categories are
+    built under guard.
     """
     from .functors import _functor_into
 
@@ -894,6 +896,7 @@ def reduce_abelian(module):
                for s in range(ng)] for t in range(ng)] for r in range(q)]
     h = Cochain3(P, K, assoc, braid, tensor, compc)
 
-    H = _functor_into(build_reduced(P, K, h), build_catgroup(module), reps,
+    H = _functor_into(build_reduced(P, K, h, guard),
+                      build_catgroup(module, guard), reps,
                       emb, beta, gamm)
     return h, H

@@ -7,7 +7,10 @@ runs and thread counts; --threads is accepted for interface stability and
 validated, the table scans are already vectorized internally.
 
 Each run_<kind> imports the layers its kind needs, so a process loads only
-those: a validate run never loads numpy.
+those: a validate run never loads numpy.  `main` starts numpy with one
+OpenBLAS thread unless OPENBLAS_NUM_THREADS is already set or numpy is
+already loaded: the tables are integer, so BLAS is never called and its
+thread pool would only add start-up time.
 """
 
 from __future__ import annotations
@@ -236,7 +239,7 @@ def run_obstruction(inputs, options, guard):
     decide = _decode(options, "decide_vanishing", _bool, "options",
                      default=True)
     k = obstruction(phi, f, h, hp, Qmod=M)
-    ok3, wit = is_3cocycle(k)
+    ok3, wit = is_3cocycle(k, guard)
     lines = [f"cocycle: {ok3}" + ("" if ok3 else f" witness={wit}")]
     data = {"obstruction": k.to_json(), "cocycle": ok3}
     if decide:
@@ -409,6 +412,14 @@ def build_parser():
 
 
 def main(argv=None):
+    # Every numpy array here is an integer index table and integer products
+    # run in numpy's own loops, never in BLAS, so the thread pool OpenBLAS
+    # starts when numpy loads is pure start-up cost: on 2 vCPUs it adds
+    # about 70 ms of CPU, and of wall time unless the other core is idle,
+    # to a 0.25 s `import numpy`.  A value already set is kept, and a
+    # caller that has loaded numpy sees no change to its environment.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)

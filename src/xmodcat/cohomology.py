@@ -623,16 +623,16 @@ def obstruction(phi, f, h: Cochain3, hprime: Cochain3, Qmod=None, Nmod=None):
     return pulled.sub(pushed)
 
 
-def is_3cocycle(h: Cochain3):
+def is_3cocycle(h: Cochain3, guard=DEFAULT_GUARD):
     """Whether h satisfies the degree-3 cocycle conditions.
 
-    Decided by building the skeletal graded categorical group on h and
-    running the full coherence checker on it; that categorical
+    Decided by building the skeletal graded categorical group on h (under
+    guard) and running the full coherence checker on it; that categorical
     characterization is the authoritative test here.
     """
     from . import catgroups
 
-    G = catgroups.build_reduced(h.M, h.N, h)
+    G = catgroups.build_reduced(h.M, h.N, h, guard)
     report = catgroups.check_axioms(G)
     if report.ok:
         return True, None
@@ -656,7 +656,7 @@ def class_vanishes(k: Cochain3, source, target, phi, f=None,
     Qmod, Nsrc, h = source
     Mp, Np, hp = target
     if Nsrc is None:
-        S = catgroups.dis(Qmod)
+        S = catgroups.dis(Qmod, guard)
         f_tab = None
     else:
         S = catgroups.build_reduced(Qmod, Nsrc, h, guard)
@@ -667,7 +667,7 @@ def class_vanishes(k: Cochain3, source, target, phi, f=None,
         if recomputed != k:
             raise ShapeMismatch("supplied cochain differs from the obstruction "
                                 "of the given type")
-    ok3, _ = is_3cocycle(k)
+    ok3, _ = is_3cocycle(k, guard)
     if not ok3:
         return False
     f_map = None

@@ -320,8 +320,8 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
     partitioned by isomorphism search.
     """
     psi_hom = _check_psi(M, Qmod, psi)
-    T = build_catgroup(M)
-    S = dis(Qmod)
+    T = build_catgroup(M, guard)
+    S = dis(Qmod, guard)
     labels = _psi_labels(M, T, psi)
     classes = homotopy_classes(S, T, labels, guard=guard)
 
@@ -462,7 +462,7 @@ def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
     if not M.is_abelian_module():
         raise WrongType("classification requires an abelian crossed module")
     _check_psi(M, Qmod, psi)
-    h, _ = reduce_abelian(M)
+    h, _ = reduce_abelian(M, guard)
     k = pullback3(psi, Qmod, h)
     P, K = M.pi0(), M.pi1()
     vanishes = cohomology.class_vanishes(
@@ -471,8 +471,8 @@ def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
         return ClassifyResult(True, [], 0, [], k)
     Kmod = M.pi1()
     res = cohomology.h2(Qmod, Kmod, guard=guard)
-    T = build_catgroup(M)
-    S = dis(Qmod)
+    T = build_catgroup(M, guard)
+    S = dis(Qmod, guard)
     labels = _psi_labels(M, T, psi)
     classes = homotopy_classes(S, T, labels, guard=guard)
     if len(classes) != res.class_count:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -292,6 +293,26 @@ def test_reports_byte_identical_across_thread_counts(tmp_path):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("blas_threads", [None, "4"], ids=["unset", "4"])
+def test_golden_reports_do_not_depend_on_blas_threads(blas_threads):
+    """Each golden scenario as its own CLI process gives its golden report
+    and exit code whether OPENBLAS_NUM_THREADS is unset (the CLI then
+    starts numpy with one thread) or set by the caller."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    corpus = cli.default_corpus_dir()
+    scenarios = sorted(corpus.glob("*.json"))
+    assert len(scenarios) == 12
+    for sc in scenarios:
+        kind = json.loads(sc.read_text())["kind"]
+        proc = subprocess.run([sys.executable, "-m", "xmodcat.cli", kind,
+                               str(sc)], capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b""), sc.name
+        assert proc.stdout == sc.with_suffix(".expected.txt").read_bytes(), \
+            sc.name
+
+
 def test_seed_env_controls_fuzz(tmp_path, capsys, monkeypatch):
     path = write_scenario(tmp_path, "f.json", "check-axioms", {},
                           {"random_count": 3, "seed": 5})
@@ -435,13 +456,26 @@ def test_factor_set_classify_and_schreier_inputs_never_escape(pick, value):
 
 def test_oversize_category_trips_the_guard(capsys):
     """A category whose tables exceed --guard entries is refused before it
-    is built: build-catgroup's D4 category (32 morphisms, 1024 entries) and
-    the reduced categories obstruction_twisted builds (4 morphisms, 16
+    is built, in `_layout`, whichever kind builds it: build-catgroup's D4
+    category (32 morphisms, 1024 entries), the reduced categories
+    obstruction_twisted builds (4 morphisms, 16 entries), the
+    build_catgroup(M) inside classify_obstructed's reduction (32 morphisms;
+    its searches fit in 64), the category classify_z2's cocycle test
+    builds on the obstruction (4 morphisms; every other build and search
+    fits in 4) and schreier_z2's build_catgroup(M) (2 morphisms, 4
     entries).  At a large enough guard each gives its golden report."""
+    from xmodcat.errors import SearchSpaceTooLarge
+
     for kind, name, small, enough in (
             ("build-catgroup", "build_d4", "16", ["--guard", "1024"]),
-            ("obstruction", "obstruction_twisted", "8", [])):
+            ("obstruction", "obstruction_twisted", "8", []),
+            ("classify", "classify_obstructed", "64", ["--guard", "1024"]),
+            ("classify", "classify_z2", "8", ["--guard", "16"]),
+            ("schreier", "schreier_z2", "3", ["--guard", "4"])):
         path = str(cli.default_corpus_dir() / f"{name}.json")
+        with pytest.raises(SearchSpaceTooLarge) as trip:
+            cli.run_scenario_text(kind, path, int(small))
+        assert trip.traceback[-1].name == "_layout", name
         code, out, err = run_cli([kind, path, "--guard", small], capsys)
         assert code == 3 and out == ""
         assert "guard tripped" in err

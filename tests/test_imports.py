@@ -53,12 +53,17 @@ print(json.dumps({
 """
 
 
-def loaded(code):
+def loaded(code, **environ):
     """Run code in a fresh interpreter; return the xmodcat modules it left
-    loaded, whether numpy was loaded, and its `result` variable."""
+    loaded, whether numpy was loaded, and its `result` variable.  Keyword
+    arguments set environment variables for it, or unset them when None."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for name, value in environ.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     proc = subprocess.run([sys.executable, "-c", code + _REPORT],
                           capture_output=True, text=True, env=env, check=True)
     out = json.loads(proc.stdout.splitlines()[-1])
@@ -71,6 +76,33 @@ def after_cli(scenario):
     kind = json.loads(path.read_text())["kind"]
     return loaded(f"from xmodcat import cli\n"
                   f"result = cli.main([{kind!r}, {str(path)!r}])\n")
+
+
+def build_d4_blas(preset, numpy_first=False):
+    """cli.main on build_d4 in a fresh interpreter with OPENBLAS_NUM_THREADS
+    preset (None: unset), importing numpy first if asked; `result` is the
+    exit code, the variable afterwards and the report."""
+    path = cli.default_corpus_dir() / "build_d4.json"
+    return loaded(("import numpy\n" if numpy_first else "") +
+                  "import contextlib, io, os\n"
+                  "from xmodcat import cli\n"
+                  "report = io.StringIO()\n"
+                  "with contextlib.redirect_stdout(report):\n"
+                  f"    code = cli.main(['build-catgroup', {str(path)!r}])\n"
+                  "result = [code, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+                  "          report.getvalue()]\n",
+                  OPENBLAS_NUM_THREADS=preset)
+
+
+def test_cli_starts_numpy_with_one_blas_thread_unless_told_otherwise():
+    golden = (cli.default_corpus_dir() / "build_d4.expected.txt").read_text()
+    out = build_d4_blas(None)
+    assert out["numpy"]
+    assert out["result"] == [0, "1", golden]
+    out = build_d4_blas("3")
+    assert out["result"] == [0, "3", golden]
+    out = build_d4_blas(None, numpy_first=True)
+    assert out["result"] == [0, None, golden]
 
 
 def test_validate_loads_its_layers_and_no_numpy():
