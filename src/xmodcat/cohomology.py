@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatch,
     UnknownMethod,
     WrongType,
+    candidates,
 )
 from .groups import FiniteGroup, GammaModule, GroupHom, decompose_abelian
 
@@ -179,14 +180,8 @@ def coboundary2(Q: GammaModule, B: GammaModule, g_table):
 
 def all_coboundaries(Q, B, guard=DEFAULT_GUARD):
     """Every 2-coboundary, one per normalized 1-cochain g."""
-    q, b = Q.group.order, B.group.order
-    total = b ** (q - 1)
-    if total > guard:
-        raise SearchSpaceTooLarge(total, guard)
-    out = []
-    for tail in itertools.product(range(b), repeat=q - 1):
-        out.append(coboundary2(Q, B, (0,) + tail))
-    return out
+    tails = candidates([range(B.group.order)] * (Q.group.order - 1), guard)
+    return [coboundary2(Q, B, (0,) + tail) for tail in tails]
 
 
 # -- degree-2 cohomology ------------------------------------------------------
@@ -644,7 +639,7 @@ def class_vanishes(k: Cochain3, source, target, phi, f=None,
     """Whether the degree-3 class of k is trivial, decided operationally:
     a functor of the given type between the two skeletal models exists
     exactly when the obstruction class vanishes, so the existence search
-    is the test.
+    is the test; it stops at the first coherent functor.
 
     source is (M, N, h) with N and h possibly None (discrete model);
     target is (M', N', h'); phi and f give the type.  The supplied k is
@@ -673,6 +668,7 @@ def class_vanishes(k: Cochain3, source, target, phi, f=None,
     f_map = None
     if f_tab is not None:
         f_map = [T.record(0, v, T.unit) for v in f_tab]
-    classes = functors.enumerate_functors(S, T, [int(v) for v in phi],
-                                          f_map=f_map, guard=guard)
-    return len(classes) > 0
+    # T is skeletal, so there is one object map and the search is sized in
+    # full before its first candidate, as enumerate_functors sizes it
+    found = functors._functors(S, T, phi, f_map, guard)
+    return next(found, None) is not None

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the guard every exhaustive search and table
+build is sized against."""
+
+import itertools
+import math
 
 
 class XmodcatError(Exception):
@@ -19,8 +23,25 @@ class SearchSpaceTooLarge(XmodcatError):
 
 
 # the guard of every search and table build unless the caller (or --guard)
-# gives another: the most candidates enumerated, or entries allocated
+# gives another: the most candidates a search may have in all (for functor
+# enumeration, object maps times the candidates of each), or the most
+# entries a table build may allocate
 DEFAULT_GUARD = 2 ** 32
+
+
+def candidates(options, guard, size=1):
+    """The candidates of an exhaustive search: itertools.product over the
+    option lists in the sequence options.
+
+    The search counts size times the product of the list lengths, size
+    being how often an enclosing search runs this one.  A count over guard
+    is refused before the first candidate, so a search with an empty option
+    list, which has no candidates, is never refused.
+    """
+    size = math.prod(map(len, options), start=size)
+    if size > guard:
+        raise SearchSpaceTooLarge(size, guard)
+    return itertools.product(*options)
 
 
 class GroupError(XmodcatError):

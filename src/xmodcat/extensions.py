@@ -11,7 +11,6 @@ sides is asserted, not assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import cohomology
@@ -23,9 +22,9 @@ from .errors import (
     BadSection,
     NotCoherent,
     NotWellDefined,
-    SearchSpaceTooLarge,
     ShapeMismatch,
     WrongType,
+    candidates,
 )
 from .functors import (
     GradedFunctor,
@@ -235,16 +234,10 @@ def are_equivalent(ext: GammaModuleExtension, ext2: GammaModuleExtension,
         return None
     sec = ext.canonical_section()
     q = Qmod.group.order
-    fibers = []
-    total = 1
-    for u in range(1, q):
-        fib = [e for e in E2.group.elements() if ext2.p(e) == u]
-        fibers.append(fib)
-        total *= len(fib)
-        if total > guard:
-            raise SearchSpaceTooLarge(total, guard)
+    fibers = [[e for e in E2.group.elements() if ext2.p(e) == u]
+              for u in range(1, q)]
     jpos = {ext.j(b): b for b in M.B.elements()}
-    for combo in itertools.product(*fibers):
+    for combo in candidates(fibers, guard):
         alpha_u = [0] + list(combo)
         table = [0] * E1.group.order
         for x in E1.group.elements():
@@ -266,9 +259,14 @@ def are_equivalent(ext: GammaModuleExtension, ext2: GammaModuleExtension,
     return None
 
 
-def _psi_labels(M: BraidedGammaCrossedModule, T: GradedCatGroup, psi):
-    """Check that cokernel indexing and grade-1 class labels agree, then
-    return psi as a label map for the functor enumeration."""
+def _functor_classes(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
+                     guard):
+    """The functor side of type psi: the built category T of M, the discrete
+    model S of Qmod and the homotopy classes of functors S -> T, as
+    (S, T, classes).  Cokernel indexing and the grade-1 class labels of T
+    must agree, since psi is read as a label map."""
+    T = build_catgroup(M, guard)
+    S = dis(Qmod, guard)
     labels, count = T.pi0_partition()
     proj = M.pi0_projection()
     if count != M.pi0().group.order:
@@ -276,7 +274,7 @@ def _psi_labels(M: BraidedGammaCrossedModule, T: GradedCatGroup, psi):
     for x in range(M.D.order):
         if labels[x] != proj(x):
             raise ShapeMismatch("class labels differ from cokernel indexing")
-    return [int(v) for v in psi]
+    return S, T, homotopy_classes(S, T, [int(v) for v in psi], guard=guard)
 
 
 def _check_psi(M, Qmod, psi):
@@ -319,46 +317,25 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
     symmetric 2-cocycle paired with every compatible representative map and
     partitioned by isomorphism search.
     """
-    psi_hom = _check_psi(M, Qmod, psi)
-    T = build_catgroup(M, guard)
-    S = dis(Qmod, guard)
-    labels = _psi_labels(M, T, psi)
-    classes = homotopy_classes(S, T, labels, guard=guard)
+    _check_psi(M, Qmod, psi)
+    S, T, classes = _functor_classes(M, Qmod, psi, guard)
 
     Bmod = GammaModule(M.B, M.act_b)
     cocycles = cohomology.all_cocycles(Qmod, Bmod, guard=guard)
     proj = M.pi0_projection()
-    q = Qmod.group.order
-    fibers = [[x for x in M.D.elements() if proj(x) == psi[u]]
-              for u in range(q)]
+    q, ng = Qmod.group.order, Qmod.gamma.order
+    rep_sets = [[x for x in M.D.elements() if proj(x) == psi[u]] if u else [0]
+                for u in range(q)]
     exts = []
     for f in cocycles:
-        rep_sets = [fibers[u] if u else [0] for u in range(q)]
-        total = 1
-        for r in rep_sets:
-            total *= len(r)
-        if total > guard:
-            raise SearchSpaceTooLarge(total, guard)
-        for combo in itertools.product(*rep_sets):
-            Fmap = list(combo)
-            ok = True
-            for u in range(q):
-                for v in range(q):
-                    lhs = M.D.mul(Fmap[u], Fmap[v])
-                    rhs = M.D.mul(M.d[f.qq[u][v]], Fmap[Qmod.group.mul(u, v)])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for s in range(Qmod.gamma.order):
-                    if M.act_d(s, Fmap[u]) != M.D.mul(M.d[f.qg[u][s]],
-                                                      Fmap[Qmod.act(s, u)]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        for Fmap in candidates(rep_sets, guard):
+            if any(M.D.mul(Fmap[u], Fmap[v])
+                   != M.D.mul(M.d[f.qq[u][v]], Fmap[Qmod.group.mul(u, v)])
+                   for u in range(q) for v in range(q)):
+                continue
+            if any(M.act_d(s, Fmap[u])
+                   != M.D.mul(M.d[f.qg[u][s]], Fmap[Qmod.act(s, u)])
+                   for u in range(q) for s in range(ng)):
                 continue
             ext = _crossed_product(M, Qmod, f.qq, f.qg, Fmap)
             if ext.is_valid and list(induced_psi(ext).map) == list(psi):
@@ -471,10 +448,7 @@ def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
         return ClassifyResult(True, [], 0, [], k)
     Kmod = M.pi1()
     res = cohomology.h2(Qmod, Kmod, guard=guard)
-    T = build_catgroup(M, guard)
-    S = dis(Qmod, guard)
-    labels = _psi_labels(M, T, psi)
-    classes = homotopy_classes(S, T, labels, guard=guard)
+    _, _, classes = _functor_classes(M, Qmod, psi, guard)
     if len(classes) != res.class_count:
         raise AssertionError(
             f"class count {len(classes)} differs from |H2| = {res.class_count}")

@@ -11,7 +11,7 @@ done by explicit homotopy search.
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .errors import (
     NotRegular,
     NotRegularFactorSet,
     NotStrict,
-    SearchSpaceTooLarge,
     ShapeMismatch,
     WrongType,
+    candidates,
 )
 from .groups import FiniteGroup, GammaAction, GroupHom
 
@@ -578,21 +578,12 @@ def find_homotopy(F: GradedFunctor, F2: GradedFunctor, guard=DEFAULT_GUARD):
     the objects are connected by grade-1 isomorphisms.
     """
     T = F.target
-    cands = []
-    total = 1
-    for x in range(F.source.n_obj):
-        opts = [int(m) for m in np.nonzero(
-            (T.grd == 0) & (T.src == int(F.obj[x])) & (T.tgt == int(F2.obj[x])))[0]]
-        if not opts:
-            return None
-        cands.append(opts)
-        total *= len(opts)
-        if total > guard:
-            raise SearchSpaceTooLarge(total, guard)
-    for combo in itertools.product(*cands):
-        ok, _ = is_homotopy(list(combo), F, F2)
-        if ok:
-            return list(combo)
+    options = [_allowed(T, int(F.obj[x]), int(F2.obj[x]))
+               for x in range(F.source.n_obj)]
+    for combo in candidates(options, guard):
+        theta = list(combo)
+        if is_homotopy(theta, F, F2)[0]:
+            return theta
     return None
 
 
@@ -624,8 +615,14 @@ def enumerate_functors(G: GradedCatGroup, T: GradedCatGroup, phi, f_map=None,
 
     G must be a skeletal (reduced-model) category with unit 0.  Candidates
     are enumerated over comparison and grade tables, filtered through the
-    generic coherence checker.
+    generic coherence checker.  The guard bounds the object maps times the
+    candidates of each one.
     """
+    return list(_functors(G, T, phi, f_map, guard))
+
+
+def _functors(G, T, phi, f_map, guard):
+    """enumerate_functors, one functor at a time."""
     if G.meta.get("kind") != "reduced":
         raise WrongType("enumeration requires a reduced-model source")
     labels, _ = T.pi0_partition()
@@ -648,68 +645,28 @@ def enumerate_functors(G: GradedCatGroup, T: GradedCatGroup, phi, f_map=None,
         if int(G.pay[mm]) != i:
             raise ShapeMismatch("source unit arrows are not payload-indexed")
     if phi[G.unit] != labels[T.unit]:
-        return []
-    gam = G.gamma
-    ng = gam.order
-    nm = G.n_obj
-    obj_fibers = []
-    for u in range(nm):
-        if u == G.unit:
-            obj_fibers.append([T.unit])
-        else:
-            obj_fibers.append([o for o in range(T.n_obj) if labels[o] == phi[u]])
-    total_obj = 1
-    for f in obj_fibers:
-        total_obj *= len(f)
-        if total_obj > guard:
-            raise SearchSpaceTooLarge(total_obj, guard)
-
+        return
+    nm, ng = G.n_obj, G.gamma.order
+    obj_fibers = [[T.unit] if u == G.unit else
+                  [o for o in range(T.n_obj) if labels[o] == phi[u]]
+                  for u in range(nm)]
+    n_maps = math.prod(map(len, obj_fibers))
+    pair_keys = [(u, v) for u in range(1, nm) for v in range(u, nm)]
+    grade_keys = [(u, s) for u in range(1, nm) for s in range(1, ng)]
     Mt = G.tob
-    out = []
     actM = np.asarray(G.meta["M"].act.act, dtype=np.int64)
-
-    for obj_combo in itertools.product(*obj_fibers):
+    for obj_combo in candidates(obj_fibers, guard):
         obj = np.asarray(obj_combo, dtype=np.int64)
-        pair_keys = [(u, v) for u in range(1, nm) for v in range(u, nm)]
-        grade_keys = [(u, s) for u in range(1, nm) for s in range(1, ng)]
-        allowed_pairs = []
-        feasible = True
-        for (u, v) in pair_keys:
-            opts = _allowed(T, int(T.tob[obj[u], obj[v]]), int(obj[Mt[u, v]]))
-            if not opts:
-                feasible = False
-                break
-            allowed_pairs.append(opts)
-        if not feasible:
-            continue
-        allowed_grades = []
-        for (u, s) in grade_keys:
-            su = int(actM[s, u])
-            opts = _allowed(T, int(obj[u]), int(obj[su]), grade=s)
-            if not opts:
-                feasible = False
-                break
-            allowed_grades.append(opts)
-        if not feasible:
-            continue
-        total = total_obj
-        for opts in allowed_pairs + allowed_grades:
-            total *= len(opts)
-            if total > guard:
-                raise SearchSpaceTooLarge(total, guard)
-        for combo in itertools.product(*(allowed_pairs + allowed_grades)):
-            t2 = {}
-            for (u, v), m in zip(pair_keys, combo[:len(pair_keys)]):
-                t2[(u, v)] = m
-            ts = {}
-            for (u, s), m in zip(grade_keys, combo[len(pair_keys):]):
-                ts[(u, s)] = m
+        options = [_allowed(T, int(T.tob[obj[u], obj[v]]), int(obj[Mt[u, v]]))
+                   for (u, v) in pair_keys]
+        options += [_allowed(T, int(obj[u]), int(obj[actM[s, u]]), grade=s)
+                    for (u, s) in grade_keys]
+        for combo in candidates(options, guard, size=n_maps):
+            t2 = dict(zip(pair_keys, combo))
+            ts = dict(zip(grade_keys, combo[len(pair_keys):]))
             F = _assemble_functor(G, T, obj, t2, ts, f_map, actM)
-            if F is None:
-                continue
-            if check_graded_functor(F).ok:
-                out.append(F)
-    return out
+            if F is not None and check_graded_functor(F).ok:
+                yield F
 
 
 def _assemble_functor(G, T, obj, t2, ts, f_map, actM):
@@ -803,27 +760,21 @@ def enumerate_regular_functors(G: GradedCatGroup, T: GradedCatGroup,
     ng = M.gamma.order
     keys_qq = [(r, s) for r in range(1, q) for s in range(1, q)]
     keys_qg = [(r, s) for r in range(1, q) for s in range(1, ng)]
-    total = len(list(enumerate_homs(M.D, Mp.D))) * \
-        len(list(enumerate_homs(M.B, Mp.B))) * \
-        len(kerp) ** (len(keys_qq) + len(keys_qg))
-    if total > guard:
-        raise SearchSpaceTooLarge(total, guard)
+    options = [list(enumerate_homs(M.D, Mp.D)), list(enumerate_homs(M.B, Mp.B))]
+    options += [kerp] * (len(keys_qq) + len(keys_qg))
     out = []
     cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
-    for f0 in enumerate_homs(M.D, Mp.D):
-        for f1 in enumerate_homs(M.B, Mp.B):
-            if any(f0(M.d[b]) != Mp.d[f1(b)] for b in M.B.elements()):
-                continue
-            for combo in itertools.product(kerp,
-                                           repeat=len(keys_qq) + len(keys_qg)):
-                fqq = np.zeros((q, q), dtype=np.int64)
-                fqg = np.zeros((q, ng), dtype=np.int64)
-                for (r, s), v in zip(keys_qq, combo[:len(keys_qq)]):
-                    fqq[r, s] = v
-                for (r, s), v in zip(keys_qg, combo[len(keys_qq):]):
-                    fqg[r, s] = v
-                F = _functor_into(G, T, f0.map, f1.map,
-                                  fqq[cls[:, None], cls[None, :]], fqg[cls])
-                if check_graded_functor(F).ok and is_regular(F):
-                    out.append(F)
+    for f0, f1, *combo in candidates(options, guard):
+        if any(f0(M.d[b]) != Mp.d[f1(b)] for b in M.B.elements()):
+            continue
+        fqq = np.zeros((q, q), dtype=np.int64)
+        fqg = np.zeros((q, ng), dtype=np.int64)
+        for (r, s), v in zip(keys_qq, combo):
+            fqq[r, s] = v
+        for (r, s), v in zip(keys_qg, combo[len(keys_qq):]):
+            fqg[r, s] = v
+        F = _functor_into(G, T, f0.map, f1.map,
+                          fqq[cls[:, None], cls[None, :]], fqg[cls])
+        if check_graded_functor(F).ok and is_regular(F):
+            out.append(F)
     return out

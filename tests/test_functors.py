@@ -228,6 +228,18 @@ def test_is_homotopy_identity_and_violations():
     assert fn.find_homotopy(F, F2) is None
 
 
+def test_homotopy_search_without_candidates_is_not_refused():
+    # types [0, 1] and [0, 0] send object 1 to different grade-1 classes:
+    # the unit has two candidate arrows and object 1 none, so the search has
+    # no candidates at all, and no guard refuses it
+    M = samples.abelian_module(Z4, Z4, [0, 2, 0, 2])
+    S, T = cg.dis(module(Z2)), cg.build_catgroup(M)
+    F1 = fn.enumerate_functors(S, T, phi=[0, 1])[0]
+    F0 = fn.enumerate_functors(S, T, phi=[0, 0])[0]
+    for guard in (1, 2):
+        assert fn.find_homotopy(F1, F0, guard=guard) is None
+
+
 @pytest.mark.parametrize("value", [lambda G: G.n_mor + 5, lambda G: -2],
                          ids=["past-end", "minus-two"])
 def test_out_of_range_homotopy_entry_fails_typing(value):

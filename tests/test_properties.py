@@ -94,21 +94,28 @@ def test_vanishing_stable_under_witness_perturbation():
 
 
 def test_search_guards_raise():
+    # each trip reports the whole search space: 8^6 cocycle tables, 8^3
+    # coboundaries, one object map times 2^6 comparison tables, and the
+    # 2 translates of the one non-unit fibre
     Qm = module(Z4)
     B8 = module(g.cyclic(8))
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge) as trip:
         ch.enumerate_symmetric_cocycles(Qm, B8, guard=10)
-    with pytest.raises(SearchSpaceTooLarge):
+    assert trip.value.size == 262144
+    with pytest.raises(SearchSpaceTooLarge) as trip:
         ch.all_coboundaries(Qm, B8, guard=10)
+    assert trip.value.size == 512
     M = samples.abelian_module(Z2, TRIV, [0, 0])
     T = cg.build_catgroup(M)
     D = cg.dis(Qm)
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge) as trip:
         fn.enumerate_functors(D, T, phi=[0] * 4, guard=1)
+    assert trip.value.size == 64
     ext = ex.extension_from_functor(
         fn.homotopy_classes(cg.dis(module(Z2)), T, phi=[0, 0])[0][0])
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge) as trip:
         ex.are_equivalent(ext, ext, guard=0)
+    assert trip.value.size == 2
 
 
 def test_cli_guard_exit_code(tmp_path, capsys):
