@@ -659,6 +659,8 @@ def hom_kernel_image(dom_invariants, cod_invariants, matrix):
         raise MatrixShapeMismatch(
             f"matrix shape {len(F)}x{len(F[0]) if F else 0} does not match "
             f"{len(cod)}x{len(dom)}")
+    if any(d < 1 for d in dom + cod):
+        raise MatrixShapeMismatch("every invariant factor must be at least 1")
     for j, d in enumerate(dom):
         col = [F[i][j] * d for i in range(len(cod))]
         if any(v % m for v, m in zip(col, cod)):
@@ -667,11 +669,9 @@ def hom_kernel_image(dom_invariants, cod_invariants, matrix):
     import numpy as np
     ker_gens = zlinalg.congruence_kernel_gens(
         np.array(F, dtype=object).reshape(len(cod), len(dom)), cod)
-    kernel = zlinalg.presentation_from_generators(ker_gens, dom) if ker_gens \
-        else zlinalg.Presented([], [])
+    kernel = zlinalg.presentation_from_generators(ker_gens, dom)
     img_gens = [[F[i][j] for i in range(len(cod))] for j in range(len(dom))]
-    image = zlinalg.presentation_from_generators(img_gens, cod) if img_gens \
-        else zlinalg.Presented([], [])
+    image = zlinalg.presentation_from_generators(img_gens, cod)
     return kernel, image
 
 

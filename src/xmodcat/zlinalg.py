@@ -2,14 +2,19 @@
 and presentations of finitely generated abelian groups.
 
 All matrices are lists of lists of Python ints (arbitrary precision, so
-pivoting can never overflow).  The congruence solvers also take a matrix
-with a 2-D `.shape`, such as a numpy array, and read the number of
-unknowns from that shape, so a system with no rows still has a width.
-A finite abelian group is presented by a list of moduli [m1, ..., mr];
-its elements are integer coordinate vectors taken mod the moduli.
+pivoting can never overflow).  A congruence system F x == b (mod m_i),
+with every modulus m_i >= 1, is solved through one Smith form of its own
+rows, each scaled by e / m_i to the common modulus e = lcm(m_i).  The
+congruence solvers also take a matrix with a 2-D `.shape`, such as a numpy
+array, and read the number of unknowns from that shape, so a system with
+no rows still has a width.  A finite abelian group is presented by a list
+of moduli [m1, ..., mr]; its elements are integer coordinate vectors taken
+mod the moduli.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import MatrixShapeMismatch
 
@@ -25,9 +30,8 @@ def _mat_vec(A, x):
 def smith_normal_form(A):
     """Diagonalize an integer matrix.
 
-    Returns (D, S, T, Sinv, Tinv) with S @ A @ T == D, where D is diagonal
-    with d1 | d2 | ... and S, T unimodular.  Sinv and Tinv are the exact
-    inverses of S and T.
+    Returns (D, S, T, Sinv) with S @ A @ T == D, where D is diagonal with
+    d1 | d2 | ... and S, T unimodular.  Sinv is the exact inverse of S.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -35,8 +39,7 @@ def smith_normal_form(A):
     for row in D:
         if len(row) != n:
             raise MatrixShapeMismatch("ragged matrix")
-    S, Sinv = _identity(m), _identity(m)
-    T, Tinv = _identity(n), _identity(n)
+    S, Sinv, T = _identity(m), _identity(m), _identity(n)
 
     def row_add(i, j, q):
         # row_i += q * row_j;  S := E S, Sinv := Sinv E^-1
@@ -50,14 +53,11 @@ def smith_normal_form(A):
             Sinv[r][j] -= q * Sinv[r][i]
 
     def col_add(j, i, q):
-        # col_j += q * col_i;  T := T E, Tinv := E^-1 Tinv
+        # col_j += q * col_i;  T := T E
         for r in range(m):
             D[r][j] += q * D[r][i]
         for r in range(n):
             T[r][j] += q * T[r][i]
-        Ti, Tj = Tinv[i], Tinv[j]
-        for k in range(n):
-            Ti[k] -= q * Tj[k]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -70,7 +70,6 @@ def smith_normal_form(A):
             D[r][i], D[r][j] = D[r][j], D[r][i]
         for r in range(n):
             T[r][i], T[r][j] = T[r][j], T[r][i]
-        Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
 
     def row_neg(i):
         D[i] = [-v for v in D[i]]
@@ -126,54 +125,19 @@ def smith_normal_form(A):
             break
         if D[k][k] < 0:
             row_neg(k)
-    return D, S, T, Sinv, Tinv
+    return D, S, T, Sinv
 
 
 def diagonal(D):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def solve(A, b):
-    """One integer solution x of A x = b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if len(b) != m:
-        raise MatrixShapeMismatch("rhs length mismatch")
-    D, S, T, _, _ = smith_normal_form(A)
-    c = _mat_vec(S, b)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return _mat_vec(T, y)
-
-
-def kernel_basis(A):
-    """Columns spanning {x : A x = 0} over the integers."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    D, _, T, _, _ = smith_normal_form(A)
-    out = []
-    for j in range(n):
-        d = D[j][j] if j < min(m, n) else 0
-        if d == 0:
-            out.append([T[i][j] for i in range(n)])
-    return out
-
-
-def _system(F, cod_moduli):
-    """The block [F | diag(cod_moduli)] of a congruence system F, and F's
-    number of unknowns n: x solves F x == b (mod cod_moduli) exactly when
-    (x, y) solves the block over the integers for some y.  n is read from
-    F's `.shape` when it has one, else from its rows; a ragged F, or one
-    with neither rows nor a shape, has no width."""
+def _system(F, moduli):
+    """The rows of a congruence system F x == b (mod moduli), each scaled
+    by e / m_i, F's number of unknowns n, and e = lcm(moduli): x solves
+    the system exactly when the scaled rows hold mod e for b scaled alike.
+    n is read from F's `.shape` when it has one, else from its rows; a
+    ragged F, or one with neither rows nor a shape, has no width."""
     try:
         rows = [[int(v) for v in row] for row in F]
         m, n = F.shape if hasattr(F, "shape") else (len(rows), len(rows[0]))
@@ -181,33 +145,50 @@ def _system(F, cod_moduli):
         raise MatrixShapeMismatch("congruence system is not a 2-D matrix") from None
     if any(len(row) != n for row in rows):
         raise MatrixShapeMismatch("congruence system is not a 2-D matrix")
-    if len(cod_moduli) != m:
+    moduli = [int(mod) for mod in moduli]
+    if len(moduli) != m:
         raise MatrixShapeMismatch("moduli length mismatch")
-    return [rows[i] + [cod_moduli[i] if j == i else 0 for j in range(m)]
-            for i in range(m)], n
+    if any(mod < 1 for mod in moduli):
+        raise MatrixShapeMismatch("every modulus must be at least 1")
+    e = math.lcm(*moduli)
+    return [[v * (e // mod) for v in row] for row, mod in zip(rows, moduli)], n, e
 
 
-def congruence_kernel_gens(F, cod_moduli):
-    """Generators of {x in Z^n : F x == 0 (mod cod_moduli componentwise)}.
+def congruence_kernel_gens(F, moduli):
+    """Generators of {x in Z^n : F x == 0 (mod moduli componentwise)}.
 
     Returned as a list of length-n integer columns; they generate the full
-    solution lattice, which is all of Z^n when F has no rows.
+    solution lattice, which is all of Z^n when F has no rows.  With
+    S F' T = D the Smith form of the scaled rows F', x = T y is a solution
+    exactly when e | d_j y_j for every j, since S maps eZ^m onto itself.
     """
-    block, n = _system(F, cod_moduli)
-    if not block:
+    rows, n, e = _system(F, moduli)
+    if not rows:
         return _identity(n)   # no conditions: the unit columns
-    if n == 0:
-        return []
-    return [col[:n] for col in kernel_basis(block)]
+    D, _, T, _ = smith_normal_form(rows)
+    d = diagonal(D) + [0] * n
+    return [[T[i][j] * (e // math.gcd(d[j], e)) for i in range(n)]
+            for j in range(n)]
 
 
-def solve_mod(F, b, cod_moduli):
-    """One solution of F x == b (mod cod_moduli), or None."""
-    block, n = _system(F, cod_moduli)
-    sol = solve(block, list(b))
-    if sol is None:
-        return None
-    return sol[:n] if block else [0] * n
+def solve_mod(F, b, moduli):
+    """One solution of F x == b (mod moduli), or None."""
+    rows, n, e = _system(F, moduli)
+    if len(b) != len(rows):
+        raise MatrixShapeMismatch("rhs length mismatch")
+    if not rows:
+        return [0] * n
+    D, S, T, _ = smith_normal_form(rows)
+    c = _mat_vec(S, [int(v) * (e // int(mod)) for v, mod in zip(b, moduli)])
+    d = diagonal(D) + [0] * len(rows)   # row i: d_i y_i == c_i (mod e)
+    y = [0] * n
+    for i, ci in enumerate(c):
+        g = math.gcd(d[i], e)
+        if ci % g:
+            return None
+        if i < n:
+            y[i] = ci // g * pow(d[i] // g, -1, e // g)
+    return _mat_vec(T, y)
 
 
 class Presented:
@@ -227,10 +208,6 @@ class Presented:
 
     def __repr__(self):
         return f"Presented({self.invariants})"
-
-
-def _reduce_vec(v, moduli):
-    return [x % mod if mod else x for x, mod in zip(v, moduli)]
 
 
 def presentation_from_generators(gen_cols, ambient_moduli):
@@ -265,7 +242,7 @@ def subquotient_presentation(ker_gens, sub_gens, ambient_moduli):
     if not rel_cols:
         raise MatrixShapeMismatch("empty relation set for finite subquotient")
     R = [[col[i] for col in rel_cols] for i in range(s)]
-    D, _, _, Sinv, _ = smith_normal_form(R)
+    D, _, _, Sinv = smith_normal_form(R)
     invs, lifts = [], []
     for j in range(s):
         d = D[j][j] if j < min(len(D), len(D[0])) else 0
@@ -276,5 +253,5 @@ def subquotient_presentation(ker_gens, sub_gens, ambient_moduli):
         col = [Sinv[i][j] for i in range(s)]
         lift = [sum(K[i][u] * col[u] for u in range(s)) for i in range(n)]
         invs.append(d)
-        lifts.append(_reduce_vec(lift, ambient_moduli))
+        lifts.append([x % mod for x, mod in zip(lift, ambient_moduli)])
     return Presented(invs, lifts)

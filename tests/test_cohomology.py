@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -175,6 +176,19 @@ def test_h2_gamma_trivial_actions():
     res = ch.h2(Q, B, method="both")
     assert res.class_count == 4
     assert res.invariants == [2, 2]
+
+
+@pytest.mark.parametrize("Qg, q_invariants", [
+    (g.cyclic(6), [6]), (g.direct_product(Z2, Z4), [2, 4])],
+    ids=["Z6-Z2", "Z2xZ4-Z2"])
+def test_h2_is_ext_for_trivial_gamma(Qg, q_invariants):
+    # with Gamma trivial, symmetric H^2(Q, B) is Ext(Q, B): one factor
+    # Z/gcd(m_i, n_j) per pair of invariant factors of Q and B
+    res = ch.h2(module(Qg), module(Z2))
+    ext = [d for d in (math.gcd(m, 2) for m in q_invariants) if d > 1]
+    assert res.invariants == ext
+    assert res.class_count == len(res.representatives) == math.prod(ext)
+    assert all(ch.is_2cocycle(f)[0] for f in res.representatives)
 
 
 def test_h2_dual_path_sample():

@@ -270,6 +270,13 @@ def test_hom_kernel_image_examples():
         g.hom_kernel_image([4], [8], [[1]])  # 4 * 1 != 0 mod 8
 
 
+@pytest.mark.parametrize("dom, cod", [([2], [0]), ([2], [-2]), ([0], [2]),
+                                      ([-4, 2], [2])])
+def test_hom_kernel_image_refuses_invariants_below_one(dom, cod):
+    with pytest.raises(MatrixShapeMismatch):
+        g.hom_kernel_image(dom, cod, [[1] * len(dom)] * len(cod))
+
+
 def test_hom_kernel_image_into_the_trivial_group():
     ker, img = g.hom_kernel_image([4, 2], [], [])
     assert sorted(ker.invariants) == [2, 4] and img.invariants == []

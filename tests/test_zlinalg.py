@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -14,14 +15,15 @@ def mat(A):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_snf_decomposition_properties(seed):
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
     rng = random.Random(seed)
     for _ in range(25):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        D, S, T, Si, Ti = zl.smith_normal_form(A)
+        D, S, T, Si = zl.smith_normal_form(A)
         assert (mat(S) @ mat(A) @ mat(T) == mat(D)).all()
         assert (mat(S) @ mat(Si) == np.eye(m, dtype=object)).all()
-        assert (mat(T) @ mat(Ti) == np.eye(n, dtype=object)).all()
         diag = [d for d in zl.diagonal(D) if d]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
@@ -29,6 +31,22 @@ def test_snf_decomposition_properties(seed):
             for j in range(n):
                 if i != j:
                     assert D[i][j] == 0
+        # an independent oracle for the invariant factors
+        theirs = normalforms.invariant_factors(sympy.Matrix(A),
+                                               domain=sympy.ZZ)
+        assert diag == [int(d) for d in theirs if d]
+
+
+def _random_system(rng):
+    """A congruence system of 1-3 rows over 1-3 unknowns, moduli 1-6."""
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    F = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    return F, [rng.randint(1, 6) for _ in range(m)], n
+
+
+def _holds(F, x, b, moduli):
+    return all((sum(a * v for a, v in zip(row, x)) - c) % mod == 0
+               for row, c, mod in zip(F, b, moduli))
 
 
 def test_solve_finds_known_solutions():
@@ -36,43 +54,75 @@ def test_solve_finds_known_solutions():
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        moduli = [rng.randint(1, 9) for _ in range(m)]
         x = [rng.randint(-4, 4) for _ in range(n)]
         b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
-        s = zl.solve(A, b)
-        assert s is not None
-        assert all(sum(A[i][j] * s[j] for j in range(n)) == b[i]
-                   for i in range(m))
+        s = zl.solve_mod(A, b, moduli)
+        assert s is not None and len(s) == n
+        assert _holds(A, s, b, moduli)
 
 
 def test_solve_detects_unsolvable():
-    assert zl.solve([[2]], [1]) is None
-    assert zl.solve([[0]], [3]) is None
-    assert zl.solve([[2, 4]], [7]) is None
+    assert zl.solve_mod([[2]], [1], [4]) is None
+    assert zl.solve_mod([[0]], [3], [6]) is None
+    assert zl.solve_mod([[2, 4]], [7], [8]) is None
+    # rows that agree on x but not on b, past the Smith diagonal
+    assert zl.solve_mod([[1], [1]], [0, 1], [2, 2]) is None
+    assert zl.solve_mod([[3]], [1], [6]) is None
+    assert zl.solve_mod([[3]], [3], [6]) is not None
+
+
+def test_solve_mod_agrees_with_enumeration():
+    rng = random.Random(7)
+    for _ in range(200):
+        F, moduli, n = _random_system(rng)
+        b = [rng.randint(-6, 6) for _ in moduli]
+        e = math.lcm(*moduli)
+        found = any(_holds(F, x, b, moduli)
+                    for x in itertools.product(range(e), repeat=n))
+        s = zl.solve_mod(F, b, moduli)
+        assert (s is not None) == found
+        if s is not None:
+            assert len(s) == n and _holds(F, s, b, moduli)
 
 
 def test_kernel_basis_spans_kernel():
     A = [[2, 4, 6], [1, 2, 3]]
-    basis = zl.kernel_basis(A)
-    assert len(basis) == 2
-    for col in basis:
-        assert all(sum(A[i][j] * col[j] for j in range(3)) == 0
-                   for i in range(2))
+    gens = zl.congruence_kernel_gens(A, [4, 4])
+    assert len(gens) == 3
+    for col in gens:
+        assert _holds(A, col, [0, 0], [4, 4])
+    # the integer kernel, spanned by (2, -1, 0) and (3, 0, -1), lies in it
+    spanned = {tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % 4
+                     for i in range(3))
+               for coeffs in itertools.product(range(4), repeat=3)}
+    assert (2, 3, 0) in spanned and (3, 0, 3) in spanned
 
 
 def test_congruence_kernel_matches_enumeration():
-    # x with F x == 0 mod (4, 2), brute-enumerated over representatives
-    F = [[2, 1], [1, 1]]
-    moduli = [4, 2]
-    gens = zl.congruence_kernel_gens(F, moduli)
-    spanned = set()
-    for coeffs in itertools.product(range(-8, 9), repeat=len(gens)):
-        v = [sum(c * g[i] for c, g in zip(coeffs, gens)) % 8 for i in range(2)]
-        spanned.add(tuple(v))
-    direct = set()
-    for x in itertools.product(range(8), repeat=2):
-        if (2 * x[0] + x[1]) % 4 == 0 and (x[0] + x[1]) % 2 == 0:
-            direct.add(x)
-    assert direct <= spanned
+    # the generators span exactly the x in (Z/e)^n with F x == 0 (mod moduli)
+    rng = random.Random(3)
+    for _ in range(100):
+        F, moduli, n = _random_system(rng)
+        e = math.lcm(*moduli)
+        gens = zl.congruence_kernel_gens(F, moduli)
+        assert len(gens) == n and all(len(col) == n for col in gens)
+        spanned = set()
+        for coeffs in itertools.product(range(e), repeat=len(gens)):
+            spanned.add(tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) % e
+                              for i in range(n)))
+        direct = {x for x in itertools.product(range(e), repeat=n)
+                  if _holds(F, x, [0] * len(F), moduli)}
+        assert direct == spanned
+
+
+@pytest.mark.parametrize("moduli", [[0], [-2], [2, 0]])
+def test_moduli_below_one_are_refused(moduli):
+    F = [[1]] * len(moduli)
+    with pytest.raises(MatrixShapeMismatch):
+        zl.congruence_kernel_gens(F, moduli)
+    with pytest.raises(MatrixShapeMismatch):
+        zl.solve_mod(F, [0] * len(moduli), moduli)
 
 
 @pytest.mark.parametrize("moduli", [[2], [2, 2, 2]])
