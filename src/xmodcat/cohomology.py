@@ -381,9 +381,6 @@ def _h2_snf(Q, B, guard):
     keys = _keys(q, Q.gamma.order)
     dec = B.abelian
     r = len(dec.invariants)
-    if not keys or r == 0:
-        reps = [zero_cochain2(Q, B).flat()]
-        return _class_group(Q, B, reps, reps, "snf")
     n = len(keys) * r
     ker_gens = zlinalg.congruence_kernel_gens(*_delta2(Q, B, keys))
     # coboundary image generators: delta of one generator of B at one u

@@ -1,9 +1,11 @@
-"""Exact integer linear algebra: Smith normal form, congruence solving,
-and presentations of finitely generated abelian groups.
+"""Exact integer linear algebra: a one-sided Smith normal form,
+congruence kernels, and what is read from them: solutions of congruence
+systems and presentations of finitely generated abelian groups.
 
 All matrices are lists of lists of Python ints (arbitrary precision, so
-pivoting can never overflow).  A congruence system F x == b (mod m_i),
-with every modulus m_i >= 1, is solved through one Smith form of its own
+pivoting can never overflow).  The Smith form records only its column
+transform T.  A congruence system F x == b (mod m_i), with every modulus
+m_i >= 1, is solved through the kernel of [F | b]: one Smith form of its
 rows, each scaled by e / m_i to the common modulus e = lcm(m_i).  The
 congruence solvers also take a matrix with a 2-D `.shape`, such as a numpy
 array, and read the number of unknowns from that shape, so a system with
@@ -23,15 +25,13 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_vec(A, x):
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in A]
-
-
 def smith_normal_form(A):
     """Diagonalize an integer matrix.
 
-    Returns (D, S, T, Sinv) with S @ A @ T == D, where D is diagonal with
-    d1 | d2 | ... and S, T unimodular.  Sinv is the exact inverse of S.
+    Returns (D, T) with S @ A @ T == D for some unimodular S, where D is
+    diagonal with d1 | d2 | ... and T is unimodular.  S is never formed:
+    row operations act on D alone.  A @ T == S^-1 @ D, so column j of
+    A @ T is d_j times column j of S^-1, and zero past the rank.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -39,18 +39,13 @@ def smith_normal_form(A):
     for row in D:
         if len(row) != n:
             raise MatrixShapeMismatch("ragged matrix")
-    S, Sinv, T = _identity(m), _identity(m), _identity(n)
+    T = _identity(n)
 
     def row_add(i, j, q):
-        # row_i += q * row_j;  S := E S, Sinv := Sinv E^-1
+        # row_i += q * row_j
         Di, Dj = D[i], D[j]
         for k in range(n):
             Di[k] += q * Dj[k]
-        Si, Sj = S[i], S[j]
-        for k in range(m):
-            Si[k] += q * Sj[k]
-        for r in range(m):
-            Sinv[r][j] -= q * Sinv[r][i]
 
     def col_add(j, i, q):
         # col_j += q * col_i;  T := T E
@@ -59,23 +54,11 @@ def smith_normal_form(A):
         for r in range(n):
             T[r][j] += q * T[r][i]
 
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        S[i], S[j] = S[j], S[i]
-        for r in range(m):
-            Sinv[r][i], Sinv[r][j] = Sinv[r][j], Sinv[r][i]
-
     def col_swap(i, j):
         for r in range(m):
             D[r][i], D[r][j] = D[r][j], D[r][i]
         for r in range(n):
             T[r][i], T[r][j] = T[r][j], T[r][i]
-
-    def row_neg(i):
-        D[i] = [-v for v in D[i]]
-        S[i] = [-v for v in S[i]]
-        for r in range(m):
-            Sinv[r][i] = -Sinv[r][i]
 
     rank = min(m, n)
     for k in range(rank):
@@ -90,8 +73,7 @@ def smith_normal_form(A):
             if best is None:
                 break
             _, pi, pj = best
-            if pi != k:
-                row_swap(k, pi)
+            D[k], D[pi] = D[pi], D[k]
             if pj != k:
                 col_swap(k, pj)
             dirty = False
@@ -124,8 +106,8 @@ def smith_normal_form(A):
         if D[k][k] == 0:
             break
         if D[k][k] < 0:
-            row_neg(k)
-    return D, S, T, Sinv
+            D[k] = [-v for v in D[k]]
+    return D, T
 
 
 def diagonal(D):
@@ -165,30 +147,35 @@ def congruence_kernel_gens(F, moduli):
     rows, n, e = _system(F, moduli)
     if not rows:
         return _identity(n)   # no conditions: the unit columns
-    D, _, T, _ = smith_normal_form(rows)
+    D, T = smith_normal_form(rows)
     d = diagonal(D) + [0] * n
     return [[T[i][j] * (e // math.gcd(d[j], e)) for i in range(n)]
             for j in range(n)]
 
 
 def solve_mod(F, b, moduli):
-    """One solution of F x == b (mod moduli), or None."""
+    """One solution of F x == b (mod moduli), or None.
+
+    x is a solution exactly when (-x, 1) lies in the kernel of [F | b].
+    The last entries of the kernel generators form one row, whose Smith
+    form d_1 is their gcd; there is a solution exactly when d_1 == 1, and
+    column 0 of that form's T combines the generators into a kernel vector
+    whose last entry is +-1.
+    """
     rows, n, e = _system(F, moduli)
     if len(b) != len(rows):
         raise MatrixShapeMismatch("rhs length mismatch")
     if not rows:
         return [0] * n
-    D, S, T, _ = smith_normal_form(rows)
-    c = _mat_vec(S, [int(v) * (e // int(mod)) for v, mod in zip(b, moduli)])
-    d = diagonal(D) + [0] * len(rows)   # row i: d_i y_i == c_i (mod e)
-    y = [0] * n
-    for i, ci in enumerate(c):
-        g = math.gcd(d[i], e)
-        if ci % g:
-            return None
-        if i < n:
-            y[i] = ci // g * pow(d[i] // g, -1, e // g)
-    return _mat_vec(T, y)
+    # [F | b] with b scaled like F's rows: every row is now taken mod e
+    gens = congruence_kernel_gens([row + [int(v) * (e // int(mod))]
+                                   for row, v, mod in zip(rows, b, moduli)],
+                                  [e] * len(rows))
+    D, T = smith_normal_form([[g[n] for g in gens]])
+    if D[0][0] != 1:
+        return None
+    v = [sum(g[i] * t[0] for g, t in zip(gens, T)) for i in range(n + 1)]
+    return [-x * v[n] for x in v[:n]]
 
 
 class Presented:
@@ -224,34 +211,31 @@ def subquotient_presentation(ker_gens, sub_gens, ambient_moduli):
     """Present <ker_gens> / <sub_gens> inside prod Z/m_i.
 
     Requires <sub_gens> to be contained in <ker_gens>; raises ValueError
-    otherwise.  Lifts are returned in ambient coordinates.
+    otherwise.  Lifts are returned in ambient coordinates.  Both are read
+    from one kernel, of the relations (a, c) with K a + Sub c == 0: <Sub>
+    lies in <K> exactly when their parts c span Z^t, and <K> / <Sub> is
+    Z^s modulo the lattice their parts a span.
     """
-    n = len(ambient_moduli)
-    s = len(ker_gens)
-    if s == 0 or n == 0:   # no generators, or a trivial ambient group
-        if any(any(x % mod for x, mod in zip(col, ambient_moduli)) for col in sub_gens):
-            raise ValueError("subgroup not contained in kernel")
+    n, s = len(ambient_moduli), len(ker_gens)
+    if n == 0:   # the trivial group
         return Presented([], [])
     # generators as the columns of n-row matrices
     K = [[col[i] for col in ker_gens] for i in range(n)]
-    for col in sub_gens:
-        if solve_mod(K, col, ambient_moduli) is None:
-            raise ValueError("subgroup not contained in kernel")
     block = [K[i] + [col[i] for col in sub_gens] for i in range(n)]
-    rel_cols = [col[:s] for col in congruence_kernel_gens(block, ambient_moduli)]
-    if not rel_cols:
-        raise MatrixShapeMismatch("empty relation set for finite subquotient")
-    R = [[col[i] for col in rel_cols] for i in range(s)]
-    D, _, _, Sinv = smith_normal_form(R)
+    rels = congruence_kernel_gens(block, ambient_moduli)
+    parts = [[rel[i] for rel in rels] for i in range(len(rels))]
+    R, C = parts[:s], parts[s:]
+    if diagonal(smith_normal_form(C)[0]) != [1] * len(C):
+        raise ValueError("subgroup not contained in kernel")
+    # with S R T = D, generator j is column j of S^-1, that is
+    # (R T)[:, j] / d_j; no d_j is 0, as the relations contain e Z^(s+t)
+    D, T = smith_normal_form(R)
     invs, lifts = [], []
-    for j in range(s):
-        d = D[j][j] if j < min(len(D), len(D[0])) else 0
-        if d == 0:
-            raise MatrixShapeMismatch("infinite subquotient of finite ambient")
+    for j, d in enumerate(diagonal(D)):
         if d == 1:
             continue
-        col = [Sinv[i][j] for i in range(s)]
-        lift = [sum(K[i][u] * col[u] for u in range(s)) for i in range(n)]
+        col = [sum(r * t[j] for r, t in zip(row, T)) // d for row in R]
+        lift = [sum(k * x for k, x in zip(row, col)) for row in K]
         invs.append(d)
         lifts.append([x % mod for x, mod in zip(lift, ambient_moduli)])
     return Presented(invs, lifts)

@@ -163,11 +163,15 @@ def test_h2_z2_z2_has_order_two():
 
 
 def test_h2_trivial_coefficients():
-    Q = module(Z4)
-    B = module(TRIV)
-    res = ch.h2(Q, B, method="both")
-    assert res.class_count == 1
-    assert res.invariants == []
+    # a trivial B, and a trivial Q (no free cochain entries) over Gamma = 1
+    # and Gamma = Z2
+    pairs = [(module(Z4), module(TRIV))]
+    pairs += [(module(TRIV, gamma), module(Bg, gamma))
+              for gamma in (None, Z2) for Bg in (Z2, Z4)]
+    for Q, B in pairs:
+        res = ch.h2(Q, B, method="both")
+        assert res.class_count == 1
+        assert res.invariants == []
 
 
 def test_h2_gamma_trivial_actions():

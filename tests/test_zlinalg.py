@@ -21,10 +21,14 @@ def test_snf_decomposition_properties(seed):
     for _ in range(25):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        D, S, T, Si = zl.smith_normal_form(A)
-        assert (mat(S) @ mat(A) @ mat(T) == mat(D)).all()
-        assert (mat(S) @ mat(Si) == np.eye(m, dtype=object)).all()
+        D, T = zl.smith_normal_form(A)
+        assert sympy.Matrix(T).det() in (1, -1)
         diag = [d for d in zl.diagonal(D) if d]
+        # A T = S^-1 D: column j is a multiple of d_j, zero past the rank
+        AT = mat(A) @ mat(T)
+        assert all(v == 0 for v in AT[:, len(diag):].flat)
+        for j, d in enumerate(diag):
+            assert all(v % d == 0 for v in AT[:, j])
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
         for i in range(m):
@@ -168,3 +172,52 @@ def test_subquotient_presentation():
     with pytest.raises(ValueError):
         # (1, 0) is not inside the subgroup generated by (2, 0)
         zl.subquotient_presentation([[2, 0]], [[1, 0]], [4, 2])
+
+
+@pytest.mark.parametrize("ker, sub", [([], [[1]]), ([], []), ([[1]], [])])
+def test_subquotient_refuses_moduli_below_one(ker, sub):
+    with pytest.raises(MatrixShapeMismatch):
+        zl.subquotient_presentation(ker, sub, [0])
+
+
+def _span(gens, moduli):
+    """The subgroup of prod Z/m_i generated by the columns gens."""
+    out = {tuple([0] * len(moduli))}
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        for col in gens:
+            y = tuple((a + b) % m for a, b, m in zip(x, col, moduli))
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
+def test_presentation_lifts_agree_with_enumeration():
+    rng = random.Random(11)
+    presented = refused = 0
+    for _ in range(150):
+        moduli = [rng.randint(2, 6) for _ in range(rng.randint(1, 3))]
+        ker = [[rng.randint(-6, 6) for _ in moduli]
+               for _ in range(rng.randint(1, 3))]
+        sub = [[rng.randint(-6, 6) for _ in moduli]
+               for _ in range(rng.randint(0, 2))]
+        K, Sub = _span(ker, moduli), _span(sub, moduli)
+        if not Sub <= K:
+            with pytest.raises(ValueError):
+                zl.subquotient_presentation(ker, sub, moduli)
+            refused += 1
+            continue
+        pres = zl.subquotient_presentation(ker, sub, moduli)
+        assert pres.order == len(K) // len(Sub)
+        assert len(pres.lifts) == len(pres.invariants)
+        for lift, d in zip(pres.lifts, pres.invariants):
+            # order exactly d modulo <sub>
+            multiples = [tuple(k * x % m for x, m in zip(lift, moduli))
+                         for k in range(1, d + 1)]
+            assert multiples[-1] in Sub
+            assert not any(y in Sub for y in multiples[:-1])
+        assert _span(pres.lifts + sub, moduli) == K
+        presented += 1
+    assert presented and refused
