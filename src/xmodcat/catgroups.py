@@ -65,7 +65,7 @@ class GradedCatGroup:
 
     __slots__ = ("gamma", "n_obj", "_src", "_tgt", "_grd", "pay", "_comp",
                  "tob", "_tmor", "unit", "idm", "aset", "lset", "rset",
-                 "cset", "uI", "meta", "_inverses")
+                 "cset", "uI", "meta")
 
     def __init__(self, gamma, n_obj, src, tgt, grd, pay, comp, tob, tmor,
                  unit, idm, aset, lset, rset, cset, uI, meta=None):
@@ -83,7 +83,6 @@ class GradedCatGroup:
         self.cset = np.asarray(cset, dtype=np.int64)
         self.uI = np.asarray(uI, dtype=np.int64)
         self.meta = meta or {}
-        self._inverses = None
         n, no = self.n_mor, self.n_obj
         if not 0 <= self.unit < no:
             raise ShapeMismatch(f"unit object {self.unit} outside [0, {no})")
@@ -128,14 +127,12 @@ class GradedCatGroup:
 
     @property
     def _inv(self):
-        """Padded `inv`, computed on first use."""
-        if self._inverses is None:
-            comp = self.comp
-            both = (comp == self.idm[self.src][None, :]) & \
-                (comp.T == self.idm[self.tgt][None, :])
-            self._inverses = _padded(
-                np.where(both.any(axis=0), both.argmax(axis=0), -1))
-        return self._inverses
+        """Padded `inv`, read from `comp` on every access, since tables are
+        edited in place; a reader in a loop reads it once."""
+        comp = self.comp
+        both = (comp == self.idm[self.src][None, :]) & \
+            (comp.T == self.idm[self.tgt][None, :])
+        return _padded(np.where(both.any(axis=0), both.argmax(axis=0), -1))
 
     @property
     def inv(self):
@@ -696,7 +693,7 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
 
     entries.append(_associative(G))
 
-    entries.append(_entry("inverses", G.inv >= 0, [mors]))
+    entries.append(_entry("inverses", inv[:-1] >= 0, [mors]))
 
     ten_should = G.grd[:, None] == G.grd[None, :]
     entries.append(_entry("tensor-defined", (G.tmor >= 0) == ten_should, None))

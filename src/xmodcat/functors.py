@@ -259,52 +259,43 @@ def validate_factor_set(fs: FactorSet):
         entries.append(AxiomCheck(f"grade-{s}-functor",
                                   () if rep.ok else (rep.first_failure(),)))
     # theta^{1,s} and theta^{s,1} are identities, at (s, x)
-    theta = np.asarray(fs.theta, dtype=np.int64)
-    ident = K.idm[np.asarray(fs.obj_maps, dtype=np.int64)]
+    theta, obj, mor, ft = (np.asarray(t, dtype=np.int64) for t in (
+        fs.theta, fs.obj_maps, fs.mor_maps, fs.ftildes))
+    ident = K.idm[obj]
     entries.append(_entry("theta-unit", (theta[0] == ident) &
                           (theta[:, 0] == ident)))
     # theta^{s,t} natural and monoidal: F^s F^t -> F^{st}; the kernel's
     # padded tables read -1 at an undefined (-1) index
     comp, tmor = K._comp, K._tmor
+    x2 = np.arange(K.n_obj)[:, None]
+    y2 = np.arange(K.n_obj)[None, :]
     bad = []
     for s in range(ng):
         for t in range(ng):
             st = gam.mul(s, t)
-            th = fs.theta[s][t]
-            for m in range(K.n_mor):
-                x, y = int(K.src[m]), int(K.tgt[m])
-                lhs = comp[th[y], fs.mor_maps[s][fs.mor_maps[t][m]]]
-                rhs = comp[fs.mor_maps[st][m], th[x]]
-                if lhs != rhs or lhs < 0:
-                    bad.append(("natural", s, t, m))
-            for x in range(K.n_obj):
-                for y in range(K.n_obj):
-                    comp_ft = comp[fs.mor_maps[s][fs.ftildes[t][x, y]],
-                                   fs.ftildes[s][int(fs.obj_maps[t][x]),
-                                                 int(fs.obj_maps[t][y])]]
-                    lhs = comp[fs.ftildes[st][x, y], tmor[th[x], th[y]]]
-                    rhs = comp[th[int(K.tob[x, y])], comp_ft]
-                    if lhs != rhs or lhs < 0:
-                        bad.append(("monoidal", s, t, x, y))
+            th = theta[s, t]
+            lhs = comp[th[K.tgt], mor[s, mor[t]]]
+            rhs = comp[mor[st], th[K.src]]
+            bad += [("natural", s, t, m)
+                    for m in np.flatnonzero((lhs != rhs) | (lhs < 0)).tolist()]
+            comp_ft = comp[mor[s, ft[t]], ft[s, obj[t, x2], obj[t, y2]]]
+            lhs = comp[ft[st], tmor[th[x2], th[y2]]]
+            rhs = comp[th[K.tob], comp_ft]
+            bad += [("monoidal", s, t, x, y)
+                    for x, y in np.argwhere((lhs != rhs) | (lhs < 0)).tolist()]
             lhs = comp[th[K.unit],
-                       comp[fs.mor_maps[s][fs.fstars[t]], fs.fstars[s]]]
+                       comp[mor[s, fs.fstars[t]], fs.fstars[s]]]
             if lhs != fs.fstars[st] or lhs < 0:
                 bad.append(("unit", s, t))
     entries.append(AxiomCheck("theta-monoidal-natural", bad))
-    bad = []
-    for s in range(ng):
-        for t in range(ng):
-            for u in range(ng):
-                st = gam.mul(s, t)
-                tu = gam.mul(t, u)
-                for x in range(K.n_obj):
-                    fux = int(fs.obj_maps[u][x])
-                    lhs = comp[fs.theta[st][u][x], fs.theta[s][t][fux]]
-                    rhs = comp[fs.theta[s][tu][x],
-                               fs.mor_maps[s][fs.theta[t][u][x]]]
-                    if lhs != rhs or lhs < 0:
-                        bad.append((s, t, u, x))
-    entries.append(AxiomCheck("theta-cocycle", bad))
+    # theta^{st,u}_x o theta^{s,t}_{F^u x} = theta^{s,tu}_x o F^s theta^{t,u}_x,
+    # at (s, t, u, x)
+    gt = gam.np_table
+    gs = np.arange(ng)
+    s4, t4, u4, x4 = np.ix_(gs, gs, gs, np.arange(K.n_obj))
+    lhs = comp[theta[gt[s4, t4], u4, x4], theta[s4, t4, obj[u4, x4]]]
+    rhs = comp[theta[s4, gt[t4, u4], x4], mor[s4, theta[t4, u4, x4]]]
+    entries.append(_entry("theta-cocycle", (lhs == rhs) & (lhs >= 0)))
     return AxiomReport(entries)
 
 
@@ -347,11 +338,12 @@ def is_regular(F: GradedFunctor):
         return False
     # grade s acts on a grade-1 arrow m: x -> y as up(y) o m o up(x)^-1
     fm = mor[g1]
+    inv_s, inv_t = S._inv, T._inv
     for s in range(1, S.gamma.order):
         sm = S._comp[ups_s[s, S.tgt[g1]],
-                     S._comp[g1, S._inv[ups_s[s, S.src[g1]]]]]
+                     S._comp[g1, inv_s[ups_s[s, S.src[g1]]]]]
         tm = T._comp[ups_t[s, T._tgt[fm]],
-                     T._comp[fm, T._inv[ups_t[s, T._src[fm]]]]]
+                     T._comp[fm, inv_t[ups_t[s, T._src[fm]]]]]
         if not ((sm >= 0) & (tm >= 0) & (mor[sm] == tm)).all():
             return False
     return True
@@ -387,6 +379,22 @@ def _functor_into(S, T, obj, pay, qq, qg):
     return GradedFunctor(S, T, obj, mor, ft, int(T.idm[T.unit]))
 
 
+def _on_cosets(kidx, keys, outside, differs):
+    """The kernel index kidx (-1 off the kernel) of the first entry, in C
+    order, of each coset; keys numbers the cosets of the entries 0, 1, ...
+    FNotConstantOnCosets names the first entry, in C order, that lies off
+    the kernel (message outside) or differs from the first of its coset
+    (message differs), each formatted with the entry's index."""
+    _, first = np.unique(keys, return_index=True)
+    seen = kidx.ravel()[first]
+    bad = (kidx < 0) | (kidx != seen[keys])
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0].tolist())
+        raise FNotConstantOnCosets(
+            (outside if kidx[at] < 0 else differs).format(*at))
+    return seen
+
+
 def functor_to_morphism(F: GradedFunctor):
     """Extract (f1, f0, phi) from a regular coherent functor between built
     categories; raises when the functor fails coherence, regularity, or the
@@ -401,52 +409,33 @@ def functor_to_morphism(F: GradedFunctor):
         raise NotRegular("functor is not regular")
     M: BraidedGammaCrossedModule = S.meta["module"]
     Mp: BraidedGammaCrossedModule = T.meta["module"]
-    f0 = GroupHom(M.D, Mp.D, [int(v) for v in F.obj])
-    f1_vals = []
-    for b in range(M.B.order):
-        idx = S.record(0, b, S.unit)
-        f1_vals.append(T.payload(int(F.mor[idx])))
-        for y in range(M.D.order):
-            other = T.payload(int(F.mor[S.record(0, b, y)]))
-            if other != f1_vals[-1]:
-                raise NotRegular(
-                    f"grade-1 payload of {b} depends on its target object")
-    f1 = GroupHom(M.B, Mp.B, f1_vals)
+    f0 = GroupHom(M.D, Mp.D, F.obj)
+    # the payload of the image of the grade-1 arrow b into y, at (b, y)
+    pays = T.pay[F.mor[S.record(0, np.arange(M.B.order)[:, None],
+                                np.arange(M.D.order))]]
+    moved = (pays != pays[:, S.unit, None]).any(axis=1)
+    if moved.any():
+        raise NotRegular(f"grade-1 payload of {int(moved.argmax())} depends "
+                         "on its target object")
+    f1 = GroupHom(M.B, Mp.B, pays[:, S.unit])
     proj = M.pi0_projection()
     P = M.pi0()
     Kp = Mp.pi1()
     embp = Mp.pi1_embedding()
-    posp = {e: i for i, e in enumerate(embp)}
-    q = P.group.order
-    ng = M.gamma.order
-    qq = [[None] * q for _ in range(q)]
-    for x in range(M.D.order):
-        for y in range(M.D.order):
-            val = T.payload(int(F.ftilde[x, y]))
-            if val not in posp:
-                raise FNotConstantOnCosets(
-                    f"comparison payload at ({x}, {y}) is not in the kernel")
-            r, s = proj(x), proj(y)
-            if qq[r][s] is None:
-                qq[r][s] = posp[val]
-            elif qq[r][s] != posp[val]:
-                raise FNotConstantOnCosets(
-                    f"comparison at ({x}, {y}) differs within its coset")
-    qg = [[None] * ng for _ in range(q)]
-    for x in range(M.D.order):
-        for s in range(ng):
-            idx = S.record(s, 0, M.act_d(s, x))
-            val = T.payload(int(F.mor[idx]))
-            if val not in posp:
-                raise FNotConstantOnCosets(
-                    f"grade part at ({x}, {s}) is not in the kernel")
-            r = proj(x)
-            if qg[r][s] is None:
-                qg[r][s] = posp[val]
-            elif qg[r][s] != posp[val]:
-                raise FNotConstantOnCosets(
-                    f"grade part at ({x}, {s}) differs within its coset")
-    phi = SymmetricCochain2(P, Kp, qq, qg)
+    kpos = np.full(Mp.B.order, -1, dtype=np.int64)
+    kpos[list(embp)] = np.arange(len(embp))
+    q, ng = P.group.order, M.gamma.order
+    cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
+    qq = _on_cosets(kpos[T.pay[F.ftilde]], cls[:, None] * q + cls,
+                    "comparison payload at ({}, {}) is not in the kernel",
+                    "comparison at ({}, {}) differs within its coset")
+    ss = np.arange(ng)
+    act_d = np.asarray(M.act_d.act, dtype=np.int64)
+    grade_parts = F.mor[S.record(ss, 0, act_d.T)]
+    qg = _on_cosets(kpos[T.pay[grade_parts]], cls[:, None] * ng + ss,
+                    "grade part at ({}, {}) is not in the kernel",
+                    "grade part at ({}, {}) differs within its coset")
+    phi = SymmetricCochain2(P, Kp, qq.reshape(q, q), qg.reshape(q, ng))
     return CrossedMorphism(M, Mp, f1, f0, phi)
 
 
@@ -472,63 +461,37 @@ def catgroup_to_crossed(G: GradedCatGroup):
     fs = extract_factor_set(G)
     if not is_regular_factor_set(fs):
         raise NotRegularFactorSet("canonical factor set is not regular")
-    # grade-1 arrows into the unit object form B, identity first
-    bmors = [int(G.idm[G.unit])] + [m for m in sorted(
-        int(v) for v in np.nonzero((G.grd == 0) & (G.tgt == G.unit))[0])
-        if m != int(G.idm[G.unit])]
-    pos = {m: i for i, m in enumerate(bmors)}
-    nb = len(bmors)
-    btbl = [[0] * nb for _ in range(nb)]
-    for i, mi in enumerate(bmors):
-        for j, mj in enumerate(bmors):
-            t = int(G.tmor[mi, mj])
-            if t not in pos:
-                raise NotStrict("grade-1 arrows into the unit are not closed")
-            btbl[i][j] = pos[t]
-    B = FiniteGroup(btbl)
-    d = tuple(int(G.src[m]) for m in bmors)
-    obj_inv = []
-    for x in range(G.n_obj):
-        cands = [y for y in range(G.n_obj) if int(G.tob[x, y]) == G.unit]
-        if not cands:
-            raise NotStrict(f"object {x} has no strict inverse")
-        obj_inv.append(cands[0])
-    theta = []
-    for y in range(G.n_obj):
-        row = []
-        for i, mi in enumerate(bmors):
-            t = int(G._tmor[G._tmor[G.idm[y], mi], G.idm[obj_inv[y]]])
-            if t not in pos:
-                raise NotStrict("conjugation leaves the kernel arrows")
-            row.append(pos[t])
-        theta.append(row)
-    eta = []
-    for x in range(G.n_obj):
-        row = []
-        for y in range(G.n_obj):
-            t = int(G._tmor[G._tmor[G.cset[x, y], G.idm[obj_inv[x]]],
-                            G.idm[obj_inv[y]]])
-            if t not in pos:
-                raise NotStrict("braiding composite leaves the kernel arrows")
-            row.append(pos[t])
-        eta.append(row)
+    # grade-1 arrows into the unit object form B, identity first; pos maps
+    # each arrow, the undefined one included, to its place in B, -1 off B
+    one = int(G.idm[G.unit])
+    bmors = np.concatenate([[one], np.nonzero(
+        (G.grd == 0) & (G.tgt == G.unit) & (np.arange(G.n_mor) != one))[0]])
+    pos = np.full(G.n_mor + 1, -1, dtype=np.int64)
+    pos[bmors] = np.arange(len(bmors))
+
+    def in_b(arrows, error, message):
+        table = pos[arrows]
+        if (table < 0).any():
+            raise error(message)
+        return table.tolist()
+
+    tmor = G._tmor
+    B = FiniteGroup(in_b(tmor[bmors[:, None], bmors], NotStrict,
+                         "grade-1 arrows into the unit are not closed"))
+    # the identities of the object inverses
+    inv = G.idm[list(D.inverses)]
+    theta = in_b(tmor[tmor[G.idm[:, None], bmors], inv[:, None]], NotStrict,
+                 "conjugation leaves the kernel arrows")
+    eta = in_b(tmor[tmor[G.cset, inv[:, None]], inv], NotStrict,
+               "braiding composite leaves the kernel arrows")
+    # grade s acts on B through the factor set, read at B's kernel positions
+    keep, remap = fs.kernel.meta["keep"], fs.kernel.meta["remap"]
+    act_b = in_b(keep[np.asarray(fs.mor_maps)[:, remap[bmors]]],
+                 NotRegularFactorSet, "factor set moves kernel arrows away")
     gam = G.gamma
-    keep = fs.kernel.meta["keep"]
-    act_d_rows = [ [int(fs.obj_maps[s][x]) for x in range(G.n_obj)]
-                   for s in range(gam.order) ]
-    act_b_rows = []
-    for s in range(gam.order):
-        row = []
-        for mi in bmors:
-            ki = int(np.nonzero(keep == mi)[0][0])
-            fm = int(keep[int(fs.mor_maps[s][ki])])
-            if fm not in pos:
-                raise NotRegularFactorSet("factor set moves kernel arrows away")
-            row.append(pos[fm])
-        act_b_rows.append(row)
     module = BraidedGammaCrossedModule(
-        B, D, d, theta, eta, gam,
-        GammaAction(gam, B, act_b_rows), GammaAction(gam, D, act_d_rows))
+        B, D, G.src[bmors], theta, eta, gam,
+        GammaAction(gam, B, act_b), GammaAction(gam, D, fs.obj_maps))
     report = module.validate()
     if not report.ok:
         raise NotStrict(f"rebuilt module fails validation: {report}")
@@ -655,6 +618,7 @@ def _functors(G, T, phi, f_map, guard):
     grade_keys = [(u, s) for u in range(1, nm) for s in range(1, ng)]
     Mt = G.tob
     actM = np.asarray(G.meta["M"].act.act, dtype=np.int64)
+    inv = T._inv
     for obj_combo in candidates(obj_fibers, guard):
         obj = np.asarray(obj_combo, dtype=np.int64)
         options = [_allowed(T, int(T.tob[obj[u], obj[v]]), int(obj[Mt[u, v]]))
@@ -664,17 +628,18 @@ def _functors(G, T, phi, f_map, guard):
         for combo in candidates(options, guard, size=n_maps):
             t2 = dict(zip(pair_keys, combo))
             ts = dict(zip(grade_keys, combo[len(pair_keys):]))
-            F = _assemble_functor(G, T, obj, t2, ts, f_map, actM)
+            F = _assemble_functor(G, T, obj, t2, ts, f_map, actM, inv)
             if F is not None and check_graded_functor(F).ok:
                 yield F
 
 
-def _assemble_functor(G, T, obj, t2, ts, f_map, actM):
-    """Fill the full comparison and morphism tables from free entries."""
+def _assemble_functor(G, T, obj, t2, ts, f_map, actM, inv):
+    """Fill the full comparison and morphism tables from free entries; inv
+    is T's padded inverse table."""
     nm = G.n_obj
     ft = np.zeros((nm, nm), dtype=np.int64)
     # the target's padded tables: an undefined (-1) index reads -1
-    comp, inv, tmor = T._comp, T._inv, T._tmor
+    comp, tmor = T._comp, T._tmor
     # a grade-1 arrow with payload a into w goes to f_map[a] (x) id_obj[w]
     fm = np.asarray(f_map, dtype=np.int64)
     for u in range(nm):

@@ -568,10 +568,6 @@ class FiniteAbelianGroup:
         self.generators = tuple(generators)
         self.coords = tuple(tuple(c) for c in coords)
 
-    @property
-    def moduli(self):
-        return list(self.invariants)
-
     def from_coords(self, vec):
         x = 0
         for g, k, d in zip(self.generators, vec, self.invariants):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from xmodcat import extensions as ex
 from xmodcat import functors as fn
 from xmodcat import groups as g
 from xmodcat import samples
-from xmodcat.errors import BadChoice, NotStrict
+from xmodcat.errors import (
+    BadChoice,
+    FNotConstantOnCosets,
+    NotCoherent,
+    NotRegular,
+    NotRegularFactorSet,
+    NotStrict,
+    WrongType,
+)
 
 Z2 = g.cyclic(2)
 Z4 = g.cyclic(4)
@@ -209,8 +218,266 @@ def test_nonstrict_reduced_rejected():
     assoc = [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]
     h = ch.Cochain3(Qm, Qm, assoc, h0.braid, h0.tensor, h0.comp)
     G = cg.build_reduced(Qm, Qm, h)
-    with pytest.raises(NotStrict):
+    with pytest.raises(NotStrict) as exc:
         fn.catgroup_to_crossed(G)
+    assert str(exc.value) == "associativity constraint is not the identity"
+
+
+# -- every refusal of the translation layer ------------------------------------
+
+def _z4_onto_z2():
+    """Z4 -> Z2, b -> b mod 2: three grade-1 arrows into the unit besides
+    its identity, with sources 1, 0, 1."""
+    return cg.build_catgroup(samples.abelian_module(Z4, Z2, [0, 1, 0, 1]))
+
+
+def _unit_not_zero():
+    G = _z4_onto_z2()
+    G.unit = 1
+    return G
+
+
+def _unit_constraint_edited():
+    G = _z4_onto_z2()
+    G.lset[1] = G.record(0, 2, 1)
+    return G
+
+
+def _object_tensor_not_associative():
+    # the associator is rewritten to match the edited object tensor, so the
+    # tensor alone is refused
+    G = cg.build_catgroup(samples.abelian_module(Z4, Z4, [0, 2, 0, 2]))
+    # a copy: a built category's tob is the object group's own table
+    G.tob = G.tob.copy()
+    G.tob[1, 1] = 0
+    o = np.arange(G.n_obj)
+    G.aset[:] = G.idm[G.tob[G.tob[o[:, None, None], o[None, :, None]],
+                            o[None, None, :]]]
+    return G
+
+
+def _factor_set_not_regular():
+    # a nonzero composition cochain: theta^{1,1} is not the identity
+    Qm = module(Z2, Z2)
+    h0 = ch.zero_cochain3(Qm, Qm)
+    h = ch.Cochain3(Qm, Qm, h0.assoc, h0.braid, h0.tensor,
+                    [[[0, 0], [0, 0]], [[0, 0], [0, 1]]])
+    return cg.build_reduced(Qm, Qm, h)
+
+
+def _unit_arrows(G):
+    return [m for m in range(G.n_mor) if G.grd[m] == 0 and G.tgt[m] == G.unit
+            and m != G.idm[G.unit]]
+
+
+def _unit_arrows_not_closed():
+    G = _z4_onto_z2()
+    b = _unit_arrows(G)
+    G.tmor[b[0], b[1]] = G.idm[1]
+    return G
+
+
+def _conjugation_leaves_kernel():
+    G = _z4_onto_z2()
+    G.tmor[G.idm[1], _unit_arrows(G)[0]] = G.idm[0]
+    return G
+
+
+def _braiding_leaves_kernel():
+    G = _z4_onto_z2()
+    G.cset[1, 1] = G.idm[1]
+    return G
+
+
+def _factor_set_moves_kernel_arrows():
+    # Z2 -> Z2 with d = 0 and a trivial Z2-grading.  The composites that
+    # give the grade-1 action on the arrows b: y -> y with payload 1 are
+    # edited to land in 1 + y: that map is still a strict tensor
+    # endomorphism of the kernel, so the factor set stays regular
+    triv = g.trivial_action(Z2, Z2)
+    G = cg.build_catgroup(samples.abelian_module(Z2, Z2, [0, 0], Z2, triv, triv))
+    ups, inv = fn.canonical_choices(G), G.inv.copy()
+    for y in range(2):
+        m = G.record(0, 1, y)
+        G.comp[ups[1, G.tgt[m]], G.comp[m, inv[ups[1, G.src[m]]]]] = \
+            G.record(0, 1, (1 + y) % 2)
+    return G
+
+
+def _rebuilt_module_invalid():
+    G = cg.build_catgroup(samples.abelian_module(Z4, Z4, [0, 2, 0, 2]))
+    G.cset[1, 0] = G.record(0, 2, 1)
+    return G
+
+
+@pytest.mark.parametrize("category, error, message", [
+    (_unit_not_zero, NotStrict, "unit object must be index 0"),
+    (_unit_constraint_edited, NotStrict, "unit constraints are not identities"),
+    (_object_tensor_not_associative, NotStrict,
+     "object tensor is not a group law: associativity fails at (1, 1, 2)"),
+    (_factor_set_not_regular, NotRegularFactorSet,
+     "canonical factor set is not regular"),
+    (_unit_arrows_not_closed, NotStrict,
+     "grade-1 arrows into the unit are not closed"),
+    (_conjugation_leaves_kernel, NotStrict,
+     "conjugation leaves the kernel arrows"),
+    (_braiding_leaves_kernel, NotStrict,
+     "braiding composite leaves the kernel arrows"),
+    (_factor_set_moves_kernel_arrows, NotRegularFactorSet,
+     "factor set moves kernel arrows away"),
+    (_rebuilt_module_invalid, NotStrict,
+     "rebuilt module fails validation: AxiomReport("
+     "braid-additive-right: FAIL x10 @ (1, 0, 0); "
+     "braid-additive-left: FAIL x6 @ (1, 2, 0); "
+     "braid-action-left: FAIL x2 @ (1, 0))"),
+], ids=["unit-not-zero", "unit-constraint", "object-tensor",
+        "factor-set-not-regular", "unit-arrows-not-closed", "conjugation",
+        "braiding", "moves-kernel-arrows", "rebuilt-module-invalid"])
+def test_catgroup_to_crossed_refusals(category, error, message):
+    with pytest.raises(error) as exc:
+        fn.catgroup_to_crossed(category())
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def _reduced_identity():
+    return fn.identity_functor(cg.build_reduced(module(Z2), module(Z2)))
+
+
+def _incoherent():
+    F = fn.identity_functor(cg.build_catgroup(samples.s3_a3_module(False)))
+    F.ftilde[1, 2] = F.target.n_mor + 5
+    return F
+
+
+def _transported_identity():
+    # the identity of Z3 -> Z3 (d = id) transported along the isomorphism
+    # 2 -> 1 of payload 1: coherent, but its object map is not a hom
+    G = cg.build_catgroup(samples.abelian_module(g.cyclic(3), g.cyclic(3),
+                                                 [0, 1, 2]))
+    th = G.idm.copy()
+    th[2] = G.record(0, 1, 1)
+    o, ms = np.arange(G.n_obj), np.arange(G.n_mor)
+    mor = G.comp[th[G.tgt], G.comp[ms, G.inv[th[G.src]]]]
+    ft = G.comp[th[G.tob], G.inv[G.tmor[th[o[:, None]], th[o[None, :]]]]]
+    F = fn.GradedFunctor(G, G, G.tgt[th], mor, ft, int(G.idm[0]))
+    assert fn.check_graded_functor(F).ok and not fn.is_regular(F)
+    return F
+
+
+# The refusals below read the payloads of a coherent regular functor.  On
+# a built target, coherence and regularity already imply that they pass, so
+# each case edits the label `pay` of one target arrow that coherence and
+# regularity do not read.
+
+def _z4_mod_2(gamma=False):
+    triv = g.trivial_action(Z2, Z4)
+    return cg.build_catgroup(samples.abelian_module(
+        Z4, Z4, [0, 2, 0, 2], *((Z2, triv, triv) if gamma else ())))
+
+
+def _payload_depends_on_target():
+    G = _z4_mod_2()
+    G.pay[G.record(0, 1, 2)] = 3
+    return fn.identity_functor(G)
+
+
+def _comparison_payload(value):
+    """The functor of Z4 -> Z4 (d = 2b) into Z4 x Z2 -> Z4 ((a, c) -> 2a)
+    with f1(b) = (b, 0) and comparison payload (0, 1) on the class of 1:
+    that arrow into 0 lies outside f1's image, and its label is set to
+    value."""
+    B2 = g.direct_product(Z4, Z2)
+    M = samples.abelian_module(Z4, Z4, [0, 2, 0, 2])
+    Mp = samples.abelian_module(B2, Z4, [2 * (e // 2) % 4 for e in range(8)])
+    phi = ch.SymmetricCochain2(M.pi0(), Mp.pi1(), [[0, 0], [0, 1]], [[0], [0]])
+    mor = xm.CrossedMorphism(M, Mp, g.GroupHom(Z4, B2, [0, 2, 4, 6]),
+                             g.identity_hom(Z4), phi)
+    S, T = cg.build_catgroup(M), cg.build_catgroup(Mp)
+    F = fn.morphism_to_functor(mor, S, T)
+    assert fn.functor_to_morphism(F) == mor
+    T.pay[T.record(0, 1, 0)] = value
+    return F
+
+
+def _grade_part_payload(value):
+    G = _z4_mod_2(gamma=True)
+    G.pay[G.record(1, 0, 2)] = value
+    return fn.identity_functor(G)
+
+
+@pytest.mark.parametrize("functor, error, message", [
+    (_reduced_identity, WrongType,
+     "translation requires categories built from modules"),
+    (_incoherent, NotCoherent,
+     "functor fails coherence: ('comparison-typing', (1, 2))"),
+    (_transported_identity, NotRegular, "functor is not regular"),
+    (_payload_depends_on_target, NotRegular,
+     "grade-1 payload of 1 depends on its target object"),
+    (partial(_comparison_payload, 2), FNotConstantOnCosets,
+     "comparison payload at (1, 3) is not in the kernel"),
+    (partial(_comparison_payload, 4), FNotConstantOnCosets,
+     "comparison at (1, 3) differs within its coset"),
+    (partial(_grade_part_payload, 1), FNotConstantOnCosets,
+     "grade part at (2, 1) is not in the kernel"),
+    (partial(_grade_part_payload, 2), FNotConstantOnCosets,
+     "grade part at (2, 1) differs within its coset"),
+], ids=["reduced-source", "incoherent", "object-map-not-a-hom",
+        "payload-depends-on-target", "comparison-outside-kernel",
+        "comparison-differs", "grade-part-outside-kernel",
+        "grade-part-differs"])
+def test_functor_to_morphism_refusals(functor, error, message):
+    with pytest.raises(error) as exc:
+        fn.functor_to_morphism(functor())
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def _bump(table, index, value=None):
+    """The edit of a factor set that sets table[index] to value, or adds 1
+    to it modulo the 18 kernel arrows of the S3 / A3 category."""
+    def edit(fs):
+        t = getattr(fs, table)
+        for i in index[:-1]:
+            t = t[i]
+        t[index[-1]] = (t[index[-1]] + 1) % 18 if value is None else value
+    return edit
+
+
+@pytest.mark.parametrize("edit, failures", [
+    (_bump("theta", (1, 1, 2)),
+     {"theta-monoidal-natural": (20, ("natural", 1, 1, 2)),
+      "theta-cocycle": (5, (0, 1, 1, 2))}),
+    (_bump("theta", (1, 0, 3), -1),
+     {"theta-unit": (1, (1, 3)),
+      "theta-monoidal-natural": (20, ("natural", 1, 0, 3)),
+      "theta-cocycle": (5, (0, 1, 0, 3))}),
+    (_bump("mor_maps", (1, 3)),
+     {"grade-1-functor": (1, ("morphism-map-typing", (3,))),
+      "theta-monoidal-natural": (15, ("natural", 0, 1, 3)),
+      "theta-cocycle": (4, (1, 0, 0, 3))}),
+    (_bump("mor_maps", (0, 4)),
+     {"grade-one-identity": (1, None),
+      "grade-0-functor": (1, ("morphism-map-typing", (4,))),
+      "theta-monoidal-natural": (16, ("natural", 0, 0, 4)),
+      "theta-cocycle": (4, (0, 0, 0, 4))}),
+    (_bump("ftildes", (1, 1, 2)),
+     {"grade-1-functor": (1, ("comparison-typing", (1, 2))),
+      "theta-monoidal-natural": (4, ("monoidal", 0, 1, 1, 2))}),
+    (_bump("fstars", (1,)),
+     {"grade-1-functor": (1, ("right-unit-compat", (0,))),
+      "theta-monoidal-natural": (3, ("unit", 0, 1))}),
+], ids=["theta", "theta-at-grade-one", "morphism-map", "grade-one-morphism-map",
+        "comparison", "unit-comparison"])
+def test_validate_factor_set_reports_every_family_on_edits(edit, failures):
+    fs = fn.extract_factor_set(cg.build_catgroup(samples.s3_a3_module(True)))
+    assert fs.kernel.n_mor == 18
+    edit(fs)
+    keys = ["grade-one-identity", "grade-0-functor", "grade-1-functor",
+            "theta-unit", "theta-monoidal-natural", "theta-cocycle"]
+    rep = fn.validate_factor_set(fs)
+    assert [(c.key, c.fail_count, c.first_witness) for c in rep.entries] == \
+        [(k, *failures.get(k, (0, None))) for k in keys]
 
 
 def test_is_homotopy_identity_and_violations():
@@ -346,6 +613,70 @@ def test_theta_unit_reports_each_failing_grade_and_object(x):
     assert check.fail_count == 1
     assert check.witnesses == ((1, x),)
 
+
+
+# -- theta's gathers against the per-instance loops they replace ---------------
+
+def _theta_loops(fs):
+    """The witnesses of theta-monoidal-natural and theta-cocycle, one
+    instance at a time, in scan order."""
+    K, gam = fs.kernel, fs.base.gamma
+    comp, tmor = K._comp, K._tmor
+    ng = gam.order
+    natural = []
+    for s in range(ng):
+        for t in range(ng):
+            st = gam.mul(s, t)
+            th = fs.theta[s][t]
+            for m in range(K.n_mor):
+                x, y = int(K.src[m]), int(K.tgt[m])
+                lhs = comp[th[y], fs.mor_maps[s][fs.mor_maps[t][m]]]
+                rhs = comp[fs.mor_maps[st][m], th[x]]
+                if lhs != rhs or lhs < 0:
+                    natural.append(("natural", s, t, m))
+            for x in range(K.n_obj):
+                for y in range(K.n_obj):
+                    fx, fy = int(fs.obj_maps[t][x]), int(fs.obj_maps[t][y])
+                    comp_ft = comp[fs.mor_maps[s][fs.ftildes[t][x, y]],
+                                   fs.ftildes[s][fx, fy]]
+                    lhs = comp[fs.ftildes[st][x, y], tmor[th[x], th[y]]]
+                    rhs = comp[th[int(K.tob[x, y])], comp_ft]
+                    if lhs != rhs or lhs < 0:
+                        natural.append(("monoidal", s, t, x, y))
+            lhs = comp[th[K.unit],
+                       comp[fs.mor_maps[s][fs.fstars[t]], fs.fstars[s]]]
+            if lhs != fs.fstars[st] or lhs < 0:
+                natural.append(("unit", s, t))
+    cocycle = []
+    for s, t, u in itertools.product(range(ng), repeat=3):
+        st, tu = gam.mul(s, t), gam.mul(t, u)
+        for x in range(K.n_obj):
+            fux = int(fs.obj_maps[u][x])
+            lhs = comp[fs.theta[st][u][x], fs.theta[s][t][fux]]
+            rhs = comp[fs.theta[s][tu][x], fs.mor_maps[s][fs.theta[t][u][x]]]
+            if lhs != rhs or lhs < 0:
+                cocycle.append((s, t, u, x))
+    return natural, cocycle
+
+
+def test_theta_families_match_the_loops():
+    rng = random.Random(7)
+    for m in [samples.s3_a3_module(True), samples.z4_negation_module(),
+              samples.d4_modules(True)[0]]:
+        G = cg.build_catgroup(m)
+        for trial in range(12):
+            fs = fn.extract_factor_set(G)
+            ng, no, nk = G.gamma.order, G.n_obj, fs.kernel.n_mor
+            # one entry of theta, a morphism map or a comparison, -1 allowed
+            table = [fs.theta[rng.randrange(ng)][rng.randrange(ng)],
+                     fs.mor_maps[rng.randrange(ng)],
+                     fs.ftildes[rng.randrange(ng)][rng.randrange(no)]][trial % 3]
+            table[rng.randrange(len(table))] = rng.randrange(-1, nk)
+            rep = fn.validate_factor_set(fs)
+            for key, wits in zip(("theta-monoidal-natural", "theta-cocycle"),
+                                 _theta_loops(fs)):
+                assert (rep[key].fail_count, rep[key].witnesses) == \
+                    (len(wits), tuple(wits[:16]))
 
 # -- _functor_into against the per-morphism record loops it replaces -----------
 
