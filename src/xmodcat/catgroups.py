@@ -150,9 +150,6 @@ class GradedCatGroup:
         """Morphism index from the shared (grade, payload, target) layout."""
         return _record(self.meta["n_pay"], self.n_obj, grade, payload, target)
 
-    def payload(self, m):
-        return int(self.pay[m])
-
     def pi0_partition(self):
         """Grade-1 isomorphism classes of objects: (labels, class count).
 

@@ -327,14 +327,6 @@ def _flat_add(Bt, a, b):
     return tuple(Bt[x][y] for x, y in zip(a, b))
 
 
-def _flat_coboundaries(Q, B, guard):
-    return sorted({d.flat() for d in all_coboundaries(Q, B, guard=guard)})
-
-
-def _canonical_flat(Bt, z, cobs_flat):
-    return min(_flat_add(Bt, z, d) for d in cobs_flat)
-
-
 def _cochain_from_flat(Q, B, flat):
     q, gn = Q.group.order, Q.gamma.order
     qq = [flat[i * q:(i + 1) * q] for i in range(q)]
@@ -344,36 +336,44 @@ def _cochain_from_flat(Q, B, flat):
 
 def canonical_class_rep(f, coboundaries):
     """Lexicographically least table in the coboundary coset of f."""
-    Bt = f.B.group.table
-    cobs_flat = sorted({d.flat() for d in coboundaries})
-    return _cochain_from_flat(f.Q, f.B, _canonical_flat(Bt, f.flat(), cobs_flat))
+    Bt, z = f.B.group.table, f.flat()
+    return _cochain_from_flat(
+        f.Q, f.B, min(_flat_add(Bt, z, d.flat()) for d in coboundaries))
+
+
+def _classes(Q, B, cocycles, guard, method):
+    """The H2Result of cocycles, flat tables that meet every class, and
+    the map from every cocycle's flat table to its class index.
+
+    Each class's coset is built once: the first of cocycles met in it plus
+    every coboundary.  Classes are numbered by their least table, which is
+    their representative, and the group table looks up rep_i + rep_j.
+    """
+    Bt = B.group.table
+    cobs = {d.flat() for d in all_coboundaries(Q, B, guard=guard)}
+    cosets, seen = [], set()
+    for z in cocycles:
+        if z not in seen:
+            cosets.append({_flat_add(Bt, z, d) for d in cobs})
+            seen |= cosets[-1]
+    cosets.sort(key=min)
+    reps = [min(c) for c in cosets]
+    index = {z: i for i, c in enumerate(cosets) for z in c}
+    grp = FiniteGroup([[index[_flat_add(Bt, a, b)] for b in reps]
+                       for a in reps])
+    res = H2Result(
+        invariants=[int(d) for d in decompose_abelian(grp).invariants],
+        representatives=[_cochain_from_flat(Q, B, k) for k in reps],
+        class_count=len(reps),
+        group=grp,
+        method=method,
+    )
+    return res, index
 
 
 def _h2_brute(Q, B, guard):
     cocycles = enumerate_symmetric_cocycles(Q, B, guard=guard)
-    cobs_flat = _flat_coboundaries(Q, B, guard)
-    Bt = B.group.table
-    reps = sorted({_canonical_flat(Bt, z.flat(), cobs_flat) for z in cocycles})
-    return _class_group(Q, B, reps, cobs_flat, "brute")
-
-
-def _class_group(Q, B, reps, cobs_flat, method):
-    Bt = B.group.table
-    index = {k: i for i, k in enumerate(reps)}
-    n = len(reps)
-    tbl = [[0] * n for _ in range(n)]
-    for i, ki in enumerate(reps):
-        for j, kj in enumerate(reps):
-            tbl[i][j] = index[_canonical_flat(Bt, _flat_add(Bt, ki, kj),
-                                              cobs_flat)]
-    grp = FiniteGroup(tbl)
-    return H2Result(
-        invariants=[int(d) for d in decompose_abelian(grp).invariants],
-        representatives=[_cochain_from_flat(Q, B, k) for k in reps],
-        class_count=n,
-        group=grp,
-        method=method,
-    )
+    return _classes(Q, B, (z.flat() for z in cocycles), guard, "brute")
 
 
 def _h2_snf(Q, B, guard):
@@ -394,32 +394,26 @@ def _h2_snf(Q, B, guard):
                                for c in dec.coords[getattr(d, kind)[x][y]]])
     pres = zlinalg.subquotient_presentation(ker_gens, delta_cols,
                                             list(dec.invariants) * len(keys))
-    cobs_flat = _flat_coboundaries(Q, B, guard)
     Bt = B.group.table
     gens = [_cochain(Q, B, keys, [dec.from_coords(lift[i:i + r])
                                   for i in range(0, n, r)]).flat()
             for lift in pres.lifts]
-    reps = set()
+    zero, elts = zero_cochain2(Q, B).flat(), []
     for combo in itertools.product(*(range(d) for d in pres.invariants)):
-        elt = zero_cochain2(Q, B).flat()
+        elt = zero
         for c, gen in zip(combo, gens):
             for _ in range(c):
                 elt = _flat_add(Bt, elt, gen)
-        reps.add(_canonical_flat(Bt, elt, cobs_flat))
-    return _class_group(Q, B, sorted(reps), cobs_flat, "snf")
+        elts.append(elt)
+    return _classes(Q, B, elts, guard, "snf")
 
 
-def all_cocycles(Q, B, guard=DEFAULT_GUARD, method="snf"):
-    """Every normalized symmetric 2-cocycle, as class representatives
-    shifted by every coboundary; sorted for determinism."""
-    res = h2(Q, B, guard=guard, method=method)
-    cobs = {d.flat(): d for d in all_coboundaries(Q, B, guard=guard)}
-    out = {}
-    for rep in res.representatives:
-        for d in cobs.values():
-            z = rep.add(d)
-            out[z.flat()] = z
-    return [out[k] for k in sorted(out)]
+def all_cocycles(Q, B, guard=DEFAULT_GUARD):
+    """Every normalized symmetric 2-cocycle: the union of the classes of
+    the snf route, sorted for determinism."""
+    _require_same_gamma(Q, B)
+    _, index = _h2_snf(Q, B, guard)
+    return [_cochain_from_flat(Q, B, z) for z in sorted(index)]
 
 
 def h2(Q: GammaModule, B: GammaModule, guard=DEFAULT_GUARD, method="snf"):
@@ -431,12 +425,12 @@ def h2(Q: GammaModule, B: GammaModule, guard=DEFAULT_GUARD, method="snf"):
     """
     _require_same_gamma(Q, B)
     if method == "brute":
-        return _h2_brute(Q, B, guard)
+        return _h2_brute(Q, B, guard)[0]
     if method == "snf":
-        return _h2_snf(Q, B, guard)
+        return _h2_snf(Q, B, guard)[0]
     if method == "both":
-        snf = _h2_snf(Q, B, guard)
-        brute = _h2_brute(Q, B, guard)
+        snf = _h2_snf(Q, B, guard)[0]
+        brute = _h2_brute(Q, B, guard)[0]
         if snf.invariants != brute.invariants:
             raise AssertionError(
                 f"h2 paths disagree: snf {snf.invariants} vs brute {brute.invariants}")
@@ -449,14 +443,35 @@ def h2(Q: GammaModule, B: GammaModule, guard=DEFAULT_GUARD, method="snf"):
 
 # -- degree-3 cochains --------------------------------------------------------
 
+# The tables of a 3-cochain, in argument order, each with its axes: "M"
+# runs over the elements of M, "G" over the grades of Gamma.  comp's axes
+# are the source object, the outer grade and the inner grade.
+_TABLES3 = (("assoc", "MMM"), ("braid", "MM"), ("tensor", "MMG"),
+            ("comp", "MGG"))
+
+
+def _shape3(M, axes):
+    return tuple(M.group.order if a == "M" else M.gamma.order for a in axes)
+
+
+def _nested(table, shape, name):
+    """table as nested tuples of ints of the given shape."""
+    if not shape:
+        return int(table)
+    try:
+        rows = tuple(table)
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != shape[0]:
+        raise ShapeMismatch(f"{name} table has wrong shape")
+    return tuple(_nested(row, shape[1:], name) for row in rows)
+
+
 class Cochain3:
-    """Normalized 3-cochain: typed tables valued in N.
+    """Normalized 3-cochain: one table valued in N per entry of _TABLES3,
+    held as nested tuples of ints."""
 
-    assoc is indexed by M^3, braid by M^2, tensor by M^2 x Gamma, and comp
-    by M x Gamma^2 (source object, outer grade, inner grade).
-    """
-
-    __slots__ = ("M", "N", "assoc", "braid", "tensor", "comp")
+    __slots__ = ("M", "N") + tuple(name for name, _ in _TABLES3)
 
     def __init__(self, M: GammaModule, N: GammaModule, assoc, braid, tensor, comp):
         _require_same_gamma(M, N)
@@ -464,98 +479,54 @@ class Cochain3:
             raise WrongType("cochain modules must be abelian")
         self.M = M
         self.N = N
-        m, g = M.group.order, M.gamma.order
-        self.assoc = tuple(tuple(tuple(int(v) for v in row) for row in plane)
-                           for plane in assoc)
-        self.braid = tuple(tuple(int(v) for v in row) for row in braid)
-        self.tensor = tuple(tuple(tuple(int(v) for v in row) for row in plane)
-                            for plane in tensor)
-        self.comp = tuple(tuple(tuple(int(v) for v in row) for row in plane)
-                          for plane in comp)
-        if (len(self.assoc) != m or any(len(p) != m for p in self.assoc)
-                or any(len(r) != m for p in self.assoc for r in p)):
-            raise ShapeMismatch("assoc table has wrong shape")
-        if len(self.braid) != m or any(len(r) != m for r in self.braid):
-            raise ShapeMismatch("braid table has wrong shape")
-        if (len(self.tensor) != m or any(len(p) != m for p in self.tensor)
-                or any(len(r) != g for p in self.tensor for r in p)):
-            raise ShapeMismatch("tensor table has wrong shape")
-        if (len(self.comp) != m or any(len(p) != g for p in self.comp)
-                or any(len(r) != g for p in self.comp for r in p)):
-            raise ShapeMismatch("comp table has wrong shape")
+        for (name, axes), table in zip(_TABLES3, (assoc, braid, tensor, comp)):
+            setattr(self, name, _nested(table, _shape3(M, axes), name))
         n = N.group.order
-        for name in ("assoc", "braid", "tensor", "comp"):
+        for name, _ in _TABLES3:
             a = np.array(getattr(self, name))
             if a.min() < 0 or a.max() >= n:
                 raise ShapeMismatch(f"{name} value outside [0, {n})")
             if any(np.take(a, 0, axis=i).any() for i in range(a.ndim)):
                 raise NotNormalized(f"{name} nonzero on a unit argument")
 
+    def _tables(self):
+        """The tables in _TABLES3 order."""
+        return tuple(getattr(self, name) for name, _ in _TABLES3)
+
     def __eq__(self, other):
         return (isinstance(other, Cochain3)
                 and self.M == other.M and self.N == other.N
-                and self.assoc == other.assoc and self.braid == other.braid
-                and self.tensor == other.tensor and self.comp == other.comp)
+                and self._tables() == other._tables())
 
     def __hash__(self):
-        return hash((self.assoc, self.braid, self.tensor, self.comp))
+        return hash(self._tables())
 
     def is_zero(self):
-        return (not any(v for p in self.assoc for r in p for v in r)
-                and not any(v for r in self.braid for v in r)
-                and not any(v for p in self.tensor for r in p for v in r)
-                and not any(v for p in self.comp for r in p for v in r))
-
-    def _map_values(self, N2, fn):
-        return Cochain3(
-            self.M, N2,
-            [[[fn(v) for v in row] for row in plane] for plane in self.assoc],
-            [[fn(v) for v in row] for row in self.braid],
-            [[[fn(v) for v in row] for row in plane] for plane in self.tensor],
-            [[[fn(v) for v in row] for row in plane] for plane in self.comp])
+        return not any(np.any(t) for t in self._tables())
 
     def sub(self, other):
         if self.M != other.M or self.N != other.N:
             raise ShapeMismatch("cochain difference across different modules")
-        add, inv = self.N.group.mul, self.N.group.inv
-
-        def zip3(a, b):
-            return [[[add(x, inv(y)) for x, y in zip(ra, rb)]
-                     for ra, rb in zip(pa, pb)] for pa, pb in zip(a, b)]
-
-        return Cochain3(
-            self.M, self.N,
-            zip3(self.assoc, other.assoc),
-            [[add(x, inv(y)) for x, y in zip(ra, rb)]
-             for ra, rb in zip(self.braid, other.braid)],
-            zip3(self.tensor, other.tensor),
-            zip3(self.comp, other.comp))
+        Ng = self.N.group
+        inv = np.array(Ng.inverses)
+        return Cochain3(self.M, self.N, *(
+            Ng.np_table[np.array(a), inv[np.array(b)]]
+            for a, b in zip(self._tables(), other._tables())))
 
     def to_json(self):
-        return {"assoc": [[list(r) for r in p] for p in self.assoc],
-                "braid": [list(r) for r in self.braid],
-                "tensor": [[list(r) for r in p] for p in self.tensor],
-                "comp": [[list(r) for r in p] for p in self.comp]}
+        return {name: np.array(t).tolist()
+                for (name, _), t in zip(_TABLES3, self._tables())}
 
 
 def zero_cochain3(M, N):
-    m, g = M.group.order, M.gamma.order
-    return Cochain3(
-        M, N,
-        [[[0] * m for _ in range(m)] for _ in range(m)],
-        [[0] * m for _ in range(m)],
-        [[[0] * g for _ in range(m)] for _ in range(m)],
-        [[[0] * g for _ in range(g)] for _ in range(m)])
+    return Cochain3(M, N, *(np.zeros(_shape3(M, axes), dtype=np.int64)
+                            for _, axes in _TABLES3))
 
 
 def random_cochain3(M, N, rng):
     """A random normalized 3-cochain (not necessarily a cocycle)."""
     m, g, n = M.group.order, M.gamma.order, N.group.order
-    h = zero_cochain3(M, N)
-    assoc = [[list(r) for r in p] for p in h.assoc]
-    braid = [list(r) for r in h.braid]
-    tensor = [[list(r) for r in p] for p in h.tensor]
-    comp = [[list(r) for r in p] for p in h.comp]
+    assoc, braid, tensor, comp = map(np.array, zero_cochain3(M, N)._tables())
     for r in range(1, m):
         for s in range(1, m):
             braid[r][s] = rng.randrange(n)
@@ -581,17 +552,10 @@ def pullback3(phi, Qmod: GammaModule, h: Cochain3):
         for u in range(Qmod.group.order):
             if phi[Qmod.act(s, u)] != h.M.act(s, phi[u]):
                 raise WrongType("pullback map is not equivariant")
-    m = Qmod.group.order
-    g = Qmod.gamma.order
-    return Cochain3(
-        Qmod, h.N,
-        [[[h.assoc[phi[r]][phi[s]][phi[t]] for t in range(m)]
-          for s in range(m)] for r in range(m)],
-        [[h.braid[phi[r]][phi[s]] for s in range(m)] for r in range(m)],
-        [[[h.tensor[phi[r]][phi[s]][t] for t in range(g)]
-          for s in range(m)] for r in range(m)],
-        [[[h.comp[phi[r]][t][u] for u in range(g)] for t in range(g)]
-         for r in range(m)])
+    along = {"M": phi, "G": range(Qmod.gamma.order)}
+    return Cochain3(Qmod, h.N, *(
+        np.array(t)[np.ix_(*(along[a] for a in axes))]
+        for (_, axes), t in zip(_TABLES3, h._tables())))
 
 
 def pushforward3(fmap, Nmod: GammaModule, h: Cochain3):
@@ -604,7 +568,8 @@ def pushforward3(fmap, Nmod: GammaModule, h: Cochain3):
         for a in range(h.N.group.order):
             if fmap[h.N.act(s, a)] != Nmod.act(s, fmap[a]):
                 raise WrongType("pushforward map is not equivariant")
-    return h._map_values(Nmod, lambda v: fmap[v])
+    return Cochain3(h.M, Nmod, *(np.array(fmap)[np.array(t)]
+                                 for t in h._tables()))
 
 
 def obstruction(phi, f, h: Cochain3, hprime: Cochain3, Qmod=None, Nmod=None):

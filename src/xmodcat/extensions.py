@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import cohomology
 from .catgroups import GradedCatGroup, build_catgroup, dis, reduce_abelian
 from .cohomology import SymmetricCochain2, is_2cocycle, pullback3
@@ -160,7 +162,7 @@ def extract_section_cochain(ext: GammaModuleExtension, section=None):
     return SymmetricCochain2(Q, Bmod, qq, qg)
 
 
-def extension_from_functor(F: GradedFunctor, check=True):
+def extension_from_functor(F: GradedFunctor):
     """The crossed product extension attached to a coherent functor from
     the discrete model on Q into the category built on an abelian module."""
     S, T = F.source, F.target
@@ -176,14 +178,13 @@ def extension_from_functor(F: GradedFunctor, check=True):
         raise WrongType("source must have trivial unit endomorphisms")
     if int(F.obj[S.unit]) != T.unit:
         raise WrongType("functor must send the unit object to the unit")
-    if check:
-        rep = check_graded_functor(F)
-        if not rep.ok:
-            raise NotCoherent(f"functor fails coherence: {rep.first_failure()}")
-    q = Qmod.group.order
-    fqq = [[T.payload(int(F.ftilde[u, v])) for v in range(q)] for u in range(q)]
-    fqg = [[T.payload(int(F.mor[S.record(s, 0, Qmod.act(s, u))]))
-            for s in range(M.gamma.order)] for u in range(q)]
+    rep = check_graded_functor(F)
+    if not rep.ok:
+        raise NotCoherent(f"functor fails coherence: {rep.first_failure()}")
+    # the grade-s arrow u -> s.u with the identity payload, at [u, s]
+    lifts = S.record(np.arange(Qmod.gamma.order), 0, np.asarray(Qmod.act.act).T)
+    fqq = T.pay[F.ftilde].tolist()
+    fqg = T.pay[F.mor[lifts]].tolist()
     ext = _crossed_product(M, Qmod, fqq, fqg, [int(v) for v in F.obj])
     problems = ext.validate()
     if problems:

@@ -92,6 +92,7 @@ class FiniteGroup:
         if self._np is None:
             import numpy as np
             self._np = np.asarray(self.table, dtype=np.int64)
+            self._np.flags.writeable = False
         return self._np
 
     def __eq__(self, other):
@@ -686,7 +687,7 @@ def minimal_generators(G):
     return tuple(gens)
 
 
-def enumerate_homs(G, H, limit=None):
+def enumerate_homs(G, H):
     """All homomorphisms G -> H, by backtracking over generator images."""
     gens = minimal_generators(G)
     if not gens:
@@ -702,7 +703,6 @@ def enumerate_homs(G, H, limit=None):
             if y not in words:
                 words[y] = words[x] + (i,)
                 frontier.append(y)
-    count = 0
     for images in itertools.product(range(H.order), repeat=len(gens)):
         mapping = [0] * G.order
         for x, word in words.items():
@@ -713,9 +713,6 @@ def enumerate_homs(G, H, limit=None):
         f = GroupHom(G, H, mapping)
         if f.is_hom():
             yield f
-            count += 1
-            if limit is not None and count >= limit:
-                return
 
 
 def enumerate_automorphisms(G):

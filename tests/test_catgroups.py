@@ -810,3 +810,14 @@ def test_builders_match_the_per_morphism_reference():
                                _reference_reduced(P, K, h))
                 reduced += 1
     assert reduced >= 20
+
+
+def test_built_category_cannot_rewrite_a_cached_group():
+    """A built category's object tensor is the object group's cached
+    np_table, and cyclic(4) is shared by every caller in the process: an
+    in-place edit is refused instead of rewriting Z4."""
+    G = cg.build_catgroup(samples.abelian_module(Z4, Z4, [0, 2, 0, 2]))
+    assert np.shares_memory(G.tob, g.cyclic(4).np_table)
+    with pytest.raises(ValueError):
+        G.tob[1, 1] = 0
+    assert g.cyclic(4).np_table.tolist() == [list(r) for r in Z4.table]

@@ -282,6 +282,31 @@ def test_all_cocycles_counts():
     assert all(ch.is_2cocycle(z)[0] for z in zs)
 
 
+def _class_layer_pairs():
+    """Every other pair of the dual-path grid, which leaves out K4/K4 with
+    Gamma = Z2 acting trivially (256 classes, 35 s of oracle calls), and
+    the nonabelian-Gamma pairs."""
+    return criterion_4_pairs()[::2] + s3_pairs()
+
+
+def test_all_cocycles_are_the_enumerated_cocycles():
+    for Q, B in _class_layer_pairs():
+        assert [z.flat() for z in ch.all_cocycles(Q, B)] == \
+            sorted(z.flat() for z in ch.enumerate_symmetric_cocycles(Q, B))
+
+
+def test_class_group_adds_canonical_representatives():
+    """Entry (i, j) of the class group is the class of the least table in
+    the coset of rep_i + rep_j, found by the per-element oracle."""
+    for Q, B in _class_layer_pairs():
+        res = ch.h2(Q, B)
+        cobs = ch.all_coboundaries(Q, B)
+        reps = [f.flat() for f in res.representatives]
+        assert [[reps.index(ch.canonical_class_rep(a.add(b), cobs).flat())
+                 for b in res.representatives]
+                for a in res.representatives] == list(map(list, res.group.table))
+
+
 def test_cochain3_normalization_and_random():
     M = module(Z2, Z2)
     N = module(Z4, Z2, [0, 3, 2, 1])
