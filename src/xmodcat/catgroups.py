@@ -29,7 +29,7 @@ import numpy as np
 from .cohomology import Cochain3, zero_cochain3
 from .crossed import _WITNESS_CAP, AxiomCheck, AxiomReport
 from .errors import DEFAULT_GUARD, NotStrict, SearchSpaceTooLarge, ShapeMismatch
-from .groups import GammaModule, trivial_group
+from .groups import GammaModule, least_preimages, trivial_group
 
 
 def _padded(table):
@@ -849,44 +849,35 @@ def reduce_abelian(module, guard=DEFAULT_GUARD):
     B, D, gam = module.B, module.D, module.gamma
     P = module.pi0()
     K = module.pi1()
-    proj = module.pi0_projection()
     emb = module.pi1_embedding()
-    kpos = {e: i for i, e in enumerate(emb)}
     q = P.group.order
-    reps = [min(x for x in D.elements() if proj(x) == r) for r in range(q)]
-
-    def least_preimage(target):
-        for b in B.elements():
-            if module.d[b] == target:
-                return b
-        raise NotStrict("element not in the boundary image")
-
-    beta = [[least_preimage(D.mul(D.mul(reps[r], reps[s]),
-                                  D.inv(reps[P.group.mul(r, s)])))
+    reps = least_preimages(module.pi0_projection().map, q)
+    pre = least_preimages(module.d, D.order)
+    beta = [[pre[D.mul(D.mul(reps[r], reps[s]),
+                       D.inv(reps[P.group.mul(r, s)]))]
              for s in range(q)] for r in range(q)]
     ng = gam.order
-    gamm = [[least_preimage(D.mul(module.act_d(s, reps[r]),
-                                  D.inv(reps[P.act(s, r)])))
+    gamm = [[pre[D.mul(module.act_d(s, reps[r]), D.inv(reps[P.act(s, r)]))]
              for s in range(ng)] for r in range(q)]
-
-    def kidx(b):
-        return kpos[b]
-
+    if any(-1 in row for row in beta + gamm):
+        raise NotStrict("element not in the boundary image")
+    # a value off ker d reads -1, which Cochain3 refuses as out of range
+    kix = least_preimages(emb, B.order)
     Bm = B.mul
     Bi = B.inv
-    assoc = [[[kidx(Bm(Bm(beta[s][t], beta[r][P.group.mul(s, t)]),
-                       Bi(Bm(beta[r][s], beta[P.group.mul(r, s)][t]))))
+    assoc = [[[kix[Bm(Bm(beta[s][t], beta[r][P.group.mul(s, t)]),
+                       Bi(Bm(beta[r][s], beta[P.group.mul(r, s)][t])))]
                for t in range(q)] for s in range(q)] for r in range(q)]
-    braid = [[kidx(Bm(beta[s][r], Bi(beta[r][s])))
+    braid = [[kix[Bm(beta[s][r], Bi(beta[r][s]))]
               for s in range(q)] for r in range(q)]
-    tensor = [[[kidx(Bm(Bm(Bm(gamm[r][s], gamm[rp][s]),
+    tensor = [[[kix[Bm(Bm(Bm(gamm[r][s], gamm[rp][s]),
                           beta[P.act(s, r)][P.act(s, rp)]),
                        Bi(Bm(module.act_b(s, beta[r][rp]),
-                             gamm[P.group.mul(r, rp)][s]))))
+                             gamm[P.group.mul(r, rp)][s])))]
                 for s in range(ng)] for rp in range(q)] for r in range(q)]
-    compc = [[[kidx(Bm(Bm(module.act_b(t, gamm[r][s]),
+    compc = [[[kix[Bm(Bm(module.act_b(t, gamm[r][s]),
                           gamm[P.act(s, r)][t]),
-                       Bi(gamm[r][gam.mul(t, s)])))
+                       Bi(gamm[r][gam.mul(t, s)]))]
                for s in range(ng)] for t in range(ng)] for r in range(q)]
     h = Cochain3(P, K, assoc, braid, tensor, compc)
 

@@ -126,11 +126,11 @@ def _seed(options):
     return _decode(options, "seed", int, "options", default=0)
 
 
-def _report_axioms(lines, report, prefix=""):
+def _report_axioms(lines, report):
     ok = True
     for e in report.entries:
         status = "pass" if e.ok else f"FAIL x{e.fail_count} witness={e.first_witness}"
-        lines.append(f"{prefix}{e.key}: {status}")
+        lines.append(f"{e.key}: {status}")
         ok = ok and e.ok
     return ok
 

@@ -39,7 +39,13 @@ from .errors import (
     WrongType,
     candidates,
 )
-from .groups import FiniteGroup, GammaModule, GroupHom, decompose_abelian
+from .groups import (
+    FiniteGroup,
+    GammaModule,
+    GroupHom,
+    _equivariance_failures,
+    decompose_abelian,
+)
 
 
 def _require_same_gamma(*modules):
@@ -548,10 +554,8 @@ def pullback3(phi, Qmod: GammaModule, h: Cochain3):
     f = GroupHom(Qmod.group, h.M.group, phi)
     if not f.is_hom():
         raise WrongType("pullback map is not a homomorphism")
-    for s in range(Qmod.gamma.order):
-        for u in range(Qmod.group.order):
-            if phi[Qmod.act(s, u)] != h.M.act(s, phi[u]):
-                raise WrongType("pullback map is not equivariant")
+    if any(_equivariance_failures(phi, Qmod.act.act, h.M.act.act)):
+        raise WrongType("pullback map is not equivariant")
     along = {"M": phi, "G": range(Qmod.gamma.order)}
     return Cochain3(Qmod, h.N, *(
         np.array(t)[np.ix_(*(along[a] for a in axes))]
@@ -564,15 +568,13 @@ def pushforward3(fmap, Nmod: GammaModule, h: Cochain3):
     f = GroupHom(h.N.group, Nmod.group, fmap)
     if not f.is_hom():
         raise WrongType("pushforward map is not a homomorphism")
-    for s in range(h.N.gamma.order):
-        for a in range(h.N.group.order):
-            if fmap[h.N.act(s, a)] != Nmod.act(s, fmap[a]):
-                raise WrongType("pushforward map is not equivariant")
+    if any(_equivariance_failures(fmap, h.N.act.act, Nmod.act.act)):
+        raise WrongType("pushforward map is not equivariant")
     return Cochain3(h.M, Nmod, *(np.array(fmap)[np.array(t)]
                                  for t in h._tables()))
 
 
-def obstruction(phi, f, h: Cochain3, hprime: Cochain3, Qmod=None, Nmod=None):
+def obstruction(phi, f, h: Cochain3, hprime: Cochain3, Qmod=None):
     """phi^* h' - f_* h, valued in the coefficient module of h'."""
     src = Qmod if Qmod is not None else h.M
     pulled = pullback3(phi, src, hprime)

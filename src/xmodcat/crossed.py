@@ -26,9 +26,11 @@ from .groups import (
     GammaModule,
     GroupHom,
     _action_failures,
+    _equivariance_failures,
     commutator_subgroup,
     identity_hom,
     is_normal,
+    least_preimages,
     quotient,
     subgroup_as_group,
     trivial_action,
@@ -167,9 +169,8 @@ class BraidedGammaCrossedModule:
                 if th[D.mul(x, y)][b] != th[x][th[y][b]])),
             AxiomCheck("gammaB-action", _action_failures(ab)),
             AxiomCheck("gammaD-action", _action_failures(ad)),
-            AxiomCheck("boundary-equivariant", (
-                (s, b) for s in gam.elements() for b in B.elements()
-                if d[ab(s, b)] != ad(s, d[b]))),
+            AxiomCheck("boundary-equivariant",
+                       _equivariance_failures(d, ab.act, ad.act)),
             # theta d = mu: the action along the boundary is conjugation in B
             AxiomCheck("lifted-conjugation", (
                 (b, c) for b in B.elements() for c in B.elements()
@@ -236,16 +237,11 @@ class BraidedGammaCrossedModule:
                     if self.theta[x][a] != a:
                         raise GroupError(
                             f"induced action on the kernel is not trivial at ({x}, {a})")
-            pos = {e: i for i, e in enumerate(embed)}
-            rows = []
-            for s in self.gamma.elements():
-                row = []
-                for i, e in enumerate(embed):
-                    v = self.act_b(s, e)
-                    if v not in pos:
-                        raise NotGammaStable(f"kernel not stable under grade {s}")
-                    row.append(pos[v])
-                rows.append(row)
+            pos = least_preimages(embed, self.B.order)
+            rows = [[pos[row[e]] for e in embed] for row in self.act_b.act]
+            for s, row in enumerate(rows):
+                if -1 in row:
+                    raise NotGammaStable(f"kernel not stable under grade {s}")
             mod = GammaModule(sub, GammaAction(self.gamma, sub, rows))
             self._pi1 = (mod, embed)
         return self._pi1[0]
@@ -353,7 +349,7 @@ def conjugation_module(G, N, gamma=None, act=None):
             if act(s, n) not in Nset:
                 raise NotGammaStable(f"grade {s} moves {n} out of the subgroup")
     B, embed = subgroup_as_group(G, N)
-    pos = {e: i for i, e in enumerate(embed)}
+    pos = least_preimages(embed, G.order)
     d = tuple(embed)
     theta = tuple(tuple(pos[G.conj(x, e)] for e in embed) for x in G.elements())
     eta = tuple(tuple(pos[G.mul(G.mul(x, y), G.mul(G.inv(x), G.inv(y)))]
@@ -419,10 +415,9 @@ def identity_morphism(module):
                            identity_hom(module.B), identity_hom(module.D))
 
 
-def validate_morphism(m: CrossedMorphism, M=None, Mp=None):
-    """Axiom report for a morphism; M and Mp default to the stored ends."""
-    M = M if M is not None else m.source
-    Mp = Mp if Mp is not None else m.target
+def validate_morphism(m: CrossedMorphism):
+    """Axiom report for a morphism between its stored ends."""
+    M, Mp = m.source, m.target
     f1, f0 = m.f1, m.f0
     if f1.domain != M.B or f1.codomain != Mp.B:
         raise ShapeMismatch("f1 does not run between the B groups")
@@ -435,12 +430,10 @@ def validate_morphism(m: CrossedMorphism, M=None, Mp=None):
         AxiomCheck("f0-hom", (
             (x, y) for x in M.D.elements() for y in M.D.elements()
             if f0(M.D.mul(x, y)) != Mp.D.mul(f0(x), f0(y)))),
-        AxiomCheck("f1-equivariant", (
-            (s, b) for s in M.gamma.elements() for b in M.B.elements()
-            if f1(M.act_b(s, b)) != Mp.act_b(s, f1(b)))),
-        AxiomCheck("f0-equivariant", (
-            (s, x) for s in M.gamma.elements() for x in M.D.elements()
-            if f0(M.act_d(s, x)) != Mp.act_d(s, f0(x)))),
+        AxiomCheck("f1-equivariant",
+                   _equivariance_failures(f1.map, M.act_b.act, Mp.act_b.act)),
+        AxiomCheck("f0-equivariant",
+                   _equivariance_failures(f0.map, M.act_d.act, Mp.act_d.act)),
         AxiomCheck("boundary-compat", (
             (b,) for b in M.B.elements() if f0(M.d[b]) != Mp.d[f1(b)])),
         AxiomCheck("action-compat", (
@@ -469,26 +462,20 @@ def compose_morphisms(m2: CrossedMorphism, m1: CrossedMorphism):
     f0 = m2.f0.compose(m1.f0)
     Q = M.pi0()
     N2 = Mpp.pi1()
-    ker1 = Mm.pi1()
-    emb1 = Mm.pi1_embedding()
-    emb2 = Mpp.pi1_embedding()
-    pos2 = {e: i for i, e in enumerate(emb2)}
-    proj_m = Mm.pi0_projection()
-    proj_s = M.pi0_projection()
+    # ker(d') index -> ker(d'') index through f1 of the middle stage, -1
+    # where f1 leaves ker(d'')
+    pos2 = least_preimages(Mpp.pi1_embedding(), Mpp.B.order)
+    on_ker = [pos2[m2.f1(e)] for e in Mm.pi1_embedding()]
     # induced map on cokernels: coset of x -> coset of f0(x)
-    reps = [min(x for x in M.D.elements() if proj_s(x) == r)
-            for r in range(Q.group.order)]
-    fbar = [proj_m(m1.f0(reps[r])) for r in range(Q.group.order)]
-
-    def push(v):
-        # ker(d') index -> ker(d'') index through f1 of the middle stage
-        img = m2.f1(emb1[v])
-        return pos2[img]
-
-    qq = [[N2.group.mul(push(m1.phi.qq[r][s]),
+    proj_m = Mm.pi0_projection()
+    reps = least_preimages(M.pi0_projection().map, Q.group.order)
+    fbar = [proj_m(m1.f0(x)) for x in reps]
+    if any(on_ker[v] < 0 for row in m1.phi.qq + m1.phi.qg for v in row):
+        raise ShapeMismatch("f1 moves a phi value off the boundary's kernel")
+    qq = [[N2.group.mul(on_ker[m1.phi.qq[r][s]],
                         m2.phi.qq[fbar[r]][fbar[s]])
            for s in range(Q.group.order)] for r in range(Q.group.order)]
-    qg = [[N2.group.mul(push(m1.phi.qg[r][s]),
+    qg = [[N2.group.mul(on_ker[m1.phi.qg[r][s]],
                         m2.phi.qg[fbar[r]][s])
            for s in range(M.gamma.order)] for r in range(Q.group.order)]
     phi = SymmetricCochain2(Q, N2, qq, qg)

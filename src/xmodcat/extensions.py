@@ -35,7 +35,14 @@ from .functors import (
     find_homotopy,
     homotopy_classes,
 )
-from .groups import FiniteGroup, GammaAction, GammaModule, GroupHom
+from .groups import (
+    FiniteGroup,
+    GammaAction,
+    GammaModule,
+    GroupHom,
+    _equivariance_failures,
+    least_preimages,
+)
 
 
 class GammaModuleExtension:
@@ -63,32 +70,22 @@ class GammaModuleExtension:
             raise ShapeMismatch("p must run E -> Q")
         if self.eps.domain != E.group or self.eps.codomain != M.D:
             raise ShapeMismatch("eps must run E -> D")
-        problems = []
-        for f, name in ((self.j, "j"), (self.p, "p"), (self.eps, "eps")):
-            if not f.is_hom():
-                problems.append(f"{name} is not a homomorphism")
+        if E.gamma != M.gamma or Q.gamma != M.gamma:
+            raise ShapeMismatch("E and Q must be graded by the module's gamma")
+        maps = (("j", self.j, M.act_b, E.act), ("p", self.p, E.act, Q.act),
+                ("eps", self.eps, E.act, M.act_d))
+        problems = [f"{name} is not a homomorphism"
+                    for name, f, _, _ in maps if not f.is_hom()]
         if not self.j.is_injective():
             problems.append("j is not injective")
         if not self.p.is_surjective():
             problems.append("p is not surjective")
         if set(self.j.map) != set(self.p.kernel_elements()):
             problems.append("image of j differs from kernel of p")
-        for s in range(M.gamma.order):
-            for b in M.B.elements():
-                if self.j(M.act_b(s, b)) != E.act(s, self.j(b)):
-                    problems.append("j is not equivariant")
-                    break
-            for e in E.group.elements():
-                if self.p(E.act(s, e)) != Q.act(s, self.p(e)):
-                    problems.append("p is not equivariant")
-                    break
-                if self.eps(E.act(s, e)) != M.act_d(s, self.eps(e)):
-                    problems.append("eps is not equivariant")
-                    break
-        for b in M.B.elements():
-            if self.eps(self.j(b)) != M.d[b]:
-                problems.append("eps . j differs from the boundary")
-                break
+        problems += [f"{name} is not equivariant" for name, f, dom, cod in maps
+                     if any(_equivariance_failures(f.map, dom.act, cod.act))]
+        if any(self.eps(self.j(b)) != M.d[b] for b in M.B.elements()):
+            problems.append("eps . j differs from the boundary")
         return problems
 
     @property
@@ -97,11 +94,10 @@ class GammaModuleExtension:
 
     def canonical_section(self):
         """e_u = least preimage of u, with e_0 = 0."""
-        out = []
-        for u in self.Q.group.elements():
-            out.append(min(e for e in self.E.group.elements()
-                           if self.p(e) == u))
-        return out
+        section = least_preimages(self.p.map, self.Q.group.order)
+        if -1 in section:
+            raise BadSection(f"p has no preimage of {section.index(-1)}")
+        return section
 
     def __repr__(self):
         return (f"GammaModuleExtension(|B|={self.module.B.order}, "
@@ -145,19 +141,15 @@ def extract_section_cochain(ext: GammaModuleExtension, section=None):
     for u in Q.group.elements():
         if ext.p(section[u]) != u:
             raise BadSection(f"section value at {u} is not a preimage")
-    jpos = {ext.j(b): b for b in M.B.elements()}
+    jinv = least_preimages(ext.j.map, E.group.order)
     Eg = E.group
-
-    def jinv(x):
-        if x not in jpos:
-            raise BadSection("section defect left the kernel of p")
-        return jpos[x]
-
-    qq = [[jinv(Eg.mul(Eg.mul(section[u], section[v]),
-                       Eg.inv(section[Q.group.mul(u, v)])))
+    qq = [[jinv[Eg.mul(Eg.mul(section[u], section[v]),
+                       Eg.inv(section[Q.group.mul(u, v)]))]
            for v in Q.group.elements()] for u in Q.group.elements()]
-    qg = [[jinv(Eg.mul(E.act(s, section[u]), Eg.inv(section[Q.act(s, u)])))
+    qg = [[jinv[Eg.mul(E.act(s, section[u]), Eg.inv(section[Q.act(s, u)]))]
            for s in range(Q.gamma.order)] for u in Q.group.elements()]
+    if any(-1 in row for row in qq + qg):
+        raise BadSection("section defect left the kernel of p")
     Bmod = GammaModule(M.B, M.act_b)
     return SymmetricCochain2(Q, Bmod, qq, qg)
 
@@ -229,7 +221,7 @@ def are_equivalent(ext: GammaModuleExtension, ext2: GammaModuleExtension,
     """
     if ext.module != ext2.module or ext.Q != ext2.Q:
         raise ShapeMismatch("extensions must share the module and the base")
-    M, Qmod = ext.module, ext.Q
+    Qmod = ext.Q
     E1, E2 = ext.E, ext2.E
     if E1.group.order != E2.group.order:
         return None
@@ -237,22 +229,22 @@ def are_equivalent(ext: GammaModuleExtension, ext2: GammaModuleExtension,
     q = Qmod.group.order
     fibers = [[e for e in E2.group.elements() if ext2.p(e) == u]
               for u in range(1, q)]
-    jpos = {ext.j(b): b for b in M.B.elements()}
+    # x = j(b) sec[p(x)] with b = parts[x]
+    jinv = least_preimages(ext.j.map, E1.group.order)
+    parts = [jinv[E1.group.mul(x, E1.group.inv(sec[u]))]
+             for x, u in enumerate(ext.p.map)]
+    if -1 in parts:
+        raise BadSection("section defect left the kernel of p")
     for combo in candidates(fibers, guard):
         alpha_u = [0] + list(combo)
-        table = [0] * E1.group.order
-        for x in E1.group.elements():
-            u = ext.p(x)
-            rest = E1.group.mul(x, E1.group.inv(sec[u]))
-            b = jpos[rest]
-            table[x] = E2.group.mul(ext2.j(b), alpha_u[u])
+        table = [E2.group.mul(ext2.j(b), alpha_u[u])
+                 for b, u in zip(parts, ext.p.map)]
         if len(set(table)) != len(table):
             continue
         alpha = GroupHom(E1.group, E2.group, table)
         if not alpha.is_hom():
             continue
-        if any(alpha(E1.act(s, x)) != E2.act(s, alpha(x))
-               for s in range(M.gamma.order) for x in E1.group.elements()):
+        if any(_equivariance_failures(table, E1.act.act, E2.act.act)):
             continue
         if any(ext2.eps(alpha(x)) != ext.eps(x) for x in E1.group.elements()):
             continue
@@ -283,10 +275,8 @@ def _check_psi(M, Qmod, psi):
     f = GroupHom(Qmod.group, P.group, psi)
     if not f.is_hom():
         raise WrongType("psi is not a homomorphism")
-    for s in range(Qmod.gamma.order):
-        for u in Qmod.group.elements():
-            if f(Qmod.act(s, u)) != P.act(s, f(u)):
-                raise WrongType("psi is not equivariant")
+    if any(_equivariance_failures(f.map, Qmod.act.act, P.act.act)):
+        raise WrongType("psi is not equivariant")
     return f
 
 

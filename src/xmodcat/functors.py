@@ -35,7 +35,7 @@ from .errors import (
     WrongType,
     candidates,
 )
-from .groups import FiniteGroup, GammaAction, GroupHom
+from .groups import FiniteGroup, GammaAction, GroupHom, least_preimages
 
 
 class GradedFunctor:
@@ -357,8 +357,7 @@ def morphism_to_functor(m: CrossedMorphism, source_cat=None, target_cat=None):
     M, Mp = m.source, m.target
     G = source_cat if source_cat is not None else build_catgroup(M)
     T = target_cat if target_cat is not None else build_catgroup(Mp)
-    proj = M.pi0_projection()
-    cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
+    cls = np.asarray(M.pi0_projection().map, dtype=np.int64)
     embp = np.asarray(Mp.pi1_embedding(), dtype=np.int64)
     qq = embp[np.asarray(m.phi.qq, dtype=np.int64)]
     qg = embp[np.asarray(m.phi.qg, dtype=np.int64)]
@@ -418,14 +417,12 @@ def functor_to_morphism(F: GradedFunctor):
         raise NotRegular(f"grade-1 payload of {int(moved.argmax())} depends "
                          "on its target object")
     f1 = GroupHom(M.B, Mp.B, pays[:, S.unit])
-    proj = M.pi0_projection()
     P = M.pi0()
     Kp = Mp.pi1()
-    embp = Mp.pi1_embedding()
-    kpos = np.full(Mp.B.order, -1, dtype=np.int64)
-    kpos[list(embp)] = np.arange(len(embp))
+    kpos = np.asarray(least_preimages(Mp.pi1_embedding(), Mp.B.order),
+                      dtype=np.int64)
     q, ng = P.group.order, M.gamma.order
-    cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
+    cls = np.asarray(M.pi0_projection().map, dtype=np.int64)
     qq = _on_cosets(kpos[T.pay[F.ftilde]], cls[:, None] * q + cls,
                     "comparison payload at ({}, {}) is not in the kernel",
                     "comparison at ({}, {}) differs within its coset")
@@ -719,16 +716,15 @@ def enumerate_regular_functors(G: GradedCatGroup, T: GradedCatGroup,
         raise WrongType("regular-functor enumeration requires built categories")
     M: BraidedGammaCrossedModule = G.meta["module"]
     Mp: BraidedGammaCrossedModule = T.meta["module"]
-    proj = M.pi0_projection()
     q = M.pi0().group.order
-    kerp = [b for b in Mp.B.elements() if Mp.d[b] == 0]
+    kerp = Mp.kernel_elements()
     ng = M.gamma.order
     keys_qq = [(r, s) for r in range(1, q) for s in range(1, q)]
     keys_qg = [(r, s) for r in range(1, q) for s in range(1, ng)]
     options = [list(enumerate_homs(M.D, Mp.D)), list(enumerate_homs(M.B, Mp.B))]
     options += [kerp] * (len(keys_qq) + len(keys_qg))
     out = []
-    cls = np.asarray([proj(x) for x in M.D.elements()], dtype=np.int64)
+    cls = np.asarray(M.pi0_projection().map, dtype=np.int64)
     for f0, f1, *combo in candidates(options, guard):
         if any(f0(M.d[b]) != Mp.d[f1(b)] for b in M.B.elements()):
             continue

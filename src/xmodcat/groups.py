@@ -210,7 +210,7 @@ def normalize_identity(table):
     if ident == 0:
         return [list(r) for r in table]
     perm = [ident] + [x for x in range(n) if x != ident]
-    pos = {old: new for new, old in enumerate(perm)}
+    pos = least_preimages(perm, n)
     return [[pos[table[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
 
 
@@ -337,15 +337,14 @@ def subgroup_as_group(G, elems):
     elems = tuple(sorted(set(elems)))
     if elems[0] != 0:
         raise GroupError("subgroup does not contain the identity")
-    pos = {e: i for i, e in enumerate(elems)}
+    pos = least_preimages(elems, G.order)
     k = len(elems)
     tbl = [[0] * k for _ in range(k)]
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            v = G.mul(a, b)
-            if v not in pos:
+            tbl[i][j] = pos[G.mul(a, b)]
+            if tbl[i][j] < 0:
                 raise NotClosed("subset not closed", (a, b))
-            tbl[i][j] = pos[v]
     return FiniteGroup(tbl, _validated=True), elems
 
 
@@ -370,7 +369,7 @@ def quotient(G, N):
         for y in coset:
             rep_of[y] = least
     reps.sort()
-    idx = {r: i for i, r in enumerate(reps)}
+    idx = least_preimages(reps, G.order)
     k = len(reps)
     tbl = [[idx[rep_of[G.mul(reps[i], reps[j])]] for j in range(k)]
            for i in range(k)]
@@ -490,6 +489,27 @@ def _action_failures(action):
             for x in T.elements():
                 if act[st][x] != act[s][act[t][x]]:
                     yield ("composition", s, t, x)
+
+
+def _equivariance_failures(mapping, act_dom, act_cod):
+    """Every (s, x) with mapping[s.x] != s.mapping[x], s-major: the places
+    where mapping fails to commute with the action tables act_dom on its
+    domain and act_cod on its codomain."""
+    for s, row in enumerate(act_dom):
+        cod = act_cod[s]
+        for x, sx in enumerate(row):
+            if mapping[sx] != cod[mapping[x]]:
+                yield (s, x)
+
+
+def least_preimages(mapping, n):
+    """The least index that mapping sends to each of n targets, -1 where
+    there is none: the inverse table of an injective map, the least member
+    of each fibre of any other."""
+    out = [-1] * n
+    for i in reversed(range(len(mapping))):
+        out[mapping[i]] = i
+    return out
 
 
 def trivial_action(gamma, target):
@@ -674,22 +694,9 @@ def hom_kernel_image(dom_invariants, cod_invariants, matrix):
 
 # -- hom/automorphism enumeration (desk scale) -------------------------------
 
-def minimal_generators(G):
-    """A small generating set, greedily extending by worst-covered elements."""
-    if G.order == 1:
-        return ()
-    gens = []
-    covered = {0}
-    while len(covered) < G.order:
-        nxt = min(x for x in range(G.order) if x not in covered)
-        gens.append(nxt)
-        covered = set(subgroup_generated(G, gens))
-    return tuple(gens)
-
-
 def enumerate_homs(G, H):
     """All homomorphisms G -> H, by backtracking over generator images."""
-    gens = minimal_generators(G)
+    gens = _magma_generators(G.table)
     if not gens:
         yield zero_hom(G, H)
         return

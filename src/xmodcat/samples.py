@@ -13,6 +13,7 @@ import random
 from .crossed import BraidedGammaCrossedModule, conjugation_module
 from .groups import (
     GammaAction,
+    _equivariance_failures,
     action_from_automorphism,
     cyclic,
     dihedral,
@@ -184,12 +185,12 @@ def _random_involutive_action(rng, gamma, G, stable=None):
     return action_from_automorphism(gamma, G, alpha.map)
 
 
-def random_module(rng: random.Random, max_order=8, with_gamma=True):
+def random_module(rng: random.Random, max_order=8):
     """One validated module: a conjugation instance, an abelian boundary,
     or a braiding-twisted abelian instance, at random."""
     for _ in range(200):
         kind = rng.randrange(3)
-        gamma_on = with_gamma and rng.random() < 0.5
+        gamma_on = rng.random() < 0.5
         gamma = Z2 if gamma_on else trivial_group()
         if kind == 0:
             name, G = small_group_catalog()[
@@ -218,9 +219,8 @@ def random_module(rng: random.Random, max_order=8, with_gamma=True):
                  else _random_involutive_action(rng, gamma, B))
         act_d = (trivial_action(gamma, D) if not gamma_on
                  else _random_involutive_action(rng, gamma, D))
-        homs = [f for f in enumerate_homs(B, D)
-                if all(f(act_b(s, b)) == act_d(s, f(b))
-                       for s in range(gamma.order) for b in B.elements())]
+        homs = [f for f in enumerate_homs(B, D) if not any(
+            _equivariance_failures(f.map, act_b.act, act_d.act))]
         if not homs:
             continue
         d = homs[rng.randrange(len(homs))]
@@ -258,45 +258,28 @@ def random_breaking_mutations(rng: random.Random, modules, count):
     while len(out) < count and attempts < 200 * count:
         attempts += 1
         base = modules[rng.randrange(len(modules))]
-        which = rng.choice(["eta", "theta", "actB", "actD"])
         B, D, gam = base.B, base.D, base.gamma
         d = list(base.d)
         theta = [list(r) for r in base.theta]
         eta = [list(r) for r in base.eta]
         ab = [list(r) for r in base.act_b.act]
         ad = [list(r) for r in base.act_d.act]
-        if which == "eta":
-            x, y = rng.randrange(D.order), rng.randrange(D.order)
-            old = eta[x][y]
-            eta[x][y] = rng.randrange(B.order)
-            if eta[x][y] == old:
-                continue
-            desc = f"eta[{x}][{y}]"
-        elif which == "theta":
-            x, b = rng.randrange(D.order), rng.randrange(B.order)
-            old = theta[x][b]
-            theta[x][b] = rng.randrange(B.order)
-            if theta[x][b] == old:
-                continue
-            desc = f"theta[{x}][{b}]"
-        elif which == "actB":
-            if gam.order == 1:
-                continue
-            s, b = rng.randrange(1, gam.order), rng.randrange(B.order)
-            old = ab[s][b]
-            ab[s][b] = rng.randrange(B.order)
-            if ab[s][b] == old:
-                continue
-            desc = f"actB[{s}][{b}]"
-        else:
-            if gam.order == 1:
-                continue
-            s, x = rng.randrange(1, gam.order), rng.randrange(D.order)
-            old = ad[s][x]
-            ad[s][x] = rng.randrange(D.order)
-            if ad[s][x] == old:
-                continue
-            desc = f"actD[{s}][{x}]"
+        # name: (table, first row, rows, columns, values); the identity
+        # grade's action rows are never mutated
+        tables = {"eta": (eta, 0, D.order, D.order, B.order),
+                  "theta": (theta, 0, D.order, B.order, B.order),
+                  "actB": (ab, 1, gam.order, B.order, B.order),
+                  "actD": (ad, 1, gam.order, D.order, D.order)}
+        name = rng.choice(list(tables))
+        table, first, rows, cols, values = tables[name]
+        if first == rows:
+            continue
+        r, c = rng.randrange(first, rows), rng.randrange(cols)
+        old = table[r][c]
+        table[r][c] = rng.randrange(values)
+        if table[r][c] == old:
+            continue
+        desc = f"{name}[{r}][{c}]"
         mutant = BraidedGammaCrossedModule(
             B, D, d, theta, eta, gam,
             GammaAction(gam, B, ab), GammaAction(gam, D, ad))

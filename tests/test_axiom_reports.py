@@ -268,6 +268,19 @@ def test_mutant_module_and_category_summaries():
             expected(CHECK_AXIOMS_KEYS, category_failures), desc
 
 
+def test_mutant_draws_on_a_random_corpus():
+    # every table kind, on modules with and without a grading group (the
+    # gamma orders are [1, 2, 1, 1, 1, 2]); the action rows of grade 0 are
+    # never drawn
+    base = samples.random_corpus(3, 6)
+    mutants = samples.random_breaking_mutations(random.Random(11), base, 12)
+    assert [(base.index(b), desc) for _, b, desc in mutants] == [
+        (3, "theta[1][2]"), (1, "eta[0][0]"), (0, "theta[0][2]"),
+        (3, "theta[4][0]"), (0, "eta[1][2]"), (3, "eta[5][2]"),
+        (5, "actD[1][0]"), (5, "actB[1][0]"), (1, "eta[0][0]"),
+        (3, "theta[5][2]"), (3, "theta[5][0]"), (5, "actD[1][3]")]
+
+
 @pytest.mark.parametrize("case", list(FUNCTOR_FAILURES),
                          ids=lambda case: "-".join(case))
 def test_corrupted_identity_functor_summaries(case):

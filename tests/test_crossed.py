@@ -4,7 +4,12 @@ from xmodcat import groups as g
 from xmodcat import crossed as xm
 from xmodcat import samples
 from xmodcat.cohomology import SymmetricCochain2, is_2cocycle, zero_cochain2
-from xmodcat.errors import NotComposable, NotGammaStable, NotNormal
+from xmodcat.errors import (
+    NotComposable,
+    NotGammaStable,
+    NotNormal,
+    ShapeMismatch,
+)
 
 Z2 = g.cyclic(2)
 Z4 = g.cyclic(4)
@@ -225,3 +230,19 @@ def test_json_roundtrip():
     m = samples.q8_i_module(True)
     again = xm.BraidedGammaCrossedModule.from_json(m.to_json())
     assert again == m
+
+
+def test_compose_refuses_an_f1_that_leaves_the_kernel():
+    # phi of m1 takes the value 1 in ker d' = Z/2; f1 of m2 sends it to 1,
+    # which is off ker d'' = 0 of the isomorphism Z/2 -> Z/2
+    m = degenerate_module()
+    iso = samples.abelian_module(Z2, Z2, [0, 1])
+    ident = g.identity_hom(Z2)
+    phi = SymmetricCochain2(m.pi0(), m.pi1(), [[0, 0], [0, 1]], [[0], [0]])
+    m1 = xm.CrossedMorphism(m, m, ident, ident, phi)
+    m2 = xm.CrossedMorphism(m, iso, ident, ident)
+    with pytest.raises(ShapeMismatch):
+        xm.compose_morphisms(m2, m1)
+    # with phi zero no value leaves the kernel
+    m0 = xm.CrossedMorphism(m, m, ident, ident)
+    assert xm.compose_morphisms(m2, m0).phi.qq == ((0, 0), (0, 0))

@@ -6,7 +6,7 @@ from xmodcat import extensions as ex
 from xmodcat import functors as fn
 from xmodcat import groups as g
 from xmodcat import samples
-from xmodcat.errors import BadSection, WrongType
+from xmodcat.errors import BadSection, ShapeMismatch, WrongType
 
 Z2 = g.cyclic(2)
 Z4 = g.cyclic(4)
@@ -269,3 +269,79 @@ def test_induced_psi_rejects_inconsistent_structural_map():
     assert not bad.is_valid
     with pytest.raises(NotWellDefined):
         ex.induced_psi(bad)
+
+
+def _extension(M, Q, E, act, j, p, eps):
+    """An extension record over E with the given action rows, unvalidated."""
+    Em = g.GammaModule(E, g.GammaAction(M.gamma, E, act))
+    return ex.GammaModuleExtension(M, Q, Em, g.GroupHom(M.B, E, j),
+                                   g.GroupHom(E, Q.group, p),
+                                   g.GroupHom(E, M.D, eps))
+
+
+def test_validate_reports_each_equivariance_law_once_in_order():
+    # eps fails at grade 1 after p has failed there too
+    K4 = g.klein_four()
+    neg = g.action_from_automorphism(Z2, Z4, [0, 3, 2, 1])
+    M = samples.abelian_module(Z2, Z4, [0, 2], Z2, g.trivial_action(Z2, Z2),
+                               neg)
+    ext = _extension(M, module(Z2, Z2, [0, 1]), K4,
+                     [[0, 1, 2, 3], [0, 2, 1, 3]], [0, 1], [0, 0, 1, 1],
+                     [0, 2, 0, 2])
+    assert list(g._equivariance_failures(ext.eps.map, ext.E.act.act,
+                                         M.act_d.act)) == [(1, 1), (1, 2)]
+    assert ext.validate() == ["j is not equivariant", "p is not equivariant",
+                              "eps is not equivariant"]
+    # j and p fail at both nonzero grades of Z/3
+    Z3 = g.cyclic(3)
+    M3 = samples.abelian_module(Z2, TRIV, [0, 0], Z3, g.trivial_action(Z3, Z2),
+                                g.trivial_action(Z3, TRIV))
+    cyc = g.action_from_automorphism(Z3, K4, [0, 2, 3, 1]).act
+    ext3 = _extension(M3, module(Z2, Z3, [0, 1]), K4, cyc, [0, 1],
+                      [0, 1, 0, 1], [0] * 4)
+    assert ext3.validate() == ["image of j differs from kernel of p",
+                               "j is not equivariant", "p is not equivariant"]
+
+
+def test_validate_refuses_an_extension_graded_by_another_group():
+    # E is graded by Z/3 over a module graded by the trivial group
+    M = samples.abelian_module(Z2, Z4, [0, 2])
+    E = g.GammaModule(Z4, g.trivial_action(g.cyclic(3), Z4))
+    ext = ex.GammaModuleExtension(M, module(Z2), E, g.GroupHom(Z2, Z4, [0, 2]),
+                                  g.GroupHom(Z4, Z2, [0, 1, 0, 1]),
+                                  g.identity_hom(Z4))
+    with pytest.raises(ShapeMismatch):
+        ext.validate()
+
+
+def test_canonical_section_refuses_a_p_that_is_not_surjective():
+    ext = z4_over_z2_extension()
+    bad = ex.GammaModuleExtension(ext.module, ext.Q, ext.E, ext.j,
+                                  g.GroupHom(Z4, Z2, [0] * 4), ext.eps)
+    with pytest.raises(BadSection):
+        bad.canonical_section()
+
+
+def test_a_non_injective_j_reads_its_least_preimage():
+    # j = 2x on Z/4 sends 1 and 3 to 2; the defect 1 + 1 = 2 reads as 1
+    M = samples.abelian_module(Z4, TRIV, [0] * 4)
+    ext = _extension(M, module(Z2), Z4, [[0, 1, 2, 3]], [0, 2, 0, 2],
+                     [0, 1, 0, 1], [0] * 4)
+    assert "j is not injective" in ext.validate()
+    assert ex.extract_section_cochain(ext, [0, 1]).qq == ((0, 0), (0, 1))
+    # 0 and 1 both go to 0 under j, and j2 tells them apart: b = 0 gives
+    # the identity, b = 1 would give no isomorphism
+    e1 = _extension(M, module(Z2), Z4, [[0, 1, 2, 3]], [0, 0, 2, 1],
+                    [0, 1, 0, 1], [0] * 4)
+    e2 = _extension(M, module(Z2), Z4, [[0, 1, 2, 3]], [0, 2, 2, 1],
+                    [0, 1, 0, 1], [0] * 4)
+    assert list(ex.are_equivalent(e1, e2).map) == [0, 1, 2, 3]
+
+
+def test_are_equivalent_refuses_a_defect_off_the_image_of_j():
+    # the image {0, 1} of j misses 2 in the kernel {0, 2} of p
+    M = samples.abelian_module(Z2, TRIV, [0, 0])
+    ext = _extension(M, module(Z2), Z4, [[0, 1, 2, 3]], [0, 1],
+                     [0, 1, 0, 1], [0] * 4)
+    with pytest.raises(BadSection):
+        ex.are_equivalent(ext, ext)

@@ -381,3 +381,32 @@ def test_is_isomorphic():
     assert g.is_isomorphic(g.dihedral(3), g.symmetric3())
     assert not g.is_isomorphic(g.dihedral(4), g.quaternion8())
     assert not g.is_isomorphic(g.cyclic(4), g.klein_four())
+
+
+def test_least_preimages_against_a_min_scan():
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        mapping = [rng.randrange(n) for _ in range(rng.randrange(0, 12))]
+        expect = [min((i for i, v in enumerate(mapping) if v == t), default=-1)
+                  for t in range(n)]
+        assert g.least_preimages(mapping, n) == expect, mapping
+    # an injective map gets its inverse table, with -1 off its image
+    assert g.least_preimages((0, 3, 1), 5) == [0, 2, -1, 1, -1]
+
+
+def test_equivariance_failures_against_the_double_loop():
+    # the order-2 grading group acting through a random automorphism on
+    # each side, and a random map that is rarely equivariant
+    rng = random.Random(18)
+    groups_ = [g.cyclic(4), g.klein_four(), g.cyclic(3), g.symmetric3()]
+    for _ in range(200):
+        G, H = rng.choice(groups_), rng.choice(groups_)
+        act_g = rng.choice(g.enumerate_automorphisms(G))
+        act_h = rng.choice(g.enumerate_automorphisms(H))
+        dom = [list(range(G.order)), [act_g(x) for x in range(G.order)]]
+        cod = [list(range(H.order)), [act_h(y) for y in range(H.order)]]
+        mapping = [rng.randrange(H.order) for _ in range(G.order)]
+        expect = [(s, x) for s in range(2) for x in range(G.order)
+                  if mapping[dom[s][x]] != cod[s][mapping[x]]]
+        assert list(g._equivariance_failures(mapping, dom, cod)) == expect
