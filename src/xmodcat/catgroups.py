@@ -10,14 +10,16 @@ and `build_reduced` from a pair of gamma-modules and a degree-3 cochain
 written once, in `_record`; every other module reaches it through
 `GradedCatGroup.record`.  Each builder computes only its sources and the
 payloads of composites, tensors and constraints, and `_assemble` turns
-them into the tables.
+them into the tables, one block of rows at a time.
 
 An undefined composite or tensor is the index -1.  Every morphism-indexed
 table is stored with one trailing slot per morphism axis that holds -1,
 so indexing with -1 reads -1 and an undefined arrow propagates through
-plain numpy indexing.  `GradedCatGroup` alone allocates that slot, and
-its constructor keeps the invariant it needs: morphism indices lie in
-[-1, n_mor) and object indices in [0, n_obj).
+plain numpy indexing.  `GradedCatGroup` allocates that slot for every
+table it is given, but for the `comp` and `tmor` that `_assemble` writes
+into padded storage of its own (`_Padded`), and its constructor keeps the
+invariant it needs: morphism indices lie in [-1, n_mor) and object
+indices in [0, n_obj).
 """
 
 from __future__ import annotations
@@ -32,20 +34,39 @@ from .errors import DEFAULT_GUARD, NotStrict, SearchSpaceTooLarge, ShapeMismatch
 from .groups import GammaModule, least_preimages, trivial_group
 
 
+class _Padded:
+    """A table its builder allocated with the trailing -1 slots already in
+    place, which `_padded` keeps instead of copying."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+
 def _padded(table):
-    """int64 copy of table with one more slot, holding -1, at the end of
-    every axis."""
+    """int64 table with one more slot, holding -1, at the end of every
+    axis: the builder's own storage for a `_Padded` table, else a copy."""
+    if isinstance(table, _Padded):
+        return table.table
     table = np.asarray(table, dtype=np.int64)
     out = np.full([k + 1 for k in table.shape], -1, dtype=np.int64)
     out[tuple(slice(k) for k in table.shape)] = table
     return out
 
 
-def _record(n_pay, n_obj, grade, payload, target):
+def _record(n_pay, n_obj, grade, payload, target, out=None):
     """Morphism index of the arrow of a built category with the given
     grade and payload into target; plain arithmetic, so it also works on
-    whole arrays."""
-    return (grade * n_pay + payload) * n_obj + target
+    whole arrays, and with out the same arithmetic is written into out in
+    place."""
+    if out is None:
+        return (grade * n_pay + payload) * n_obj + target
+    np.multiply(grade, n_pay, out=out)
+    out += payload
+    out *= n_obj
+    out += target
+    return out
 
 
 class GradedCatGroup:
@@ -227,37 +248,68 @@ def _layout(ng, n_pay, n_obj, guard):
     return np.indices((ng, n_pay, n_obj)).reshape(3, -1)
 
 
+# instances per block of the table builds and the blocked scans
+# (associativity, tensor-typing and the two coherence evaluators): each
+# int64 temporary is then at most 512 KB and stays in cache, which measured
+# faster than 2^18 or 2^20 on both exhaustive scans
+_BLOCK = 1 << 16
+
+
+def _rows_per_block(rows, row):
+    """Rows of row instances each that fill a block: at least one, and no
+    more than the scan's rows, so a small scan's buffers fit the scan."""
+    return max(1, min(rows, _BLOCK // row))
+
+
+def _row_blocks(rows, row):
+    """Consecutive slices of range(rows), _rows_per_block(rows, row) rows
+    each but the last, in order."""
+    step = _rows_per_block(rows, row)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _assemble(gam, Ot, n_pay, grades, pays, tgts, srcs, comp_pay, ten_pay,
               assoc_pay, braid_pay, meta):
     """The category on objects with tensor table Ot and the morphisms of
-    _layout(|gam|, n_pay, n_obj) with sources srcs.  comp_pay[g, f] is the
-    payload of g o f, ten_pay[f, g] that of f (x) g, and assoc_pay[x, y, z]
-    and braid_pay[x, y] those of the grade-1 constraints; the unit is
-    object 0 and the unit constraints are identities."""
-    n_obj = len(Ot)
+    _layout(|gam|, n_pay, n_obj) with sources srcs.  For a slice rows of
+    the morphisms, comp_pay(rows)[i, f] is the payload of g o f for the
+    i-th arrow g of rows and ten_pay(rows)[i, g] that of f (x) g for the
+    i-th arrow f of rows; assoc_pay[x, y, z] and braid_pay[x, y] are those
+    of the grade-1 constraints.  The unit is object 0 and the unit
+    constraints are identities.  comp and tmor are allocated once, padded,
+    and written in row blocks, so no temporary is larger than a block."""
+    n_obj, n = len(Ot), len(grades)
     objs = np.arange(n_obj)
-    gt = gam.np_table
+    comp, tmor = (np.full((n + 1, n + 1), -1, dtype=np.int64)
+                  for _ in range(2))
+    grade_of = gam.np_table[:, grades]      # grd (g o f), by grd g and f
 
-    def record(grade, payload, target):
-        return _record(n_pay, n_obj, grade, payload, target)
+    def record(grade, payload, target, out=None):
+        return _record(n_pay, n_obj, grade, payload, target, out)
 
-    # g o f, defined when tgt f == src g
-    comp = np.where(tgts[None, :] == srcs[:, None],
-                    record(gt[grades[:, None], grades[None, :]], comp_pay,
-                           tgts[:, None]), -1)
-    # f (x) g, defined when grades agree
-    tmor = np.where(grades[:, None] == grades[None, :],
-                    record(grades[:, None], ten_pay,
-                           Ot[tgts[:, None], tgts[None, :]]), -1)
+    def write(table, rows, payload, grade, target, undefined):
+        # payload is the first argument made, so the temporaries it is
+        # gathered through are freed before grade and target are gathered
+        out = table[rows, :n]
+        record(grade, payload, target, out)
+        np.copyto(out, -1, where=undefined)
+
+    for rows in _row_blocks(n, n):
+        # g o f, defined when tgt f == src g
+        write(comp, rows, comp_pay(rows), grade_of[grades[rows]],
+              tgts[rows, None], tgts != srcs[rows, None])
+        # f (x) g, defined when grades agree
+        write(tmor, rows, ten_pay(rows), grades[rows, None],
+              Ot[tgts[rows, None], tgts], grades != grades[rows, None])
     idm = record(0, 0, objs)
     aset = record(0, assoc_pay, Ot[Ot[objs[:, None, None], objs[None, :, None]],
                                    objs[None, None, :]])
     cset = record(0, braid_pay, Ot.T)
     uI = record(np.arange(gam.order), 0, 0)
     # the unit constraints are separate arrays: tables are edited in place
-    return GradedCatGroup(gam, n_obj, srcs, tgts, grades, pays, comp, Ot, tmor,
-                          0, idm, aset, idm.copy(), idm.copy(), cset, uI,
-                          {**meta, "n_pay": n_pay})
+    return GradedCatGroup(gam, n_obj, srcs, tgts, grades, pays, _Padded(comp),
+                          Ot, _Padded(tmor), 0, idm, aset, idm.copy(),
+                          idm.copy(), cset, uI, {**meta, "n_pay": n_pay})
 
 
 def build_catgroup(module, guard=DEFAULT_GUARD):
@@ -280,9 +332,13 @@ def build_catgroup(module, guard=DEFAULT_GUARD):
     # source of (b, s): y  is  s^-1 (d(b) y)
     srcs = actD[ginv[grades], Dt[dmap[pays], tgts]]
     # (c, t) o (b, s) carries t(b) c, and (b, s) (x) (c, s) with (b, s)
-    # into y carries b theta_y(c)
-    comp_pay = Bt[actB[grades[:, None], pays[None, :]], pays[:, None]]
-    ten_pay = Bt[pays[:, None], theta[tgts[:, None], pays[None, :]]]
+    # into y carries b theta_y(c), each read for a block of rows
+    def comp_pay(rows):
+        return Bt[actB[grades[rows, None], pays], pays[rows, None]]
+
+    def ten_pay(rows):
+        return Bt[pays[rows, None], theta[tgts[rows, None], pays]]
+
     eta = np.asarray(module.eta, dtype=np.int64)
     return _assemble(gam, Dt, B.order, grades, pays, tgts, srcs, comp_pay,
                      ten_pay, 0, eta, {"kind": "module", "module": module})
@@ -311,10 +367,15 @@ def build_reduced(M: GammaModule, N: GammaModule, h: Cochain3 = None,
     h_comp = np.asarray(h.comp, dtype=np.int64)
     h_ten = np.asarray(h.tensor, dtype=np.int64)
     srcs = actM[ginv[grades], tgts]
-    comp_pay = Nt[Nt[actN[grades[:, None], pays[None, :]], pays[:, None]],
-                  h_comp[srcs[None, :], grades[:, None], grades[None, :]]]
-    ten_pay = Nt[Nt[pays[:, None], pays[None, :]],
-                 h_ten[srcs[:, None], srcs[None, :], grades[:, None]]]
+
+    def comp_pay(rows):
+        return Nt[Nt[actN[grades[rows, None], pays], pays[rows, None]],
+                  h_comp[srcs, grades[rows, None], grades]]
+
+    def ten_pay(rows):
+        return Nt[Nt[pays[rows, None], pays],
+                  h_ten[srcs[rows, None], srcs, grades[rows, None]]]
+
     return _assemble(gam, Mt, N.group.order, grades, pays, tgts, srcs,
                      comp_pay, ten_pay, np.asarray(h.assoc, dtype=np.int64),
                      np.asarray(h.braid, dtype=np.int64),
@@ -421,19 +482,6 @@ def _generating_arrows(G: GradedCatGroup, ups, k):
     return [np.union1d(k, G.idm)] + list(np.sort(ups[1:], axis=1))
 
 
-# instances per block of the blocked scans (associativity and the two
-# coherence evaluators): each int64 temporary is then at most 512 KB and
-# stays in cache, which measured faster than 2^18 or 2^20 on both
-# exhaustive scans
-_BLOCK = 1 << 16
-
-
-def _rows_per_block(rows, row):
-    """Rows of row instances each that fill a block: at least one, and no
-    more than the scan's rows, so a small scan's buffers fit the scan."""
-    return max(1, min(rows, _BLOCK // row))
-
-
 # The blocked scans gather from the flat padded tables: g o f is
 # _comp.flat[g (n_mor + 1) + f].  An undefined factor -1 still reads -1,
 # since g = -1 lands in the padding row and f = -1 in the padding column
@@ -491,9 +539,8 @@ def _associative(G: GradedCatGroup):
     into = _grouped(G.tgt, G.n_obj)
 
     def blocks():
-        step = _rows_per_block(len(hsel), into.shape[1])
-        for lo in range(0, len(hsel), step):
-            h, g = hsel[lo:lo + step, None], gsel[lo:lo + step, None]
+        for rows in _row_blocks(len(hsel), into.shape[1]):
+            h, g = hsel[rows, None], gsel[rows, None]
             f = into[G.src[g[:, 0]]]
             # h o (g o f) against (h o g) o f
             lhs = comp[h * n1 + comp[g * n1 + f]]
@@ -505,7 +552,23 @@ def _associative(G: GradedCatGroup):
     return _tally("composition-associative", blocks())
 
 
-def _interchange(G: GradedCatGroup, arrows=None):
+def _tensor_typing(G: GradedCatGroup):
+    """tensor-typing on every same-grade pair (f, g), in C order: the
+    pairs of each block of rows f, so no n_mor^2 pair list is made."""
+    SRC, TGT, GRD, tob = G._src, G._tgt, G._grd, G.tob
+
+    def blocks():
+        for rows in _row_blocks(G.n_mor, G.n_mor):
+            f, g = np.nonzero(G.grd[rows, None] == G.grd)
+            f += rows.start
+            fg = G._tmor[f, g]
+            ok = (SRC[fg] == tob[SRC[f], SRC[g]]) & \
+                (TGT[fg] == tob[TGT[f], TGT[g]]) & (GRD[fg] == GRD[f])
+            yield ~ok, (f, g)
+    return _tally("tensor-typing", blocks())
+
+
+def _interchange(G: GradedCatGroup, arrows=None, comp_rhs=None):
     """tensor-interchange on every two composable pairs (g, f), (g', f')
     with g, g' in arrows[s] for a grade s (every grade-s arrow by default)
     and grd f = grd f': per grade pair, the square of its pairs in blocks
@@ -513,9 +576,12 @@ def _interchange(G: GradedCatGroup, arrows=None):
     tensors of a square are read from tmor on the distinct arrows of
     g o f, of g (pre-scaled by n_mor + 1) and of f: the rows of a block are
     gathered whole, then each at the columns' positions among those
-    arrows."""
+    arrows.  comp_rhs is _undefined_as_minus_two(G._comp), made here when
+    not given."""
     n1 = G.n_mor + 1
-    comp, comp_rhs = G._comp.ravel(), _undefined_as_minus_two(G._comp)
+    comp = G._comp.ravel()
+    if comp_rhs is None:
+        comp_rhs = _undefined_as_minus_two(G._comp)
     outer = np.sort(np.concatenate(_grades(G) if arrows is None else arrows))
     gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[outer, None])
     gsel = outer[gsel]
@@ -560,7 +626,7 @@ def _by_grade(G, key, square):
     return _tally(key, blocks())
 
 
-def _nat_assoc(G: GradedCatGroup, arrows=None):
+def _nat_assoc(G: GradedCatGroup, arrows=None, comp_rhs=None):
     """naturality-assoc on every triple (u, v, w) in arrows[s]^3 for a
     grade s (every grade-s arrow by default): per grade, the cube of its
     triples in blocks of u, evaluated into buffers that every block
@@ -568,9 +634,12 @@ def _nat_assoc(G: GradedCatGroup, arrows=None):
     (u (x) v) (x) w is read from the rows of tmor over the grade at the
     distinct u (x) v, and u (x) (v (x) w), pre-scaled by n_mor + 1, from
     rows u of tmor at those columns; a constraint a(x, y, z) is read from
-    the row of aset at (x, y), gathered whole, at z."""
+    the row of aset at (x, y), gathered whole, at z.  comp_rhs is as for
+    `_interchange`."""
     n1, no = G.n_mor + 1, G.n_obj
-    comp, comp_rhs = G._comp.ravel(), _undefined_as_minus_two(G._comp)
+    comp = G._comp.ravel()
+    if comp_rhs is None:
+        comp_rhs = _undefined_as_minus_two(G._comp)
     aset = G.aset.reshape(no * no, no)
     aset_rows = aset * n1
     arrows = _grades(G) if arrows is None else arrows
@@ -610,12 +679,12 @@ def _nat_assoc(G: GradedCatGroup, arrows=None):
     return _tally("naturality-assoc", blocks())
 
 
-def _interchange_on_generators(G, ups, k):
-    return _interchange(G, _generating_arrows(G, ups, k)).ok
+def _interchange_on_generators(G, ups, k, comp_rhs=None):
+    return _interchange(G, _generating_arrows(G, ups, k), comp_rhs).ok
 
 
-def _nat_assoc_on_generators(G, ups, k):
-    return _nat_assoc(G, _generating_arrows(G, ups, k)).ok
+def _nat_assoc_on_generators(G, ups, k, comp_rhs=None):
+    return _nat_assoc(G, _generating_arrows(G, ups, k), comp_rhs).ok
 
 
 # Families after which the generator scans are sound: a Gamma-graded
@@ -682,6 +751,8 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("composition-typing", ok, [gsel, fsel]))
     ok = GRD[cc] == gt[GRD[gsel], GRD[fsel]]
     entries.append(_entry("grade-composition", ok, [gsel, fsel]))
+    # no n_mor^2 local is kept through the scans below
+    del should, gsel, fsel, cc
 
     ok_id = (SRC[idm] == objs) & (TGT[idm] == objs) & (GRD[idm] == 0)
     entries.append(_entry("identity-typing", ok_id, [objs]))
@@ -694,11 +765,8 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
 
     ten_should = G.grd[:, None] == G.grd[None, :]
     entries.append(_entry("tensor-defined", (G.tmor >= 0) == ten_should, None))
-    isel, jsel = np.nonzero(ten_should)
-    tt = tmor[isel, jsel]
-    ok = (SRC[tt] == tob[SRC[isel], SRC[jsel]]) & \
-        (TGT[tt] == tob[TGT[isel], TGT[jsel]]) & (GRD[tt] == GRD[isel])
-    entries.append(_entry("tensor-typing", ok, [isel, jsel]))
+    del ten_should
+    entries.append(_tensor_typing(G))
 
     ok = tmor[idm[:, None], idm[None, :]] == idm[tob]
     entries.append(_entry("tensor-identities", ok, None))
@@ -715,10 +783,14 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     ups, k = _lifts(G), None
     if _passed(entries + [stability]) >= _INTERCHANGE_NEEDS:
         k = _grade1_generators(G)
-    if k is not None and _interchange_on_generators(G, ups, k):
+    # the one sentinel copy of comp that both evaluators read: made in this
+    # call and dropped after naturality-assoc, never kept on G, whose
+    # tables may be edited in place before the next check
+    comp_rhs = _undefined_as_minus_two(comp)
+    if k is not None and _interchange_on_generators(G, ups, k, comp_rhs):
         entries.append(AxiomCheck("tensor-interchange"))
     else:
-        entries.append(_interchange(G))
+        entries.append(_interchange(G, comp_rhs=comp_rhs))
 
     x2 = objs[:, None]
     y2 = objs[None, :]
@@ -771,10 +843,11 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
 
     if _passed(entries + [stability]) >= _NAT_ASSOC_NEEDS and \
-            _nat_assoc_on_generators(G, ups, k):
+            _nat_assoc_on_generators(G, ups, k, comp_rhs):
         entries.append(AxiomCheck("naturality-assoc"))
     else:
-        entries.append(_nat_assoc(G))
+        entries.append(_nat_assoc(G, comp_rhs=comp_rhs))
+    del comp_rhs
 
     # the other naturality families, grouped by grade
     def nat_braid(sel, s):

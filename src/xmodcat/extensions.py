@@ -113,9 +113,11 @@ class GammaModuleExtension:
 def induced_psi(ext: GammaModuleExtension):
     """The homomorphism Q -> Coker d with psi . p = q . eps.
 
-    Raises NotWellDefined when the value depends on the chosen preimage,
-    which signals an invalid extension.
+    Raises BadSection when p misses a class of Q (`canonical_section`)
+    and NotWellDefined when the value depends on the chosen preimage; both
+    signal an invalid extension.
     """
+    ext.canonical_section()
     M = ext.module
     proj = M.pi0_projection()
     psi = [None] * ext.Q.group.order

@@ -541,6 +541,16 @@ def _nat_assoc_one_piece(G, arrows=None):
     return _one_piece("naturality-assoc", chunks())
 
 
+def _tensor_typing_one_piece(G):
+    """tensor-typing on the whole list of same-grade pairs at once."""
+    SRC, TGT, GRD, tob = G._src, G._tgt, G._grd, G.tob
+    isel, jsel = np.nonzero(G.grd[:, None] == G.grd[None, :])
+    tt = G._tmor[isel, jsel]
+    ok = (SRC[tt] == tob[SRC[isel], SRC[jsel]]) & \
+        (TGT[tt] == tob[TGT[isel], TGT[jsel]]) & (GRD[tt] == GRD[isel])
+    return cg._entry("tensor-typing", ok, [isel, jsel])
+
+
 def _ladder(n, k):
     """Z_n -> Z_n, d = multiplication by k, Z2 negating both."""
     Zn = g.cyclic(n)
@@ -566,8 +576,11 @@ def _associative_per_morphism(G):
 
 
 _BLOCKED = ((cg._associative, _associative_per_morphism),
+            (cg._tensor_typing, _tensor_typing_one_piece),
             (cg._interchange, _interchange_one_piece),
             (cg._nat_assoc, _nat_assoc_one_piece))
+# the two coherence evaluators, which also run on the generating arrow sets
+_EVALUATORS = _BLOCKED[2:]
 
 
 def _generating_arrows(G):
@@ -599,7 +612,7 @@ def _blocked_scans_agree(monkeypatch, G, scans=_BLOCKED):
     size; returns the reference (key, ok)s of the scans."""
     seen = {_agrees_at_every_block(monkeypatch, G, *scan) for scan in scans}
     arrows = _generating_arrows(G)
-    for blocked, reference in _BLOCKED[1:]:
+    for blocked, reference in _EVALUATORS:
         _agrees_at_every_block(monkeypatch, G, partial(blocked, arrows=arrows),
                                partial(reference, arrows=arrows))
     return seen
@@ -615,11 +628,14 @@ def test_blocked_scans_match_the_one_piece_scans(monkeypatch):
     seen = set()
     for m in mutants:
         seen |= _blocked_scans_agree(monkeypatch, cg.build_catgroup(m))
-    assert {("tensor-interchange", False), ("naturality-assoc", False)} <= seen
-    # the valid ladder rungs to n_mor 512, on the generating arrow sets only
+    assert {("tensor-typing", False), ("tensor-interchange", False),
+            ("naturality-assoc", False)} <= seen
+    # the valid ladder rungs to n_mor 512: tensor-typing on every pair, the
+    # evaluators on the generating arrow sets only
     for n, k in ((8, 3), (12, 5), (16, 7)):
         assert _blocked_scans_agree(
-            monkeypatch, cg.build_catgroup(_ladder(n, k)), ()) == set()
+            monkeypatch, cg.build_catgroup(_ladder(n, k)), _BLOCKED[1:2]) == {
+                ("tensor-typing", True)}
 
 
 def test_associativity_reads_its_instances_from_the_composition_table(monkeypatch):
@@ -657,7 +673,7 @@ def test_blocked_scans_fail_squares_with_both_sides_undefined(monkeypatch):
     # one side of each square reads comp with its undefined entries as -2,
     # so lhs != rhs alone must fail a square whose two sides are undefined
     rng = random.Random(20261019)
-    scans = _BLOCKED[1:]
+    scans = _EVALUATORS
     mods = [m for m in samples.standard_corpus() if m.D.order > 1]
     for m in mods[:3] + [_ladder(8, 3)]:
         G = cg.build_catgroup(m)
@@ -722,6 +738,45 @@ def test_failing_category_check_stays_within_its_memory_bound():
     assert not rep["tensor-interchange"].ok and not rep["naturality-assoc"].ok
     assert not cg._INTERCHANGE_NEEDS <= {e.key for e in rep.entries if e.ok}
     assert peak < 32 << 20, (desc, peak)
+
+
+def test_valid_category_build_and_check_stay_near_the_tables_they_keep():
+    # the n_mor-512 rung: comp and tmor are written in place, row block by
+    # row block, and check_axioms holds one sentinel copy of comp at most
+    # the first check in a process allocates some memory for good
+    cg.check_axioms(cg.build_catgroup(_ladder(4, 1)))
+    tracemalloc.start()
+    try:
+        G = cg.build_catgroup(_ladder(16, 7))
+        kept, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rep = cg.check_axioms(G)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.n_mor == 512 and rep.ok
+    tables = G._comp.nbytes + G._tmor.nbytes
+    assert kept >= tables
+    assert build_peak <= 1.5 * tables, (build_peak, tables)
+    assert check_peak - kept <= 6 << 20, (check_peak, kept)
+
+
+def test_a_second_check_reads_an_in_place_edit_of_comp():
+    # comp edited at the composite (g (x) g) o (f (x) f) that the
+    # interchange square (g, f, g, f) reads through the sentinel copy of
+    # comp: a check made before the edit must leave no copy behind
+    m = _ladder(4, 1)
+    G, H = cg.build_catgroup(m), cg.build_catgroup(m)
+    assert cg.check_axioms(G).ok
+    g_, f_ = (int(v) for v in np.argwhere(G.comp >= 0)[7])
+    x, y = int(G.tmor[g_, g_]), int(G.tmor[f_, f_])
+    for C in (G, H):
+        C.comp[x, y] = (C.comp[x, y] + 1) % C.n_mor
+    assert G == H
+    reports = [[(e.key, e.fail_count, e.witnesses)
+                for e in cg.check_axioms(C).entries] for C in (G, H)]
+    assert reports[0] == reports[1]
+    assert {key: count for key, count, _ in reports[0]}["tensor-interchange"]
 
 
 # -- both builders against a per-morphism reference ----------------------------
@@ -790,23 +845,31 @@ def _reference_reduced(M, N, h):
         lambda x, y, z: h.assoc[x][y][z], lambda x, y: h.braid[x][y])
 
 
-def _assert_tables(G, expected):
-    for name, table in expected.items():
-        assert np.array_equal(getattr(G, name), np.asarray(table)), name
-    assert G.unit == 0
+def _assert_tables(monkeypatch, build, expected):
+    """Assert that build() gives the expected tables at every block size
+    of the row-blocked table writes."""
+    for block in (1, 7, 1 << 10, cg._BLOCK):
+        monkeypatch.setattr(cg, "_BLOCK", block)
+        G = build()
+        for name, table in expected.items():
+            assert np.array_equal(getattr(G, name), np.asarray(table)), \
+                (name, block)
+        assert G.unit == 0
+    monkeypatch.undo()
 
 
-def test_builders_match_the_per_morphism_reference():
+def test_builders_match_the_per_morphism_reference(monkeypatch):
     rng = random.Random(5)
     mods = samples.standard_corpus() + samples.random_corpus(20261018, 30)
     reduced = 0
     for m in mods:
-        _assert_tables(cg.build_catgroup(m), _reference_catgroup(m))
+        _assert_tables(monkeypatch, partial(cg.build_catgroup, m),
+                       _reference_catgroup(m))
         if m.is_abelian_module():
             P, K = m.pi0(), m.pi1()
             for h in [ch.zero_cochain3(P, K)] + \
                     [ch.random_cochain3(P, K, rng) for _ in range(2)]:
-                _assert_tables(cg.build_reduced(P, K, h),
+                _assert_tables(monkeypatch, partial(cg.build_reduced, P, K, h),
                                _reference_reduced(P, K, h))
                 reduced += 1
     assert reduced >= 20

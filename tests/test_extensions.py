@@ -271,6 +271,15 @@ def test_induced_psi_rejects_inconsistent_structural_map():
         ex.induced_psi(bad)
 
 
+def test_induced_psi_refuses_a_p_that_is_not_surjective():
+    ext = z4_over_z2_extension()
+    bad = ex.GammaModuleExtension(ext.module, ext.Q, ext.E, ext.j,
+                                  g.GroupHom(Z4, Z2, [0] * 4),
+                                  g.GroupHom(Z4, Z4, [0] * 4))
+    with pytest.raises(BadSection, match="no preimage of 1"):
+        ex.induced_psi(bad)
+
+
 def _extension(M, Q, E, act, j, p, eps):
     """An extension record over E with the given action rows, unvalidated."""
     Em = g.GammaModule(E, g.GammaAction(M.gamma, E, act))
