@@ -31,7 +31,7 @@ import numpy as np
 from .cohomology import Cochain3, zero_cochain3
 from .crossed import _WITNESS_CAP, AxiomCheck, AxiomReport
 from .errors import DEFAULT_GUARD, NotStrict, SearchSpaceTooLarge, ShapeMismatch
-from .groups import GammaModule, least_preimages, trivial_group
+from .groups import GammaModule, least_preimages, section_defect, trivial_group
 
 
 class _Padded:
@@ -925,13 +925,9 @@ def reduce_abelian(module, guard=DEFAULT_GUARD):
     emb = module.pi1_embedding()
     q = P.group.order
     reps = least_preimages(module.pi0_projection().map, q)
-    pre = least_preimages(module.d, D.order)
-    beta = [[pre[D.mul(D.mul(reps[r], reps[s]),
-                       D.inv(reps[P.group.mul(r, s)]))]
-             for s in range(q)] for r in range(q)]
+    beta, gamm = section_defect(P, D, module.act_d, reps,
+                                least_preimages(module.d, D.order))
     ng = gam.order
-    gamm = [[pre[D.mul(module.act_d(s, reps[r]), D.inv(reps[P.act(s, r)]))]
-             for s in range(ng)] for r in range(q)]
     if any(-1 in row for row in beta + gamm):
         raise NotStrict("element not in the boundary image")
     # a value off ker d reads -1, which Cochain3 refuses as out of range

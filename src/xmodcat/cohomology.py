@@ -45,6 +45,7 @@ from .groups import (
     GroupHom,
     _equivariance_failures,
     decompose_abelian,
+    section_defect,
 )
 
 
@@ -174,13 +175,11 @@ def coboundary2(Q: GammaModule, B: GammaModule, g_table):
     g_table = tuple(int(v) for v in g_table)
     if len(g_table) != Q.group.order:
         raise ShapeMismatch("1-cochain has wrong length")
+    if any(not 0 <= v < B.group.order for v in g_table):
+        raise ShapeMismatch("1-cochain value out of range")
     if g_table[0] != 0:
         raise NotNormalized("1-cochain must vanish at the unit")
-    Qg, Bg = Q.group, B.group
-    qq = [[Bg.mul(Bg.mul(g_table[u], g_table[v]), Bg.inv(g_table[Qg.mul(u, v)]))
-           for v in range(Qg.order)] for u in range(Qg.order)]
-    qg = [[Bg.mul(B.act(s, g_table[u]), Bg.inv(g_table[Q.act(s, u)]))
-           for s in range(Q.gamma.order)] for u in range(Qg.order)]
+    qq, qg = section_defect(Q, B.group, B.act, g_table, B.group.elements())
     return SymmetricCochain2(Q, B, qq, qg)
 
 

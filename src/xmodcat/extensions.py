@@ -34,6 +34,7 @@ from .functors import (
     check_graded_functor,
     find_homotopy,
     homotopy_classes,
+    partition,
 )
 from .groups import (
     FiniteGroup,
@@ -42,6 +43,8 @@ from .groups import (
     GroupHom,
     _equivariance_failures,
     least_preimages,
+    section_defect,
+    twisted_product,
 )
 
 
@@ -138,18 +141,17 @@ def extract_section_cochain(ext: GammaModuleExtension, section=None):
     if section is None:
         section = ext.canonical_section()
     section = [int(v) for v in section]
+    if len(section) != Q.group.order:
+        raise BadSection("section has wrong length")
+    if any(not 0 <= v < E.group.order for v in section):
+        raise BadSection("section value out of range")
     if section[0] != 0:
         raise BadSection("section must send the unit to the unit")
     for u in Q.group.elements():
         if ext.p(section[u]) != u:
             raise BadSection(f"section value at {u} is not a preimage")
-    jinv = least_preimages(ext.j.map, E.group.order)
-    Eg = E.group
-    qq = [[jinv[Eg.mul(Eg.mul(section[u], section[v]),
-                       Eg.inv(section[Q.group.mul(u, v)]))]
-           for v in Q.group.elements()] for u in Q.group.elements()]
-    qg = [[jinv[Eg.mul(E.act(s, section[u]), Eg.inv(section[Q.act(s, u)]))]
-           for s in range(Q.gamma.order)] for u in Q.group.elements()]
+    qq, qg = section_defect(Q, E.group, E.act, section,
+                            least_preimages(ext.j.map, E.group.order))
     if any(-1 in row for row in qq + qg):
         raise BadSection("section defect left the kernel of p")
     Bmod = GammaModule(M.B, M.act_b)
@@ -316,31 +318,21 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
     Bmod = GammaModule(M.B, M.act_b)
     cocycles = cohomology.all_cocycles(Qmod, Bmod, guard=guard)
     proj = M.pi0_projection()
-    q, ng = Qmod.group.order, Qmod.gamma.order
     rep_sets = [[x for x in M.D.elements() if proj(x) == psi[u]] if u else [0]
-                for u in range(q)]
+                for u in Qmod.group.elements()]
     exts = []
     for f in cocycles:
+        # F is a representative map of f exactly when its defect is d . f
+        df = tuple([[M.d[b] for b in row] for row in t] for t in (f.qq, f.qg))
         for Fmap in candidates(rep_sets, guard):
-            if any(M.D.mul(Fmap[u], Fmap[v])
-                   != M.D.mul(M.d[f.qq[u][v]], Fmap[Qmod.group.mul(u, v)])
-                   for u in range(q) for v in range(q)):
-                continue
-            if any(M.act_d(s, Fmap[u])
-                   != M.D.mul(M.d[f.qg[u][s]], Fmap[Qmod.act(s, u)])
-                   for u in range(q) for s in range(ng)):
+            if section_defect(Qmod, M.D, M.act_d, Fmap,
+                              M.D.elements()) != df:
                 continue
             ext = _crossed_product(M, Qmod, f.qq, f.qg, Fmap)
             if ext.is_valid and list(induced_psi(ext).map) == list(psi):
                 exts.append(ext)
-    ext_classes = []
-    for ext in exts:
-        for cls in ext_classes:
-            if are_equivalent(cls[0], ext, guard=guard) is not None:
-                cls.append(ext)
-                break
-        else:
-            ext_classes.append([ext])
+    ext_classes = partition(
+        exts, lambda rep, ext: are_equivalent(rep, ext, guard=guard) is not None)
 
     omega = [extension_from_functor(cls[0]) for cls in classes]
     well_defined = True
@@ -376,26 +368,12 @@ def _crossed_product(M, Qmod, qq, qg, Fmap):
     """The crossed product B x_(qq, qg) Q with (b, u) packed as u * |B| + b,
     and eps sending (b, u) to d(b) Fmap[u]."""
     B, D, gam = M.B, M.D, M.gamma
-    q = Qmod.group.order
     nb = B.order
-    n = nb * q
-    tbl = [[0] * n for _ in range(n)]
-    for u in range(q):
-        for b in range(nb):
-            for v in range(q):
-                for c in range(nb):
-                    w = Qmod.group.mul(u, v)
-                    s = B.mul(B.mul(b, c), qq[u][v])
-                    tbl[u * nb + b][v * nb + c] = w * nb + s
-    E = FiniteGroup(tbl)
-    rows = []
-    for s in range(gam.order):
-        row = [0] * n
-        for u in range(q):
-            for b in range(nb):
-                row[u * nb + b] = Qmod.act(s, u) * nb + \
-                    B.mul(M.act_b(s, b), qg[u][s])
-        rows.append(row)
+    n = nb * Qmod.group.order
+    E = FiniteGroup(twisted_product(Qmod.group, B, qq))
+    rows = [[Qmod.act(s, u) * nb + B.mul(M.act_b(s, b), qg[u][s])
+             for u in Qmod.group.elements() for b in B.elements()]
+            for s in gam.elements()]
     Emod = GammaModule(E, GammaAction(gam, E, rows))
     j = GroupHom(B, E, list(range(nb)))
     p = GroupHom(E, Qmod.group, [x // nb for x in range(n)])

@@ -186,14 +186,8 @@ class FactorSet:
                              int(self.fstars[s]))
 
     def theta_is_identity(self):
-        K = self.kernel
-        for s in range(self.base.gamma.order):
-            for t in range(self.base.gamma.order):
-                for x in range(K.n_obj):
-                    if self.theta[s][t][x] != K.idm[self.obj_maps[
-                            self.base.gamma.mul(s, t)][x]]:
-                        return False
-        return True
+        st_obj = np.asarray(self.obj_maps)[self.base.gamma.np_table]
+        return np.array_equal(self.theta, self.kernel.idm[st_obj])
 
 
 def extract_factor_set(G: GradedCatGroup, choices=None):
@@ -547,17 +541,24 @@ def find_homotopy(F: GradedFunctor, F2: GradedFunctor, guard=DEFAULT_GUARD):
     return None
 
 
-def partition_by_homotopy(functors, guard=DEFAULT_GUARD):
-    """Group functor records into homotopy classes (list of lists)."""
+def partition(items, same):
+    """The first-member partition: each item joins the first class whose
+    first member rep has same(rep, item), or starts a class of its own."""
     classes = []
-    for F in functors:
+    for x in items:
         for cls in classes:
-            if find_homotopy(F, cls[0], guard=guard) is not None:
-                cls.append(F)
+            if same(cls[0], x):
+                cls.append(x)
                 break
         else:
-            classes.append([F])
+            classes.append([x])
     return classes
+
+
+def partition_by_homotopy(functors, guard=DEFAULT_GUARD):
+    """Group functor records into homotopy classes (list of lists)."""
+    return partition(
+        functors, lambda rep, F: find_homotopy(F, rep, guard=guard) is not None)
 
 
 # -- exhaustive functor enumeration --------------------------------------------

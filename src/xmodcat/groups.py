@@ -229,17 +229,19 @@ def cyclic(n):
     )
 
 
+def twisted_product(G, H, twist):
+    """The table of G x H with (a, b) packed as a * |H| + b and
+    (a1, b1)(a2, b2) = (a1 a2, b1 b2 twist[a1][a2])."""
+    nh = H.order
+    return [[G.mul(a1, a2) * nh + H.mul(H.mul(b1, b2), twist[a1][a2])
+             for a2 in G.elements() for b2 in H.elements()]
+            for a1 in G.elements() for b1 in H.elements()]
+
+
 def direct_product(G, H):
     """Product group with (a, b) packed as a * |H| + b."""
-    nh = H.order
-    n = G.order * nh
-    tbl = [[0] * n for _ in range(n)]
-    for a1 in range(G.order):
-        for b1 in range(nh):
-            for a2 in range(G.order):
-                for b2 in range(nh):
-                    tbl[a1 * nh + b1][a2 * nh + b2] = G.mul(a1, a2) * nh + H.mul(b1, b2)
-    return FiniteGroup(tbl, _validated=True)
+    zero = [[0] * G.order] * G.order
+    return FiniteGroup(twisted_product(G, H, zero), _validated=True)
 
 
 @lru_cache(maxsize=None)
@@ -510,6 +512,19 @@ def least_preimages(mapping, n):
     for i in reversed(range(len(mapping))):
         out[mapping[i]] = i
     return out
+
+
+def section_defect(Q, G, act, sec, lift):
+    """The normalized defect of a set-section sec: Q -> G, read through
+    lift: qq[u][v] = lift[sec[u] sec[v] sec[uv]^-1] and
+    qg[u][s] = lift[(s.sec[u]) sec[s.u]^-1], where act(s, x) is s.x on G
+    and Q is a gamma-module.  Entries read -1 wherever lift does."""
+    Qg, inv = Q.group, G.inverses
+    qq = [[lift[G.mul(G.mul(sec[u], sec[v]), inv[sec[Qg.mul(u, v)]])]
+           for v in Qg.elements()] for u in Qg.elements()]
+    qg = [[lift[G.mul(act(s, sec[u]), inv[sec[Q.act(s, u)]])]
+           for s in Q.gamma.elements()] for u in Qg.elements()]
+    return qq, qg
 
 
 def trivial_action(gamma, target):

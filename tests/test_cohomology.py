@@ -126,6 +126,15 @@ def test_coboundary2_examples():
         ch.coboundary2(Q, Q, [1, 0])
 
 
+def test_coboundary2_refuses_values_outside_the_coefficients():
+    """A 1-cochain value outside [0, |B|) is refused like a wrong length,
+    not read from the end of a table or past it."""
+    Q, B = module(Z4), module(Z2)
+    for g_table in ([0, -1, 0, -1], [0, 1, 0, -2], [0, 5, 0, 0]):
+        with pytest.raises(ShapeMismatch):
+            ch.coboundary2(Q, B, g_table)
+
+
 def test_every_coboundary_is_a_cocycle():
     for Q, B in small_pairs():
         if Q.group.order > 4 or B.group.order > 4:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from xmodcat import catgroups as cg
@@ -70,6 +72,84 @@ def test_extract_section_cochain_z4():
         ex.extract_section_cochain(ext, [1, 1])
     with pytest.raises(BadSection):
         ex.extract_section_cochain(ext, [0, 2])
+
+
+def test_sections_of_the_wrong_shape_are_refused():
+    """A section must have one value in [0, |E|) per element of Q; a short,
+    long or negative one is refused before it is read."""
+    ext = z4_over_z2_extension()
+    for section in ([0, -1], [0, 1, 2], [0]):
+        with pytest.raises(BadSection):
+            ex.extract_section_cochain(ext, section)
+        with pytest.raises(BadSection):
+            ex.functor_from_extension(ext, section)
+
+
+def construction_cases():
+    """(M, Q) pairs for the Schreier construction; the last has a
+    non-trivial gamma-action on Q and on D."""
+    neg4 = [0, 3, 2, 1]
+    return [
+        (samples.abelian_module(Z2, Z2, [0, 1]), module(Z2)),
+        (samples.abelian_module(Z4, Z2, [0, 1, 0, 1]), module(Z4)),
+        (samples.abelian_module(Z2, Z4, [0, 2], Z2, g.trivial_action(Z2, Z2),
+                                g.action_from_automorphism(Z2, Z4, neg4)),
+         module(Z4, Z2, neg4)),
+    ]
+
+
+def eps_laws_hold(ext):
+    problems = ext.validate()
+    return ("eps is not a homomorphism" not in problems
+            and "eps is not equivariant" not in problems)
+
+
+def normalized_maps(Q, D):
+    return [(0,) + tail for tail in itertools.product(
+        D.elements(), repeat=Q.group.order - 1)]
+
+
+def test_crossed_product_returns_its_cocycle_under_the_canonical_section():
+    for M, Qm in construction_cases():
+        assert M.is_valid
+        Bm = g.GammaModule(M.B, M.act_b)
+        reps = 0
+        for f in ch.all_cocycles(Qm, Bm):
+            for F in normalized_maps(Qm, M.D):
+                ext = ex._crossed_product(M, Qm, f.qq, f.qg, F)
+                if not eps_laws_hold(ext):
+                    continue
+                reps += 1
+                assert ext.is_valid
+                assert ex.extract_section_cochain(ext) == f
+        assert reps > 0
+
+
+def test_schreier_filter_is_the_crossed_products_eps_laws():
+    """F passes the Schreier check's filter (its defect in D is d . f)
+    exactly when eps of the crossed product is an equivariant
+    homomorphism."""
+    for M, Qm in construction_cases():
+        Bm = g.GammaModule(M.B, M.act_b)
+        verdicts = set()
+        for f in ch.all_cocycles(Qm, Bm):
+            df = tuple([[M.d[b] for b in row] for row in t]
+                       for t in (f.qq, f.qg))
+            for F in normalized_maps(Qm, M.D):
+                accepted = g.section_defect(Qm, M.D, M.act_d, F,
+                                            M.D.elements()) == df
+                ext = ex._crossed_product(M, Qm, f.qq, f.qg, F)
+                assert accepted == eps_laws_hold(ext), (f.flat(), F)
+                verdicts.add(accepted)
+        assert verdicts == {True, False}
+
+
+def test_crossed_product_of_the_zero_cocycle_is_the_direct_product():
+    for M, Qm in construction_cases():
+        q, ng = Qm.group.order, Qm.gamma.order
+        ext = ex._crossed_product(M, Qm, [[0] * q] * q, [[0] * ng] * q,
+                                  [0] * q)
+        assert ext.E.group == g.direct_product(Qm.group, M.B)
 
 
 def test_extension_from_functor_split_and_twisted():

@@ -43,12 +43,21 @@ def test_identity_functor_coherent_and_regular():
         assert fn.is_regular(F)
 
 
+def theta_is_identity_by_loop(fs):
+    """The entrywise reference for FactorSet.theta_is_identity."""
+    gam, K = fs.base.gamma, fs.kernel
+    return all(fs.theta[s][t][x] == K.idm[fs.obj_maps[gam.mul(s, t)][x]]
+               for s in gam.elements() for t in gam.elements()
+               for x in range(K.n_obj))
+
+
 def test_canonical_factor_set_on_built_categories():
     m = samples.q8_i_module(True)
     G = cg.build_catgroup(m)
     fs = fn.extract_factor_set(G)
     assert fn.validate_factor_set(fs).ok
     assert fs.theta_is_identity()
+    assert theta_is_identity_by_loop(fs)
     assert fn.is_regular_factor_set(fs)
     # the grade action on objects is the module action
     for s in range(m.gamma.order):
@@ -79,6 +88,7 @@ def test_perturbed_choices_still_give_valid_factor_set():
     fs = fn.extract_factor_set(G, ups)
     assert fn.validate_factor_set(fs).ok
     assert not fs.theta_is_identity()
+    assert not theta_is_identity_by_loop(fs)
 
 
 @pytest.mark.parametrize("field, key, value", [
