@@ -325,8 +325,9 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
         # F is a representative map of f exactly when its defect is d . f
         df = tuple([[M.d[b] for b in row] for row in t] for t in (f.qq, f.qg))
         for Fmap in candidates(rep_sets, guard):
-            if section_defect(Qmod, M.D, M.act_d, Fmap,
-                              M.D.elements()) != df:
+            if any(t != dt for t, dt in zip(
+                    section_defect(Qmod, M.D, M.act_d, Fmap, M.D.elements()),
+                    df)):
                 continue
             ext = _crossed_product(M, Qmod, f.qq, f.qg, Fmap)
             if ext.is_valid and list(induced_psi(ext).map) == list(psi):

@@ -518,13 +518,13 @@ def section_defect(Q, G, act, sec, lift):
     """The normalized defect of a set-section sec: Q -> G, read through
     lift: qq[u][v] = lift[sec[u] sec[v] sec[uv]^-1] and
     qg[u][s] = lift[(s.sec[u]) sec[s.u]^-1], where act(s, x) is s.x on G
-    and Q is a gamma-module.  Entries read -1 wherever lift does."""
-    Qg, inv = Q.group, G.inverses
-    qq = [[lift[G.mul(G.mul(sec[u], sec[v]), inv[sec[Qg.mul(u, v)]])]
-           for v in Qg.elements()] for u in Qg.elements()]
-    qg = [[lift[G.mul(act(s, sec[u]), inv[sec[Q.act(s, u)]])]
-           for s in Q.gamma.elements()] for u in Qg.elements()]
-    return qq, qg
+    and Q is a gamma-module.  Entries read -1 wherever lift does.  Yields
+    qq, then qg, so a caller comparing with a known defect can stop at qq."""
+    mul, qmul, inv = G.table, Q.group.table, G.inverses
+    yield [[lift[mul[mul[sec[u]][sec[v]]][inv[sec[qmul[u][v]]]]]
+            for v in Q.group.elements()] for u in Q.group.elements()]
+    yield [[lift[mul[act(s, sec[u])][inv[sec[Q.act(s, u)]]]]
+            for s in Q.gamma.elements()] for u in Q.group.elements()]
 
 
 def trivial_action(gamma, target):

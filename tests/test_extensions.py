@@ -136,8 +136,8 @@ def test_schreier_filter_is_the_crossed_products_eps_laws():
             df = tuple([[M.d[b] for b in row] for row in t]
                        for t in (f.qq, f.qg))
             for F in normalized_maps(Qm, M.D):
-                accepted = g.section_defect(Qm, M.D, M.act_d, F,
-                                            M.D.elements()) == df
+                accepted = tuple(g.section_defect(Qm, M.D, M.act_d, F,
+                                                  M.D.elements())) == df
                 ext = ex._crossed_product(M, Qm, f.qq, f.qg, F)
                 assert accepted == eps_laws_hold(ext), (f.flat(), F)
                 verdicts.add(accepted)
