@@ -12,14 +12,15 @@ written once, in `_record`; every other module reaches it through
 payloads of composites, tensors and constraints, and `_assemble` turns
 them into the tables, one block of rows at a time.
 
-An undefined composite or tensor is the index -1.  Every morphism-indexed
+A category's tables are listed once, with their axes, in `_TABLES`.  An
+undefined composite or tensor is the index -1.  Every morphism-indexed
 table is stored with one trailing slot per morphism axis that holds -1,
 so indexing with -1 reads -1 and an undefined arrow propagates through
 plain numpy indexing.  `GradedCatGroup` allocates that slot for every
-table it is given, but for the `comp` and `tmor` that `_assemble` writes
-into padded storage of its own (`_Padded`), and its constructor keeps the
-invariant it needs: morphism indices lie in [-1, n_mor) and object
-indices in [0, n_obj).
+such table it is given, but for the `comp` and `tmor` that `_assemble`
+writes into padded storage of its own (`_Padded`), and its constructor
+keeps the invariant it needs: morphism indices lie in [-1, n_mor) and
+object indices in [0, n_obj).
 """
 
 from __future__ import annotations
@@ -69,82 +70,80 @@ def _record(n_pay, n_obj, grade, payload, target, out=None):
     return out
 
 
+# A category's tables, in the order the constructor checks them, each with
+# its axes and what its entries index: M a morphism, O an object, G a grade.
+# A table with a morphism axis has only morphism axes and is stored padded.
+_TABLES = (("src", "M", "O"), ("tgt", "M", "O"), ("tob", "OO", "O"),
+           ("grd", "M", "G"), ("comp", "MM", "M"), ("tmor", "MM", "M"),
+           ("idm", "O", "M"), ("aset", "OOO", "M"), ("lset", "O", "M"),
+           ("rset", "O", "M"), ("cset", "OO", "M"), ("uI", "G", "M"))
+
+
+def _stored(name, axes):
+    """The attribute that holds a table of _TABLES: `_<name>` if padded."""
+    return f"_{name}" if "M" in axes else name
+
+
+def _with_views(cls):
+    """cls with a property under each padded table's name that reads the
+    table without its -1 slots."""
+    def view(stored, cut):
+        return property(lambda self: getattr(self, stored)[cut])
+    for name, axes, _ in _TABLES:
+        if "M" in axes:
+            setattr(cls, name, view(_stored(name, axes),
+                                    (slice(-1),) * len(axes)))
+    return cls
+
+
+@_with_views
 class GradedCatGroup:
     """Finite graded monoidal groupoid data; all tables are numpy arrays.
 
-    The morphism tables `src`, `tgt`, `grd`, `comp`, `tmor` and `inv` are
-    stored padded: one trailing slot on every morphism axis holds -1, the
+    The tables are those of `_TABLES`, each morphism's payload `pay`, and
+    the derived `inv`.  A table with a morphism axis is stored padded, as
+    `_<name>`: one trailing slot on every morphism axis holds -1, the
     undefined arrow.  Index -1 therefore reads that slot, so a composite or
     tensor with an undefined factor is undefined without any masking, and
-    consumers index the padded tables `_src`, `_tgt`, `_grd`, `_comp`,
-    `_tmor` and `_inv` directly.  The public attributes are views that
-    leave the slot out.  The constructor refuses (ShapeMismatch) a table
-    of the wrong shape, a morphism index outside [-1, n_mor), an object
-    index outside [0, n_obj) and a grade outside the grading group, since
-    a padded table would silently read a real row at -2.
+    consumers index the padded tables and `_inv` directly.  The public
+    attributes are views that leave the slot out.  The constructor refuses
+    (ShapeMismatch) a table of the wrong shape, a morphism index outside
+    [-1, n_mor), an object index outside [0, n_obj) and a grade outside the
+    grading group, since a padded table would silently read a real row at -2.
     """
 
-    __slots__ = ("gamma", "n_obj", "_src", "_tgt", "_grd", "pay", "_comp",
-                 "tob", "_tmor", "unit", "idm", "aset", "lset", "rset",
-                 "cset", "uI", "meta")
+    __slots__ = ("gamma", "n_obj", "pay", "unit", "meta") + tuple(
+        _stored(name, axes) for name, axes, _ in _TABLES)
 
     def __init__(self, gamma, n_obj, src, tgt, grd, pay, comp, tob, tmor,
                  unit, idm, aset, lset, rset, cset, uI, meta=None):
+        given = locals()        # the tables, by their names in _TABLES
         self.gamma = gamma
         self.n_obj = int(n_obj)
-        self._src, self._tgt, self._grd, self._comp, self._tmor = (
-            _padded(t) for t in (src, tgt, grd, comp, tmor))
-        self.pay = np.asarray(pay, dtype=np.int64) if pay is not None else None
-        self.tob = np.asarray(tob, dtype=np.int64)
+        for name, axes, _ in _TABLES:
+            setattr(self, _stored(name, axes), _padded(given[name])
+                    if "M" in axes else np.asarray(given[name], dtype=np.int64))
+        self.pay = np.asarray(pay, dtype=np.int64)
         self.unit = int(unit)
-        self.idm = np.asarray(idm, dtype=np.int64)
-        self.aset = np.asarray(aset, dtype=np.int64)
-        self.lset = np.asarray(lset, dtype=np.int64)
-        self.rset = np.asarray(rset, dtype=np.int64)
-        self.cset = np.asarray(cset, dtype=np.int64)
-        self.uI = np.asarray(uI, dtype=np.int64)
         self.meta = meta or {}
         n, no = self.n_mor, self.n_obj
+        size = {"M": n, "O": no, "G": gamma.order}
         if not 0 <= self.unit < no:
             raise ShapeMismatch(f"unit object {self.unit} outside [0, {no})")
-        if self.pay is not None and self.pay.shape != (n,):
+        if self.pay.shape != (n,):
             raise ShapeMismatch(f"pay has shape {self.pay.shape}, expected {(n,)}")
-        for name, shape, lo, hi in (
-                ("src", (n,), 0, no), ("tgt", (n,), 0, no), ("tob", (no, no), 0, no),
-                ("grd", (n,), 0, gamma.order),
-                ("comp", (n, n), -1, n), ("tmor", (n, n), -1, n),
-                ("idm", (no,), -1, n), ("aset", (no, no, no), -1, n),
-                ("lset", (no,), -1, n), ("rset", (no,), -1, n),
-                ("cset", (no, no), -1, n), ("uI", (gamma.order,), -1, n)):
+        for name, axes, value in _TABLES:
             t = getattr(self, name)
+            shape = tuple(size[a] for a in axes)
             if t.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {t.shape}, expected {shape}")
+            lo, hi = (-1 if value == "M" else 0), size[value]
             if t.size and (t.min() < lo or t.max() >= hi):
                 raise ShapeMismatch(f"{name} holds an index outside [{lo}, {hi})")
 
     @property
     def n_mor(self):
         return len(self._src) - 1
-
-    @property
-    def src(self):
-        return self._src[:-1]
-
-    @property
-    def tgt(self):
-        return self._tgt[:-1]
-
-    @property
-    def grd(self):
-        return self._grd[:-1]
-
-    @property
-    def comp(self):
-        return self._comp[:-1, :-1]
-
-    @property
-    def tmor(self):
-        return self._tmor[:-1, :-1]
 
     @property
     def _inv(self):
@@ -206,18 +205,8 @@ class GradedCatGroup:
             return True
         return (self.gamma == other.gamma and self.n_obj == other.n_obj
                 and self.unit == other.unit
-                and np.array_equal(self.src, other.src)
-                and np.array_equal(self.tgt, other.tgt)
-                and np.array_equal(self.grd, other.grd)
-                and np.array_equal(self.comp, other.comp)
-                and np.array_equal(self.tob, other.tob)
-                and np.array_equal(self.tmor, other.tmor)
-                and np.array_equal(self.idm, other.idm)
-                and np.array_equal(self.aset, other.aset)
-                and np.array_equal(self.lset, other.lset)
-                and np.array_equal(self.rset, other.rset)
-                and np.array_equal(self.cset, other.cset)
-                and np.array_equal(self.uI, other.uI))
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name, _, _ in _TABLES))
 
     def __repr__(self):
         return (f"GradedCatGroup(objects={self.n_obj}, morphisms={self.n_mor}, "
@@ -891,15 +880,16 @@ def ker(G: GradedCatGroup):
     # indexed like G's padded tables, so the undefined arrow stays -1
     remap = np.full(len(G._src), -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
+    # each axis is restricted to the kept indices, in order (old), and each
+    # entry renumbered (new): the grade-1 arrows and the identity grade
+    objs, one = np.arange(G.n_obj), np.zeros(1, dtype=np.int64)
+    old = {"M": keep, "O": objs, "G": one}
+    new = {"M": remap, "O": objs, "G": one}
+    tables = {name: new[value][getattr(G, name)[np.ix_(*(old[a] for a in axes))]]
+              for name, axes, value in _TABLES}
     meta = {"kind": "kernel", "parent": G, "keep": keep, "remap": remap}
-    return GradedCatGroup(
-        trivial_group(), G.n_obj,
-        G.src[keep], G.tgt[keep], np.zeros(len(keep), dtype=np.int64),
-        G.pay[keep] if G.pay is not None else None,
-        remap[G.comp[np.ix_(keep, keep)]],
-        G.tob, remap[G.tmor[np.ix_(keep, keep)]],
-        G.unit, remap[G.idm], remap[G.aset], remap[G.lset], remap[G.rset],
-        remap[G.cset], remap[G.uI[:1]], meta)
+    return GradedCatGroup(trivial_group(), G.n_obj, pay=G.pay[keep],
+                          unit=G.unit, meta=meta, **tables)
 
 
 # -- reduction of the built category on an abelian module ---------------------

@@ -58,7 +58,27 @@ def _load_scenario(path, kind):
     inputs, options = obj.get("inputs", {}), obj.get("options", {})
     if not (isinstance(inputs, dict) and isinstance(options, dict)):
         raise InputError("inputs and options must be JSON objects")
+    _integer_leaves(inputs)
     return inputs, options
+
+
+def _integer_leaves(inputs):
+    """Refuse, with an InputError that names its path, the first leaf of
+    inputs in document order that is not a JSON integer: every input is a
+    table of indices, and a float, bool, string or null is never read as
+    one."""
+    todo = [("inputs", inputs)]
+    while todo:
+        path, node = todo.pop()
+        if isinstance(node, dict):
+            todo.extend(reversed([(f"{path}.{k}", v) for k, v in node.items()]))
+        elif isinstance(node, list):
+            todo.extend(reversed([(f"{path}[{i}]", v) for i, v in enumerate(node)]))
+        else:
+            try:
+                _int(node)
+            except TypeError as exc:
+                raise InputError(f"{path}: {exc}") from exc
 
 
 def _decode(section, name, build, where="inputs", default=None):
@@ -103,6 +123,12 @@ def _ints(obj):
     return [int(v) for v in obj]
 
 
+def _int(obj):
+    if type(obj) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(obj)}")
+    return obj
+
+
 def _bool(obj):
     if not isinstance(obj, bool):
         raise TypeError(f"expected true or false, got {json.dumps(obj)}")
@@ -123,7 +149,7 @@ def _seed(options):
             return int(env)
         except ValueError as exc:
             raise InputError(f"XMODCAT_SEED must be an integer: {env!r}") from exc
-    return _decode(options, "seed", int, "options", default=0)
+    return _decode(options, "seed", _int, "options", default=0)
 
 
 def _report_axioms(lines, report):
@@ -168,7 +194,7 @@ def run_check_axioms(inputs, options, guard):
     mods = []
     if "module" in inputs:
         mods.append(_module(inputs))
-    count = _decode(options, "random_count", int, "options", default=0)
+    count = _decode(options, "random_count", _int, "options", default=0)
     symmetric = _decode(options, "symmetric", _bool, "options", default=False)
     if count:
         mods.extend(samples.random_corpus(_seed(options), count))

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .catgroups import GradedCatGroup, _entry, _lifts, build_catgroup, ker
+from .catgroups import GradedCatGroup, _entry, _lifts, ker
 from .cohomology import SymmetricCochain2
 from .crossed import (
     AxiomCheck,
@@ -318,10 +318,7 @@ def is_regular(F: GradedFunctor):
         return False
     # comparison morphisms are labelled by payload; symmetry is equality of
     # the labels, the endpoints differ whenever the object tensor does
-    if T.pay is not None:
-        ok = np.array_equal(T.pay[ft], T.pay[ft.T])
-    else:
-        ok = np.array_equal(ft, ft.T)
+    ok = np.array_equal(T.pay[ft], T.pay[ft.T])
     if not ok or S.gamma.order == 1:
         return ok
     # without a lift of every grade there is no canonical action to respect
@@ -345,17 +342,15 @@ def is_regular(F: GradedFunctor):
 
 # -- crossed-module morphisms <-> functors -------------------------------------
 
-def morphism_to_functor(m: CrossedMorphism, source_cat=None, target_cat=None):
-    """The functor with object map f0, grade-1 payload map f1, and
-    comparison taken from the degree-2 component on cokernel classes."""
-    M, Mp = m.source, m.target
-    G = source_cat if source_cat is not None else build_catgroup(M)
-    T = target_cat if target_cat is not None else build_catgroup(Mp)
-    cls = np.asarray(M.pi0_projection().map, dtype=np.int64)
-    embp = np.asarray(Mp.pi1_embedding(), dtype=np.int64)
+def morphism_to_functor(m: CrossedMorphism, source_cat, target_cat):
+    """The functor between the categories built on m's source and target
+    with object map f0, grade-1 payload map f1, and comparison taken from
+    the degree-2 component on cokernel classes."""
+    cls = np.asarray(m.source.pi0_projection().map, dtype=np.int64)
+    embp = np.asarray(m.target.pi1_embedding(), dtype=np.int64)
     qq = embp[np.asarray(m.phi.qq, dtype=np.int64)]
     qg = embp[np.asarray(m.phi.qg, dtype=np.int64)]
-    return _functor_into(G, T, m.f0.map, m.f1.map,
+    return _functor_into(source_cat, target_cat, m.f0.map, m.f1.map,
                          qq[cls[:, None], cls[None, :]], qg[cls])
 
 

@@ -284,27 +284,25 @@ def quaternion8():
 
 # -- subgroup machinery ----------------------------------------------------
 
-def subgroup_generated(G, gens):
-    """Smallest subgroup containing gens, by closure iteration."""
-    seen = {0}
+def _words(G, gens):
+    """{element: word} over the subgroup gens generates, each word a tuple
+    of positions in gens: the breadth-first closure of the identity under
+    right multiplication by gens, which in a finite group is the generated
+    subgroup, since an inverse is a power."""
+    words = {0: ()}
     frontier = [0]
-    gens = [g for g in gens]
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        xi = G.inv(x)
-        if xi not in seen:
-            seen.add(xi)
-            frontier.append(xi)
-    return tuple(sorted(seen))
+    for x in frontier:
+        for i, g in enumerate(gens):
+            y = G.mul(x, g)
+            if y not in words:
+                words[y] = words[x] + (i,)
+                frontier.append(y)
+    return words
+
+
+def subgroup_generated(G, gens):
+    """Smallest subgroup containing gens, ascending."""
+    return tuple(sorted(_words(G, list(gens))))
 
 
 def commutator_subgroup(G):
@@ -712,19 +710,7 @@ def hom_kernel_image(dom_invariants, cod_invariants, matrix):
 def enumerate_homs(G, H):
     """All homomorphisms G -> H, by backtracking over generator images."""
     gens = _magma_generators(G.table)
-    if not gens:
-        yield zero_hom(G, H)
-        return
-    # express every element as a fixed word in the generators
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop(0)
-        for i, g in enumerate(gens):
-            y = G.mul(x, g)
-            if y not in words:
-                words[y] = words[x] + (i,)
-                frontier.append(y)
+    words = _words(G, gens)
     for images in itertools.product(range(H.order), repeat=len(gens)):
         mapping = [0] * G.order
         for x, word in words.items():

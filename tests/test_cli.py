@@ -185,6 +185,35 @@ def _q_action_entry_past_end():
     return "cohomology-h2", inputs, {}, "inputs.Q"
 
 
+def _psi_entry(value):
+    inputs = _corpus_inputs("classify_z2")
+    inputs["psi"][1] = value
+    return "classify", inputs, {}, "inputs.psi[1]"
+
+
+def _float_psi():
+    return _psi_entry(0.9)
+
+
+def _bool_psi():
+    return _psi_entry(True)
+
+
+def _string_seed():
+    return ("check-axioms", {}, {"random_count": 1, "seed": "12"},
+            "options.seed")
+
+
+def _float_random_count():
+    return "check-axioms", {}, {"random_count": 2.7}, "options.random_count"
+
+
+def _float_module_entry():
+    inputs = _corpus_inputs("validate_s3_a3")
+    inputs["module"]["d"][1] = 1.5
+    return "validate", inputs, {}, "inputs.module.d[1]"
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
@@ -201,11 +230,18 @@ def _q_action_entry_past_end():
     _action_entry_past_end,
     _action_entry_negative,
     _q_action_entry_past_end,
+    _float_psi,
+    _bool_psi,
+    _string_seed,
+    _float_random_count,
+    _float_module_entry,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
         "non-string-method", "non-integer-random-count", "string-symmetric",
         "list-symmetric", "string-dump", "string-decide-vanishing",
         "hp-entry-past-end", "hp-entry-negative", "action-entry-past-end",
-        "action-entry-negative", "q-action-entry-past-end"])
+        "action-entry-negative", "q-action-entry-past-end", "float-psi",
+        "bool-psi", "string-seed", "float-random-count",
+        "float-module-entry"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)

@@ -98,6 +98,15 @@ def test_cochain_normalization_enforced():
                              [[0] * 6] * 6, [[0]] * 6)
 
 
+def test_cochain_qg_normalization_enforced():
+    Q = module(Z2, Z2)
+    qq = [[0, 0], [0, 0]]
+    with pytest.raises(NotNormalized, match="at the identity grade"):
+        ch.SymmetricCochain2(Q, Q, qq, [[0, 0], [1, 0]])
+    with pytest.raises(NotNormalized, match="at the unit of Q"):
+        ch.SymmetricCochain2(Q, Q, qq, [[0, 1], [0, 0]])
+
+
 def test_is_2cocycle_examples():
     Q = module(Z2)
     assert ch.is_2cocycle(ch.zero_cochain2(Q, Q))[0]
@@ -112,6 +121,15 @@ def test_is_2cocycle_examples():
     assert not ok
     assert witness[0] in ("symmetry", "addition")
     assert witness[1] is not None
+
+
+def test_is_2cocycle_symmetry_witness():
+    # an asymmetric bilinear form on K4 = Z2 x Z2 passes every identity
+    # but symmetry: b((a, b), (c, d)) = a d, with (a, b) packed as 2a + b
+    Q, B = module(K4), module(Z2)
+    f = ch.SymmetricCochain2(Q, B, [[(x >> 1) * (y & 1) for y in range(4)]
+                                    for x in range(4)], [[0]] * 4)
+    assert ch.is_2cocycle(f) == (False, ("symmetry", (1, 2)))
 
 
 def test_coboundary2_examples():

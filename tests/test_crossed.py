@@ -8,6 +8,7 @@ from xmodcat.errors import (
     NotComposable,
     NotGammaStable,
     NotNormal,
+    QuotientNotAbelian,
     ShapeMismatch,
 )
 
@@ -60,6 +61,12 @@ def test_conjugation_module_examples():
     H = g.subgroup_generated(S3, [transposition])
     with pytest.raises(NotNormal):
         xm.conjugation_module(S3, H)
+
+
+def test_conjugation_module_refuses_a_nonabelian_quotient():
+    # the trivial subgroup is normal, but S3 itself is not abelian
+    with pytest.raises(QuotientNotAbelian):
+        xm.conjugation_module(g.symmetric3(), [0])
 
 
 def test_conjugation_module_gamma_stability():

@@ -135,6 +135,16 @@ def test_bad_choices_rejected():
         fn.extract_factor_set(G, ups)
 
 
+def test_grade1_choice_must_be_an_identity():
+    G = cg.build_catgroup(samples.s3_a3_module(True))
+    ups = fn.canonical_choices(G).copy()
+    # a grade-1 arrow out of object 0 other than its identity: right type
+    ups[0, 0] = next(int(k) for k in np.nonzero((G.grd == 0) & (G.src == 0))[0]
+                     if k != G.idm[0])
+    with pytest.raises(BadChoice, match="grade-1 choices must be identities"):
+        fn.extract_factor_set(G, ups)
+
+
 @pytest.mark.parametrize("value", [lambda G: G.n_mor + 5, lambda G: -2],
                          ids=["past-end", "minus-two"])
 def test_out_of_range_choice_is_refused(value):

@@ -63,6 +63,12 @@ def test_s3_table_by_closure_oracle():
     assert g.is_isomorphic(G, g.symmetric3())
 
 
+def test_normalize_identity_moves_the_identity_to_index_zero():
+    # Z3 with k written as (k + 2) % 3, so its identity is 2
+    table = [[(a + b + 1) % 3 for b in range(3)] for a in range(3)]
+    assert g.normalize_identity(table) == [list(r) for r in g.cyclic(3).table]
+
+
 def test_not_associative_detected():
     tbl = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises((NotAssociative, NoInverse)):
