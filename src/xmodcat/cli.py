@@ -43,6 +43,8 @@ def _read_scenario(path):
         raise InputError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError("scenario is nested too deeply to read") from exc
     if not isinstance(obj, dict):
         raise InputError("scenario must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
@@ -59,7 +61,16 @@ def _load_scenario(path, kind):
     if not (isinstance(inputs, dict) and isinstance(options, dict)):
         raise InputError("inputs and options must be JSON objects")
     _integer_leaves(inputs)
-    return inputs, options
+    known = OPTIONS.get(kind, {})
+    decoded = {name: default for name, (_, default) in known.items()}
+    for name, value in options.items():
+        if name not in known:
+            raise InputError(f"options.{name}: unknown option")
+        try:
+            decoded[name] = known[name][0](value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"options.{name}: {exc}") from exc
+    return inputs, decoded
 
 
 def _integer_leaves(inputs):
@@ -81,29 +92,22 @@ def _integer_leaves(inputs):
                 raise InputError(f"{path}: {exc}") from exc
 
 
-def _decode(section, name, build, where="inputs", default=None):
-    """build(section[name]), or default when name is absent and a default
-    is given; a missing or malformed value is an InputError that names its
-    path `<where>.<name>` in the scenario."""
-    if name not in section:
-        if default is not None:
-            return default
-        raise InputError(f"{where}.{name}: missing")
+def _decode(inputs, name, build):
+    """build(inputs[name]); a missing or malformed input is an InputError
+    that names its path `inputs.<name>` in the scenario."""
+    if name not in inputs:
+        raise InputError(f"inputs.{name}: missing")
     try:
-        return build(section[name])
+        return build(inputs[name])
     except KeyError as exc:
-        raise InputError(f"{where}.{name}: missing field {exc}") from exc
+        raise InputError(f"inputs.{name}: missing field {exc}") from exc
     except (XmodcatError, TypeError, ValueError) as exc:
-        raise InputError(f"{where}.{name}: {exc}") from exc
-
-
-def _group(obj):
-    return FiniteGroup(obj["table"])
+        raise InputError(f"inputs.{name}: {exc}") from exc
 
 
 def _gamma_module(gamma):
     def build(obj):
-        grp = _group(obj)
+        grp = FiniteGroup.from_json(obj)
         return GammaModule(grp, GammaAction(gamma, grp, obj["act"]))
     return build
 
@@ -129,6 +133,12 @@ def _int(obj):
     return obj
 
 
+def _count(obj):
+    if _int(obj) < 0:
+        raise ValueError(f"expected at least 0, got {obj}")
+    return obj
+
+
 def _bool(obj):
     if not isinstance(obj, bool):
         raise TypeError(f"expected true or false, got {json.dumps(obj)}")
@@ -149,7 +159,18 @@ def _seed(options):
             return int(env)
         except ValueError as exc:
             raise InputError(f"XMODCAT_SEED must be an integer: {env!r}") from exc
-    return _decode(options, "seed", _int, "options", default=0)
+    return options["seed"]
+
+
+# The options of each kind that takes any, as name: (decoder, default);
+# every other option is an input error.
+OPTIONS = {
+    "build-catgroup": {"dump": (_bool, False)},
+    "check-axioms": {"random_count": (_count, 0), "seed": (_int, 0),
+                     "symmetric": (_bool, False)},
+    "cohomology-h2": {"method": (_h2_method, "snf")},
+    "obstruction": {"decide_vanishing": (_bool, True)},
+}
 
 
 def _report_axioms(lines, report):
@@ -183,7 +204,7 @@ def run_build_catgroup(inputs, options, guard):
              f"kernel-morphisms: {ker(G).n_mor}"]
     data = {"objects": G.n_obj, "morphisms": G.n_mor,
             "grades": G.gamma.order}
-    if _decode(options, "dump", _bool, "options", default=False):
+    if options["dump"]:
         data["category"] = G.to_json()
     return 0, lines, data
 
@@ -194,8 +215,7 @@ def run_check_axioms(inputs, options, guard):
     mods = []
     if "module" in inputs:
         mods.append(_module(inputs))
-    count = _decode(options, "random_count", _int, "options", default=0)
-    symmetric = _decode(options, "symmetric", _bool, "options", default=False)
+    count = options["random_count"]
     if count:
         mods.extend(samples.random_corpus(_seed(options), count))
     if not mods:
@@ -204,7 +224,7 @@ def run_check_axioms(inputs, options, guard):
     all_ok = True
     for i, m in enumerate(mods):
         G = build_catgroup(m, guard)
-        rep = check_axioms(G, symmetric=symmetric)
+        rep = check_axioms(G, symmetric=options["symmetric"])
         ok = rep.ok and m.is_valid
         all_ok = all_ok and ok
         first = rep.first_failure() or m.validate().first_failure()
@@ -236,11 +256,10 @@ def run_factor_set(inputs, options, guard):
 
 def run_cohomology_h2(inputs, options, guard):
     from .cohomology import h2
-    gamma = _decode(inputs, "gamma", _group)
+    gamma = _decode(inputs, "gamma", FiniteGroup.from_json)
     Q = _decode(inputs, "Q", _gamma_module(gamma))
     B = _decode(inputs, "B", _gamma_module(gamma))
-    method = _decode(options, "method", _h2_method, "options", default="snf")
-    res = h2(Q, B, guard=guard, method=method)
+    res = h2(Q, B, guard=guard, method=options["method"])
     lines = [f"invariants: {res.invariants}",
              f"class-count: {res.class_count}",
              f"method: {res.method}"]
@@ -253,7 +272,7 @@ def run_cohomology_h2(inputs, options, guard):
 
 def run_obstruction(inputs, options, guard):
     from .cohomology import class_vanishes, is_3cocycle, obstruction
-    gamma = _decode(inputs, "gamma", _group)
+    gamma = _decode(inputs, "gamma", FiniteGroup.from_json)
     M = _decode(inputs, "M", _gamma_module(gamma))
     N = _decode(inputs, "N", _gamma_module(gamma))
     Mp = _decode(inputs, "Mp", _gamma_module(gamma))
@@ -262,13 +281,11 @@ def run_obstruction(inputs, options, guard):
     hp = _decode(inputs, "hp", _cochain3(Mp, Np))
     phi = _decode(inputs, "phi", _ints)
     f = _decode(inputs, "f", _ints)
-    decide = _decode(options, "decide_vanishing", _bool, "options",
-                     default=True)
     k = obstruction(phi, f, h, hp, Qmod=M)
     ok3, wit = is_3cocycle(k, guard)
     lines = [f"cocycle: {ok3}" + ("" if ok3 else f" witness={wit}")]
     data = {"obstruction": k.to_json(), "cocycle": ok3}
-    if decide:
+    if options["decide_vanishing"]:
         vanish = class_vanishes(k, (M, N, h), (Mp, Np, hp), phi, f,
                                 guard=guard)
         lines.append(f"vanishes: {vanish}")

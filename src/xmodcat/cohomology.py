@@ -45,6 +45,7 @@ from .groups import (
     GroupHom,
     _equivariance_failures,
     decompose_abelian,
+    index_table,
     section_defect,
 )
 
@@ -68,17 +69,9 @@ class SymmetricCochain2:
             raise WrongType("cochain modules must be abelian")
         self.Q = Q
         self.B = B
-        self.qq = tuple(tuple(int(v) for v in row) for row in qq)
-        self.qg = tuple(tuple(int(v) for v in row) for row in qg)
-        q, g = Q.group.order, Q.gamma.order
-        if len(self.qq) != q or any(len(r) != q for r in self.qq):
-            raise ShapeMismatch("qq table has wrong shape")
-        if len(self.qg) != q or any(len(r) != g for r in self.qg):
-            raise ShapeMismatch("qg table has wrong shape")
-        n = B.group.order
-        if min(map(min, self.qq + self.qg)) < 0 or \
-                max(map(max, self.qq + self.qg)) >= n:
-            raise ShapeMismatch(f"cochain value outside [0, {n})")
+        q, g, n = Q.group.order, Q.gamma.order, B.group.order
+        self.qq = index_table(qq, (q, q), n, "qq")
+        self.qg = index_table(qg, (q, g), n, "qg")
         for u in range(q):
             if self.qq[0][u] or self.qq[u][0]:
                 raise NotNormalized("qq table nonzero on a unit argument")
@@ -172,11 +165,8 @@ def is_2cocycle(f: SymmetricCochain2):
 
 def coboundary2(Q: GammaModule, B: GammaModule, g_table):
     """The 2-coboundary of a normalized 1-cochain g: Q -> B."""
-    g_table = tuple(int(v) for v in g_table)
-    if len(g_table) != Q.group.order:
-        raise ShapeMismatch("1-cochain has wrong length")
-    if any(not 0 <= v < B.group.order for v in g_table):
-        raise ShapeMismatch("1-cochain value out of range")
+    g_table = index_table(g_table, (Q.group.order,), B.group.order,
+                          "1-cochain")
     if g_table[0] != 0:
         raise NotNormalized("1-cochain must vanish at the unit")
     qq, qg = section_defect(Q, B.group, B.act, g_table, B.group.elements())
@@ -459,19 +449,6 @@ def _shape3(M, axes):
     return tuple(M.group.order if a == "M" else M.gamma.order for a in axes)
 
 
-def _nested(table, shape, name):
-    """table as nested tuples of ints of the given shape."""
-    if not shape:
-        return int(table)
-    try:
-        rows = tuple(table)
-    except TypeError:
-        rows = None
-    if rows is None or len(rows) != shape[0]:
-        raise ShapeMismatch(f"{name} table has wrong shape")
-    return tuple(_nested(row, shape[1:], name) for row in rows)
-
-
 class Cochain3:
     """Normalized 3-cochain: one table valued in N per entry of _TABLES3,
     held as nested tuples of ints."""
@@ -485,12 +462,10 @@ class Cochain3:
         self.M = M
         self.N = N
         for (name, axes), table in zip(_TABLES3, (assoc, braid, tensor, comp)):
-            setattr(self, name, _nested(table, _shape3(M, axes), name))
-        n = N.group.order
+            setattr(self, name, index_table(table, _shape3(M, axes),
+                                            N.group.order, name))
         for name, _ in _TABLES3:
             a = np.array(getattr(self, name))
-            if a.min() < 0 or a.max() >= n:
-                raise ShapeMismatch(f"{name} value outside [0, {n})")
             if any(np.take(a, 0, axis=i).any() for i in range(a.ndim)):
                 raise NotNormalized(f"{name} nonzero on a unit argument")
 
@@ -547,15 +522,12 @@ def random_cochain3(M, N, rng):
 
 def pullback3(phi, Qmod: GammaModule, h: Cochain3):
     """Pull a 3-cochain back along an equivariant homomorphism into its M."""
-    phi = tuple(int(v) for v in phi)
-    if len(phi) != Qmod.group.order:
-        raise ShapeMismatch("pullback map has wrong length")
     f = GroupHom(Qmod.group, h.M.group, phi)
     if not f.is_hom():
         raise WrongType("pullback map is not a homomorphism")
-    if any(_equivariance_failures(phi, Qmod.act.act, h.M.act.act)):
+    if any(_equivariance_failures(f.map, Qmod.act.act, h.M.act.act)):
         raise WrongType("pullback map is not equivariant")
-    along = {"M": phi, "G": range(Qmod.gamma.order)}
+    along = {"M": f.map, "G": range(Qmod.gamma.order)}
     return Cochain3(Qmod, h.N, *(
         np.array(t)[np.ix_(*(along[a] for a in axes))]
         for (_, axes), t in zip(_TABLES3, h._tables())))
@@ -563,13 +535,12 @@ def pullback3(phi, Qmod: GammaModule, h: Cochain3):
 
 def pushforward3(fmap, Nmod: GammaModule, h: Cochain3):
     """Push a 3-cochain's values forward along an equivariant hom on N."""
-    fmap = tuple(int(v) for v in fmap)
     f = GroupHom(h.N.group, Nmod.group, fmap)
     if not f.is_hom():
         raise WrongType("pushforward map is not a homomorphism")
-    if any(_equivariance_failures(fmap, h.N.act.act, Nmod.act.act)):
+    if any(_equivariance_failures(f.map, h.N.act.act, Nmod.act.act)):
         raise WrongType("pushforward map is not equivariant")
-    return Cochain3(h.M, Nmod, *(np.array(fmap)[np.array(t)]
+    return Cochain3(h.M, Nmod, *(np.array(f.map)[np.array(t)]
                                  for t in h._tables()))
 
 

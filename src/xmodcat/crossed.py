@@ -29,6 +29,7 @@ from .groups import (
     _equivariance_failures,
     commutator_subgroup,
     identity_hom,
+    index_table,
     is_normal,
     least_preimages,
     quotient,
@@ -110,27 +111,15 @@ class BraidedGammaCrossedModule:
     def __init__(self, B, D, d, theta, eta, gamma=None, act_b=None, act_d=None):
         self.B = B
         self.D = D
-        self.d = tuple(int(v) for v in d)
-        self.theta = tuple(tuple(int(v) for v in row) for row in theta)
-        self.eta = tuple(tuple(int(v) for v in row) for row in eta)
+        self.d = index_table(d, (B.order,), D.order, "boundary")
+        self.theta = index_table(theta, (D.order, B.order), B.order, "theta")
+        self.eta = index_table(eta, (D.order, D.order), B.order, "eta")
         self.gamma = gamma if gamma is not None else trivial_group()
         self.act_b = act_b if act_b is not None else trivial_action(self.gamma, B)
         self.act_d = act_d if act_d is not None else trivial_action(self.gamma, D)
         self._report = None
         self._pi0 = None
         self._pi1 = None
-        if len(self.d) != B.order:
-            raise ShapeMismatch("boundary table length != |B|")
-        if any(not 0 <= v < D.order for v in self.d):
-            raise ShapeMismatch("boundary value out of range")
-        if len(self.theta) != D.order or any(len(r) != B.order for r in self.theta):
-            raise ShapeMismatch("theta table must be |D| x |B|")
-        if any(not 0 <= v < B.order for r in self.theta for v in r):
-            raise ShapeMismatch("theta value out of range")
-        if len(self.eta) != D.order or any(len(r) != D.order for r in self.eta):
-            raise ShapeMismatch("eta table must be |D| x |D|")
-        if any(not 0 <= v < B.order for r in self.eta for v in r):
-            raise ShapeMismatch("eta value out of range")
         if self.act_b.gamma != self.gamma or self.act_d.gamma != self.gamma:
             raise ShapeMismatch("actions must share the module's gamma")
         if self.act_b.target != B or self.act_d.target != D:
@@ -314,9 +303,9 @@ class BraidedGammaCrossedModule:
 
     @staticmethod
     def from_json(obj):
-        B = FiniteGroup(obj["B"]["table"])
-        D = FiniteGroup(obj["D"]["table"])
-        gamma = FiniteGroup(obj["gamma"]["table"])
+        B = FiniteGroup.from_json(obj["B"])
+        D = FiniteGroup.from_json(obj["D"])
+        gamma = FiniteGroup.from_json(obj["gamma"])
         return BraidedGammaCrossedModule(
             B, D, obj["d"], obj["theta"], obj["eta"], gamma,
             GammaAction(gamma, B, obj["actB"]),

@@ -42,6 +42,7 @@ from .groups import (
     GammaModule,
     GroupHom,
     _equivariance_failures,
+    index_table,
     least_preimages,
     section_defect,
     twisted_product,
@@ -140,11 +141,8 @@ def extract_section_cochain(ext: GammaModuleExtension, section=None):
     M, Q, E = ext.module, ext.Q, ext.E
     if section is None:
         section = ext.canonical_section()
-    section = [int(v) for v in section]
-    if len(section) != Q.group.order:
-        raise BadSection("section has wrong length")
-    if any(not 0 <= v < E.group.order for v in section):
-        raise BadSection("section value out of range")
+    section = index_table(section, (Q.group.order,), E.group.order,
+                          "section", BadSection)
     if section[0] != 0:
         raise BadSection("section must send the unit to the unit")
     for u in Q.group.elements():
@@ -181,7 +179,7 @@ def extension_from_functor(F: GradedFunctor):
     lifts = S.record(np.arange(Qmod.gamma.order), 0, np.asarray(Qmod.act.act).T)
     fqq = T.pay[F.ftilde].tolist()
     fqg = T.pay[F.mor[lifts]].tolist()
-    ext = _crossed_product(M, Qmod, fqq, fqg, [int(v) for v in F.obj])
+    ext = _crossed_product(M, Qmod, fqq, fqg, F.obj)
     problems = ext.validate()
     if problems:
         raise NotCoherent(f"crossed product failed validation: {problems}")
@@ -271,7 +269,7 @@ def _functor_classes(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
     for x in range(M.D.order):
         if labels[x] != proj(x):
             raise ShapeMismatch("class labels differ from cokernel indexing")
-    return S, T, homotopy_classes(S, T, [int(v) for v in psi], guard=guard)
+    return S, T, homotopy_classes(S, T, psi, guard=guard)
 
 
 def _check_psi(M, Qmod, psi):
@@ -312,7 +310,7 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
     symmetric 2-cocycle paired with every compatible representative map and
     partitioned by isomorphism search.
     """
-    _check_psi(M, Qmod, psi)
+    psi = _check_psi(M, Qmod, psi).map
     S, T, classes = _functor_classes(M, Qmod, psi, guard)
 
     Bmod = GammaModule(M.B, M.act_b)
@@ -330,7 +328,7 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
                     df)):
                 continue
             ext = _crossed_product(M, Qmod, f.qq, f.qg, Fmap)
-            if ext.is_valid and list(induced_psi(ext).map) == list(psi):
+            if ext.is_valid and induced_psi(ext).map == psi:
                 exts.append(ext)
     ext_classes = partition(
         exts, lambda rep, ext: are_equivalent(rep, ext, guard=guard) is not None)
@@ -410,7 +408,7 @@ def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
     """
     if not M.is_abelian_module():
         raise WrongType("classification requires an abelian crossed module")
-    _check_psi(M, Qmod, psi)
+    psi = _check_psi(M, Qmod, psi).map
     h, _ = reduce_abelian(M, guard)
     k = pullback3(psi, Qmod, h)
     P, K = M.pi0(), M.pi1()

@@ -8,6 +8,7 @@ Everything here is immutable after validation and safe to share.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import lcm
 
@@ -30,7 +31,7 @@ class FiniteGroup:
     __slots__ = ("table", "order", "_inv", "_abelian", "_np", "_hash")
 
     def __init__(self, table, _validated=False):
-        tbl = tuple(tuple(int(v) for v in row) for row in table)
+        tbl = tuple(tuple(map(operator.index, row)) for row in table)
         self.table = tbl
         self.order = len(tbl)
         self._inv = None
@@ -109,6 +110,37 @@ class FiniteGroup:
     def to_json(self):
         return {"order": self.order, "table": [list(r) for r in self.table]}
 
+    @staticmethod
+    def from_json(obj):
+        """The group of a to_json object, whose order, if given, is checked."""
+        group = FiniteGroup(obj["table"])
+        if obj.get("order", group.order) != group.order:
+            raise ShapeMismatch(f"order {obj['order']} does not match the "
+                                f"table's {group.order} rows")
+        return group
+
+
+def index_table(values, shape, bound, name, error=ShapeMismatch):
+    """values as nested tuples of ints of the given shape, each in [0, bound)
+    and read with operator.index, so a numpy integer passes and a float,
+    string or None does not; anything else raises error, naming the table."""
+    try:
+        rows = tuple(values)
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != shape[0]:
+        raise error(f"{name} table has wrong shape")
+    if len(shape) > 1:
+        return tuple(index_table(row, shape[1:], bound, name, error)
+                     for row in rows)
+    try:
+        row = tuple(map(operator.index, rows))
+    except TypeError:
+        raise error(f"{name} table holds a non-integer") from None
+    if row and not (0 <= min(row) and max(row) < bound):
+        raise error(f"{name} value outside [0, {bound})")
+    return row
+
 
 def _validate_table(tbl):
     n = len(tbl)
@@ -180,7 +212,7 @@ def _associativity_witness(tbl):
     t = np.asarray(tbl, dtype=np.int64)
     lhs = t[t, :]            # lhs[a,b,c] = (ab)c
     rhs = t[:, t]            # rhs[a,b,c] = a(bc)
-    return tuple(int(v) for v in np.argwhere(lhs != rhs)[0])
+    return tuple(np.argwhere(lhs != rhs)[0].tolist())
 
 
 def group_from_table(table):
@@ -189,12 +221,7 @@ def group_from_table(table):
     The identity must sit at index 0; use normalize_identity first if it
     does not.
     """
-    rows = [list(r) for r in table]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ShapeMismatch("table is not square")
-    return FiniteGroup(rows)
+    return FiniteGroup(table)
 
 
 def normalize_identity(table):
@@ -388,11 +415,8 @@ class GroupHom:
     def __init__(self, domain, codomain, mapping):
         self.domain = domain
         self.codomain = codomain
-        self.map = tuple(int(v) for v in mapping)
-        if len(self.map) != domain.order:
-            raise ShapeMismatch("hom table length != domain order")
-        if any(not 0 <= v < codomain.order for v in self.map):
-            raise ShapeMismatch("hom table value out of range")
+        self.map = index_table(mapping, (domain.order,), codomain.order,
+                               "hom")
 
     def __call__(self, a):
         return self.map[a]
@@ -434,10 +458,6 @@ def identity_hom(G):
     return GroupHom(G, G, range(G.order))
 
 
-def zero_hom(G, H):
-    return GroupHom(G, H, (0,) * G.order)
-
-
 def check_hom(f):
     return f.is_hom()
 
@@ -450,11 +470,8 @@ class GammaAction:
     def __init__(self, gamma, target, act):
         self.gamma = gamma
         self.target = target
-        self.act = tuple(tuple(int(v) for v in row) for row in act)
-        if len(self.act) != gamma.order or any(len(r) != target.order for r in self.act):
-            raise ShapeMismatch("action table has wrong shape")
-        if any(not 0 <= v < target.order for r in self.act for v in r):
-            raise ShapeMismatch("action table value out of range")
+        self.act = index_table(act, (gamma.order, target.order),
+                               target.order, "action")
 
     def __call__(self, s, x):
         return self.act[s][x]

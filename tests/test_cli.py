@@ -214,6 +214,37 @@ def _float_module_entry():
     return "validate", inputs, {}, "inputs.module.d[1]"
 
 
+def _unknown_option():
+    return ("cohomology-h2", _corpus_inputs("cohomology_h2_z2"),
+            {"metod": "brute"}, "options.metod: unknown option")
+
+
+def _option_of_another_kind():
+    return ("validate", _s3_inputs(), {"symmetric": True},
+            "options.symmetric: unknown option")
+
+
+def _negative_random_count():
+    return "check-axioms", {}, {"random_count": -3}, "options.random_count"
+
+
+def _string_seed_without_randoms():
+    return ("check-axioms", _s3_inputs(), {"random_count": 0, "seed": "x"},
+            "options.seed")
+
+
+def _wrong_module_order():
+    inputs = _corpus_inputs("validate_s3_a3")
+    inputs["module"]["B"]["order"] = 99
+    return "validate", inputs, {}, "inputs.module"
+
+
+def _wrong_gamma_order():
+    inputs = _corpus_inputs("cohomology_h2_z2")
+    inputs["gamma"]["order"] = 2
+    return "cohomology-h2", inputs, {}, "inputs.gamma"
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
@@ -235,13 +266,21 @@ def _float_module_entry():
     _string_seed,
     _float_random_count,
     _float_module_entry,
+    _unknown_option,
+    _option_of_another_kind,
+    _negative_random_count,
+    _string_seed_without_randoms,
+    _wrong_module_order,
+    _wrong_gamma_order,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
         "non-string-method", "non-integer-random-count", "string-symmetric",
         "list-symmetric", "string-dump", "string-decide-vanishing",
         "hp-entry-past-end", "hp-entry-negative", "action-entry-past-end",
         "action-entry-negative", "q-action-entry-past-end", "float-psi",
         "bool-psi", "string-seed", "float-random-count",
-        "float-module-entry"])
+        "float-module-entry", "unknown-option", "option-of-another-kind",
+        "negative-random-count", "string-seed-without-randoms",
+        "wrong-module-order", "wrong-gamma-order"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)
@@ -299,6 +338,35 @@ def test_corpus_reports_bad_scenario_and_goes_on(tmp_path, capsys):
     assert code == 2
     lines = out.splitlines()
     assert lines[0].startswith("aaa_missing_module.json: input error")
+    assert sum(line.endswith(": match") for line in lines) == \
+        len(list(src.glob("*.json")))
+
+
+def _write_deep_scenario(path):
+    """A validate scenario whose module is an array nested 5000 deep, past
+    the interpreter's recursion limit."""
+    path.write_text('{"schema_version": 1, "kind": "validate", '
+                    '"inputs": {"module": ' + "[" * 5000 + "]" * 5000 + "}}")
+
+
+def test_deeply_nested_scenario_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    _write_deep_scenario(path)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
+def test_corpus_reports_deeply_nested_scenario_and_goes_on(tmp_path, capsys):
+    src = cli.default_corpus_dir()
+    work = tmp_path / "corpus"
+    shutil.copytree(src, work)
+    _write_deep_scenario(work / "aaa_deep.json")
+    code, out, _ = run_cli(["corpus", str(work)], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "aaa_deep.json: input error: scenario is nested too " \
+        "deeply to read"
     assert sum(line.endswith(": match") for line in lines) == \
         len(list(src.glob("*.json")))
 
