@@ -6,11 +6,11 @@ error, 3 enumeration guard tripped.  Reports are byte-identical across
 runs and thread counts; --threads is accepted for interface stability and
 validated, the table scans are already vectorized internally.
 
-Each run_<kind> imports the layers its kind needs, so a process loads only
-those: a validate run never loads numpy.  `main` starts numpy with one
-OpenBLAS thread unless OPENBLAS_NUM_THREADS is already set or numpy is
-already loaded: the tables are integer, so BLAS is never called and its
-thread pool would only add start-up time.
+Each runner and input decoder imports the layers it needs, so a process
+loads only those of its kind: a validate run never loads numpy.  `main`
+starts numpy with one OpenBLAS thread unless OPENBLAS_NUM_THREADS is
+already set or numpy is already loaded: the tables are integer, so BLAS is
+never called and its thread pool would only add start-up time.
 """
 
 from __future__ import annotations
@@ -25,12 +25,17 @@ from .errors import DEFAULT_GUARD, SearchSpaceTooLarge, XmodcatError
 from .groups import FiniteGroup, GammaAction, GammaModule
 
 SCHEMA_VERSION = 1
-KINDS = ("validate", "build-catgroup", "check-axioms", "factor-set",
-         "cohomology-h2", "obstruction", "schreier", "classify", "roundtrip")
 
 
 class InputError(Exception):
     pass
+
+
+def _refusal(exc):
+    """The exit code and label of a scenario refused with exc."""
+    if isinstance(exc, SearchSpaceTooLarge):
+        return 3, "guard tripped"
+    return 2, "input error"
 
 
 def _read_scenario(path):
@@ -47,12 +52,15 @@ def _read_scenario(path):
         raise InputError("scenario is nested too deeply to read") from exc
     if not isinstance(obj, dict):
         raise InputError("scenario must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InputError(f"unsupported schema_version {version!r}")
     return obj
 
 
 def _load_scenario(path, kind):
+    """The decoded inputs and options of the scenario at path, which must
+    be of the given kind."""
     obj = _read_scenario(path)
     if obj.get("kind") != kind:
         raise InputError(f"scenario kind {obj.get('kind')!r} does not match "
@@ -61,7 +69,7 @@ def _load_scenario(path, kind):
     if not (isinstance(inputs, dict) and isinstance(options, dict)):
         raise InputError("inputs and options must be JSON objects")
     _integer_leaves(inputs)
-    known = OPTIONS.get(kind, {})
+    _, reads, known = KINDS[kind]
     decoded = {name: default for name, (_, default) in known.items()}
     for name, value in options.items():
         if name not in known:
@@ -70,7 +78,7 @@ def _load_scenario(path, kind):
             decoded[name] = known[name][0](value)
         except (TypeError, ValueError) as exc:
             raise InputError(f"options.{name}: {exc}") from exc
-    return inputs, decoded
+    return _decode_inputs(inputs, reads), decoded
 
 
 def _integer_leaves(inputs):
@@ -92,39 +100,58 @@ def _integer_leaves(inputs):
                 raise InputError(f"{path}: {exc}") from exc
 
 
-def _decode(inputs, name, build):
-    """build(inputs[name]); a missing or malformed input is an InputError
-    that names its path `inputs.<name>` in the scenario."""
-    if name not in inputs:
-        raise InputError(f"inputs.{name}: missing")
-    try:
-        return build(inputs[name])
-    except KeyError as exc:
-        raise InputError(f"inputs.{name}: missing field {exc}") from exc
-    except (XmodcatError, TypeError, ValueError) as exc:
-        raise InputError(f"inputs.{name}: {exc}") from exc
+def _decode_inputs(inputs, reads):
+    """The inputs a kind reads, decoded in the order of reads; an unread,
+    missing or malformed input is an InputError that names its path
+    `inputs.<name>` in the scenario."""
+    names = [read.rstrip("?") for read in reads]
+    for name in inputs:
+        if name not in names:
+            raise InputError(f"inputs.{name}: unknown input")
+    decoded = {}
+    for name, read in zip(names, reads):
+        if name in inputs:
+            try:
+                decoded[name] = INPUTS[name](inputs[name], decoded)
+            except KeyError as exc:
+                raise InputError(f"inputs.{name}: missing field {exc}") from exc
+            except (XmodcatError, TypeError, ValueError) as exc:
+                raise InputError(f"inputs.{name}: {exc}") from exc
+        elif name == read:
+            raise InputError(f"inputs.{name}: missing")
+    return decoded
 
 
-def _gamma_module(gamma):
-    def build(obj):
-        grp = FiniteGroup.from_json(obj)
-        return GammaModule(grp, GammaAction(gamma, grp, obj["act"]))
-    return build
-
-
-def _module(inputs):
+def _crossed_module(obj, decoded):
     from .crossed import BraidedGammaCrossedModule
-    return _decode(inputs, "module", BraidedGammaCrossedModule.from_json)
+    return BraidedGammaCrossedModule.from_json(obj)
+
+
+def _gamma_module(obj, decoded):
+    """A Γ-module over the scenario's gamma, or else its module's."""
+    gamma = decoded["gamma"] if "gamma" in decoded else decoded["module"].gamma
+    grp = FiniteGroup.from_json(obj)
+    return GammaModule(grp, GammaAction(gamma, grp, obj["act"]))
 
 
 def _cochain3(M, N):
-    from .cohomology import Cochain3
-    return lambda obj: Cochain3(M, N, obj["assoc"], obj["braid"],
-                                obj["tensor"], obj["comp"])
+    def decode(obj, decoded):
+        from .cohomology import Cochain3
+        return Cochain3.from_json(decoded[M], decoded[N], obj)
+    return decode
 
 
-def _ints(obj):
-    return [int(v) for v in obj]
+# One decoder per input name: (its JSON value, the inputs decoded before
+# it) -> the object a runner receives.
+INPUTS = {
+    "module": _crossed_module,
+    "gamma": lambda obj, decoded: FiniteGroup.from_json(obj),
+    **dict.fromkeys(("Q", "B", "M", "N", "Mp", "Np"), _gamma_module),
+    "h": _cochain3("M", "N"),
+    "hp": _cochain3("Mp", "Np"),
+    **dict.fromkeys(("phi", "f", "psi"),
+                    lambda obj, decoded: [int(v) for v in obj]),
+}
 
 
 def _int(obj):
@@ -162,17 +189,6 @@ def _seed(options):
     return options["seed"]
 
 
-# The options of each kind that takes any, as name: (decoder, default);
-# every other option is an input error.
-OPTIONS = {
-    "build-catgroup": {"dump": (_bool, False)},
-    "check-axioms": {"random_count": (_count, 0), "seed": (_int, 0),
-                     "symmetric": (_bool, False)},
-    "cohomology-h2": {"method": (_h2_method, "snf")},
-    "obstruction": {"decide_vanishing": (_bool, True)},
-}
-
-
 def _report_axioms(lines, report):
     ok = True
     for e in report.entries:
@@ -183,7 +199,7 @@ def _report_axioms(lines, report):
 
 
 def run_validate(inputs, options, guard):
-    m = _module(inputs)
+    m = inputs["module"]
     report = m.validate()
     lines = [f"module |B|={m.B.order} |D|={m.D.order} |gamma|={m.gamma.order}"]
     ok = _report_axioms(lines, report)
@@ -197,8 +213,7 @@ def run_validate(inputs, options, guard):
 
 def run_build_catgroup(inputs, options, guard):
     from .catgroups import build_catgroup, ker
-    m = _module(inputs)
-    G = build_catgroup(m, guard)
+    G = build_catgroup(inputs["module"], guard)
     lines = [f"objects: {G.n_obj}", f"morphisms: {G.n_mor}",
              f"grades: {G.gamma.order}",
              f"kernel-morphisms: {ker(G).n_mor}"]
@@ -212,9 +227,7 @@ def run_build_catgroup(inputs, options, guard):
 def run_check_axioms(inputs, options, guard):
     from . import samples
     from .catgroups import build_catgroup, check_axioms
-    mods = []
-    if "module" in inputs:
-        mods.append(_module(inputs))
+    mods = [inputs["module"]] if "module" in inputs else []
     count = options["random_count"]
     if count:
         mods.extend(samples.random_corpus(_seed(options), count))
@@ -239,8 +252,7 @@ def run_factor_set(inputs, options, guard):
     from .catgroups import build_catgroup
     from .functors import (extract_factor_set, is_regular_factor_set,
                            validate_factor_set)
-    m = _module(inputs)
-    G = build_catgroup(m, guard)
+    G = build_catgroup(inputs["module"], guard)
     fs = extract_factor_set(G)
     rep = validate_factor_set(fs)
     lines = []
@@ -256,10 +268,7 @@ def run_factor_set(inputs, options, guard):
 
 def run_cohomology_h2(inputs, options, guard):
     from .cohomology import h2
-    gamma = _decode(inputs, "gamma", FiniteGroup.from_json)
-    Q = _decode(inputs, "Q", _gamma_module(gamma))
-    B = _decode(inputs, "B", _gamma_module(gamma))
-    res = h2(Q, B, guard=guard, method=options["method"])
+    res = h2(inputs["Q"], inputs["B"], guard=guard, method=options["method"])
     lines = [f"invariants: {res.invariants}",
              f"class-count: {res.class_count}",
              f"method: {res.method}"]
@@ -272,21 +281,13 @@ def run_cohomology_h2(inputs, options, guard):
 
 def run_obstruction(inputs, options, guard):
     from .cohomology import class_vanishes, is_3cocycle, obstruction
-    gamma = _decode(inputs, "gamma", FiniteGroup.from_json)
-    M = _decode(inputs, "M", _gamma_module(gamma))
-    N = _decode(inputs, "N", _gamma_module(gamma))
-    Mp = _decode(inputs, "Mp", _gamma_module(gamma))
-    Np = _decode(inputs, "Np", _gamma_module(gamma))
-    h = _decode(inputs, "h", _cochain3(M, N))
-    hp = _decode(inputs, "hp", _cochain3(Mp, Np))
-    phi = _decode(inputs, "phi", _ints)
-    f = _decode(inputs, "f", _ints)
-    k = obstruction(phi, f, h, hp, Qmod=M)
+    h, hp, phi, f = (inputs[name] for name in ("h", "hp", "phi", "f"))
+    k = obstruction(phi, f, h, hp, Qmod=h.M)
     ok3, wit = is_3cocycle(k, guard)
     lines = [f"cocycle: {ok3}" + ("" if ok3 else f" witness={wit}")]
     data = {"obstruction": k.to_json(), "cocycle": ok3}
     if options["decide_vanishing"]:
-        vanish = class_vanishes(k, (M, N, h), (Mp, Np, hp), phi, f,
+        vanish = class_vanishes(k, (h.M, h.N, h), (hp.M, hp.N, hp), phi, f,
                                 guard=guard)
         lines.append(f"vanishes: {vanish}")
         data["vanishes"] = vanish
@@ -296,10 +297,8 @@ def run_obstruction(inputs, options, guard):
 
 def run_schreier(inputs, options, guard):
     from .extensions import schreier_bijection_check
-    m = _module(inputs)
-    Q = _decode(inputs, "Q", _gamma_module(m.gamma))
-    psi = _decode(inputs, "psi", _ints)
-    rep = schreier_bijection_check(m, Q, psi, guard=guard)
+    rep = schreier_bijection_check(inputs["module"], inputs["Q"],
+                                   inputs["psi"], guard=guard)
     lines = [f"functor-classes: {rep.functor_class_count}",
              f"extension-classes: {rep.extension_class_count}",
              f"well-defined: {rep.well_defined}",
@@ -316,10 +315,7 @@ def run_schreier(inputs, options, guard):
 def run_classify(inputs, options, guard):
     from .extensions import classify
     from .groups import abelian_invariants
-    m = _module(inputs)
-    Q = _decode(inputs, "Q", _gamma_module(m.gamma))
-    psi = _decode(inputs, "psi", _ints)
-    res = classify(m, Q, psi, guard=guard)
+    res = classify(inputs["module"], inputs["Q"], inputs["psi"], guard=guard)
     lines = [f"obstructed: {res.obstructed}"]
     if not res.obstructed:
         lines.append(f"h2-invariants: {res.h2_invariants}")
@@ -336,7 +332,7 @@ def run_roundtrip(inputs, options, guard):
     from .crossed import identity_morphism
     from .functors import (catgroup_to_crossed, check_graded_functor,
                            functor_to_morphism, morphism_to_functor)
-    m = _module(inputs)
+    m = inputs["module"]
     G = build_catgroup(m, guard)
     rep = check_axioms(G)
     m2 = catgroup_to_crossed(G)
@@ -356,23 +352,32 @@ def run_roundtrip(inputs, options, guard):
     return (0 if ok else 1), lines, data
 
 
-RUNNERS = {
-    "validate": run_validate,
-    "build-catgroup": run_build_catgroup,
-    "check-axioms": run_check_axioms,
-    "factor-set": run_factor_set,
-    "cohomology-h2": run_cohomology_h2,
-    "obstruction": run_obstruction,
-    "schreier": run_schreier,
-    "classify": run_classify,
-    "roundtrip": run_roundtrip,
+# Each kind: its runner, the inputs it reads in decode order (a trailing
+# "?" marks an optional one) and its options as name: (decoder, default).
+# Any other input or option is an input error.
+KINDS = {
+    "validate": (run_validate, ("module",), {}),
+    "build-catgroup": (run_build_catgroup, ("module",),
+                       {"dump": (_bool, False)}),
+    "check-axioms": (run_check_axioms, ("module?",),
+                     {"random_count": (_count, 0), "seed": (_int, 0),
+                      "symmetric": (_bool, False)}),
+    "factor-set": (run_factor_set, ("module",), {}),
+    "cohomology-h2": (run_cohomology_h2, ("gamma", "Q", "B"),
+                      {"method": (_h2_method, "snf")}),
+    "obstruction": (run_obstruction,
+                    ("gamma", "M", "N", "Mp", "Np", "h", "hp", "phi", "f"),
+                    {"decide_vanishing": (_bool, True)}),
+    "schreier": (run_schreier, ("module", "Q", "psi"), {}),
+    "classify": (run_classify, ("module", "Q", "psi"), {}),
+    "roundtrip": (run_roundtrip, ("module",), {}),
 }
 
 
 def run_scenario_text(kind, path, guard):
     """Execute one scenario; returns (exit_code, report_text, data)."""
     inputs, options = _load_scenario(path, kind)
-    code, lines, data = RUNNERS[kind](inputs, options, guard)
+    code, lines, data = KINDS[kind][0](inputs, options, guard)
     text = "\n".join(lines) + "\n"
     return code, text, data
 
@@ -394,16 +399,13 @@ def run_corpus(path, update, guard):
     for sc in scenarios:
         try:
             kind = _read_scenario(sc).get("kind")
-            if kind not in RUNNERS:
+            if not (isinstance(kind, str) and kind in KINDS):
                 raise InputError(f"unknown kind {kind!r}")
             code, text, _ = run_scenario_text(kind, sc, guard)
-        except SearchSpaceTooLarge as exc:
-            print(f"{sc.name}: guard tripped: {exc}")
-            worst = max(worst, 3)
-            continue
         except (InputError, XmodcatError) as exc:
-            print(f"{sc.name}: input error: {exc}")
-            worst = max(worst, 2)
+            code, label = _refusal(exc)
+            print(f"{sc.name}: {label}: {exc}")
+            worst = max(worst, code)
             continue
         expected = sc.with_suffix(".expected.txt")
         if update:
@@ -434,23 +436,24 @@ def build_parser():
         prog="xmodcat",
         description="Validate, build, and classify finite braided equivariant "
                     "crossed modules and their graded categorical groups.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                        help="enumeration guard (candidate count)")
+    common.add_argument("--threads", type=int, default=1,
+                        help="parallelism degree (reports are identical at any value)")
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} scenario file")
+        p = sub.add_parser(kind, parents=[common],
+                           help=f"run a {kind} scenario file")
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("--json", dest="json_path", default=None,
                        help="also write the report as JSON to this path")
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="enumeration guard (candidate count)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism degree (reports are identical at any value)")
-    p = sub.add_parser("corpus", help="run the bundled golden scenarios")
+    p = sub.add_parser("corpus", parents=[common],
+                       help="run the bundled golden scenarios")
     p.add_argument("path", nargs="?", default=None,
                    help="scenario directory (bundled corpus by default)")
     p.add_argument("--update", action="store_true",
                    help="rewrite the expected reports")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -464,7 +467,7 @@ def main(argv=None):
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
+    if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     if args.command == "corpus":
@@ -472,21 +475,18 @@ def main(argv=None):
     try:
         code, text, data = run_scenario_text(args.command, args.scenario,
                                              args.guard)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except SearchSpaceTooLarge as exc:
-        print(f"guard tripped: {exc}", file=sys.stderr)
-        return 3
-    except XmodcatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(text)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump({"kind": args.command, "exit_code": code, "report": data},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        sys.stdout.write(text)
+        if args.json_path:
+            try:
+                with open(args.json_path, "w", encoding="utf-8") as fh:
+                    json.dump({"kind": args.command, "exit_code": code,
+                               "report": data}, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            except OSError as exc:
+                raise InputError(f"cannot write report: {exc}") from exc
+    except (InputError, XmodcatError) as exc:
+        code, label = _refusal(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
     return code
 
 

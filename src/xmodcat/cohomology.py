@@ -497,6 +497,11 @@ class Cochain3:
         return {name: np.array(t).tolist()
                 for (name, _), t in zip(_TABLES3, self._tables())}
 
+    @staticmethod
+    def from_json(M, N, obj):
+        """The 3-cochain over M and N of a to_json object."""
+        return Cochain3(M, N, *(obj[name] for name, _ in _TABLES3))
+
 
 def zero_cochain3(M, N):
     return Cochain3(M, N, *(np.zeros(_shape3(M, axes), dtype=np.int64)

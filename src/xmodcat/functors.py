@@ -35,7 +35,8 @@ from .errors import (
     WrongType,
     candidates,
 )
-from .groups import FiniteGroup, GammaAction, GroupHom, least_preimages
+from .groups import (FiniteGroup, GammaAction, GroupHom, index_table,
+                     least_preimages)
 
 
 class GradedFunctor:
@@ -581,20 +582,16 @@ def _functors(G, T, phi, f_map, guard):
     """enumerate_functors, one functor at a time."""
     if G.meta.get("kind") != "reduced":
         raise WrongType("enumeration requires a reduced-model source")
-    labels, _ = T.pi0_partition()
+    labels, n_types = T.pi0_partition()
     labels = list(labels)
-    phi = [int(v) for v in phi]
-    if len(phi) != G.n_obj:
-        raise ShapeMismatch("type map must cover the source objects")
+    phi = index_table(phi, (G.n_obj,), n_types, "type map")
     pi1_src = G.pi1_morphisms()
     if f_map is None:
         if len(pi1_src) != 1:
             raise WrongType("a payload map is required when the source has "
                             "nontrivial unit endomorphisms")
-        f_map = [int(T.idm[T.unit])]
-    f_map = [int(v) for v in f_map]
-    if len(f_map) != len(pi1_src):
-        raise ShapeMismatch("payload map must cover the source unit arrows")
+        f_map = [T.idm[T.unit]]
+    f_map = index_table(f_map, (len(pi1_src),), T.n_mor, "payload map")
     # the sorted unit endomorphisms of a reduced model are indexed exactly
     # by their payloads; the morphism-map assembly below relies on it
     for i, mm in enumerate(pi1_src):

@@ -245,6 +245,17 @@ def _wrong_gamma_order():
     return "cohomology-h2", inputs, {}, "inputs.gamma"
 
 
+def _input_of_another_kind():
+    inputs = dict(_corpus_inputs("validate_s3_a3"),
+                  Q=_corpus_inputs("classify_z2")["Q"])
+    return "validate", inputs, {}, "inputs.Q: unknown input"
+
+
+def _misspelt_optional_module():
+    return ("check-axioms", {"modul": _s3_inputs()["module"]},
+            {"random_count": 1}, "inputs.modul: unknown input")
+
+
 @pytest.mark.parametrize("case", [
     _missing_module,
     _missing_q,
@@ -272,6 +283,8 @@ def _wrong_gamma_order():
     _string_seed_without_randoms,
     _wrong_module_order,
     _wrong_gamma_order,
+    _input_of_another_kind,
+    _misspelt_optional_module,
 ], ids=["missing-module", "missing-Q", "non-integer-d", "unknown-method",
         "non-string-method", "non-integer-random-count", "string-symmetric",
         "list-symmetric", "string-dump", "string-decide-vanishing",
@@ -280,7 +293,8 @@ def _wrong_gamma_order():
         "bool-psi", "string-seed", "float-random-count",
         "float-module-entry", "unknown-option", "option-of-another-kind",
         "negative-random-count", "string-seed-without-randoms",
-        "wrong-module-order", "wrong-gamma-order"])
+        "wrong-module-order", "wrong-gamma-order", "input-of-another-kind",
+        "misspelt-optional-module"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     kind, inputs, options, needle = case()
     path = write_scenario(tmp_path, "bad.json", kind, inputs, options)
@@ -288,6 +302,16 @@ def test_malformed_inputs_exit_two(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert needle in err
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_schema_version_must_be_the_integer_one(tmp_path, capsys, version):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"schema_version": version, "kind": "validate",
+                                "inputs": _s3_inputs()}))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: unsupported schema_version {version!r}\n"
 
 
 def test_kind_mismatch_exit_two(tmp_path, capsys):
@@ -309,6 +333,17 @@ def test_json_report_written(tmp_path, capsys):
     blob = json.loads(out_json.read_text())
     assert blob["exit_code"] == 0
     assert blob["report"]["ok"] is True
+
+
+def test_unwritable_json_report_exit_two(tmp_path, capsys):
+    scenario = cli.default_corpus_dir() / "validate_s3_a3.json"
+    report = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(["validate", str(scenario), "--json",
+                              str(report)], capsys)
+    assert code == 2
+    assert out == scenario.with_suffix(".expected.txt").read_text()
+    assert err.startswith("input error: cannot write report: ")
+    assert "Traceback" not in err
 
 
 def test_corpus_matches(capsys):
@@ -338,6 +373,20 @@ def test_corpus_reports_bad_scenario_and_goes_on(tmp_path, capsys):
     assert code == 2
     lines = out.splitlines()
     assert lines[0].startswith("aaa_missing_module.json: input error")
+    assert sum(line.endswith(": match") for line in lines) == \
+        len(list(src.glob("*.json")))
+
+
+def test_corpus_reports_non_string_kind_and_goes_on(tmp_path, capsys):
+    src = cli.default_corpus_dir()
+    work = tmp_path / "corpus"
+    shutil.copytree(src, work)
+    write_scenario(work, "aaa_list_kind.json", ["validate"], _s3_inputs())
+    code, out, _ = run_cli(["corpus", str(work)], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "aaa_list_kind.json: input error: unknown kind " \
+        "['validate']"
     assert sum(line.endswith(": match") for line in lines) == \
         len(list(src.glob("*.json")))
 

@@ -12,13 +12,19 @@ from xmodcat import cohomology as ch
 from xmodcat import extensions as ex
 from xmodcat import groups as g
 from xmodcat import samples
+from xmodcat.catgroups import build_reduced
 from xmodcat.crossed import BraidedGammaCrossedModule
 from xmodcat.errors import BadSection, NotClosed, ShapeMismatch
+from xmodcat.functors import enumerate_functors
 
 Z2, Z4 = g.cyclic(2), g.cyclic(4)
 # Z4 with Z2 negating it, and Z2 over the same Z2 acting trivially
 Z4_NEG = g.GammaModule(Z4, g.action_from_automorphism(Z2, Z4, [0, 3, 2, 1]))
 Z2_TRIV = g.GammaModule(Z2, g.trivial_action(Z2, Z2))
+# the reduced model on Z2 over Z2, trivially graded: 2 types, 4 morphisms,
+# and the identity functor lies over type map [0, 1] and payload map [0, 2]
+Z2_ONE = g.GammaModule(Z2, g.trivial_action(g.trivial_group(), Z2))
+Z2_MODEL = build_reduced(Z2_ONE, Z2_ONE)
 
 
 def _module_site(field):
@@ -82,6 +88,12 @@ SITES = {
                     [0, 1, 0, 1], 2, ShapeMismatch),
     **{f"Cochain3-{name}": _cochain3_site(name) for name, _ in ch._TABLES3},
     "extract_section_cochain": _section_site(),
+    "enumerate_functors-phi": (
+        lambda t: enumerate_functors(Z2_MODEL, Z2_MODEL, t, [0, 2]),
+        [0, 1], 2, ShapeMismatch),
+    "enumerate_functors-f_map": (
+        lambda t: enumerate_functors(Z2_MODEL, Z2_MODEL, [0, 1], t),
+        [0, 2], 4, ShapeMismatch),
     "FiniteGroup": (g.FiniteGroup, [list(r) for r in g.cyclic(3).table], 3,
                     {"float": TypeError, "string": TypeError,
                      "ragged": ShapeMismatch, "out-of-range": NotClosed}),
