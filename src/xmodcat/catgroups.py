@@ -21,6 +21,10 @@ such table it is given, but for the `comp` and `tmor` that `_assemble`
 writes into padded storage of its own (`_Padded`), and its constructor
 keeps the invariant it needs: morphism indices lie in [-1, n_mor) and
 object indices in [0, n_obj).
+
+Every table is stored as `groups.INDEX_DTYPE` (int32).  The largest index
+the scans form is a flat index into a padded n_mor + 1 square, below
+(n_mor + 1)^2, so `_layout` refuses a category where that would not fit.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import numpy as np
 from .cohomology import Cochain3, zero_cochain3
 from .crossed import _WITNESS_CAP, AxiomCheck, AxiomReport
 from .errors import DEFAULT_GUARD, NotStrict, SearchSpaceTooLarge, ShapeMismatch
-from .groups import GammaModule, least_preimages, section_defect, trivial_group
+from .groups import (INDEX_DTYPE, GammaModule, least_preimages, section_defect,
+                     trivial_group)
 
 
 class _Padded:
@@ -46,14 +51,28 @@ class _Padded:
 
 
 def _padded(table):
-    """int64 table with one more slot, holding -1, at the end of every
+    """INDEX_DTYPE table with one more slot, holding -1, at the end of every
     axis: the builder's own storage for a `_Padded` table, else a copy."""
     if isinstance(table, _Padded):
         return table.table
-    table = np.asarray(table, dtype=np.int64)
-    out = np.full([k + 1 for k in table.shape], -1, dtype=np.int64)
+    table = np.asarray(table)
+    out = np.full([k + 1 for k in table.shape], -1, dtype=INDEX_DTYPE)
     out[tuple(slice(k) for k in table.shape)] = table
     return out
+
+
+def _unpadded(table, ndim):
+    """table as given, in its own dtype: without the trailing -1 slots of
+    its ndim axes if its builder padded it (`_Padded`)."""
+    if isinstance(table, _Padded):
+        return table.table[(slice(-1),) * ndim]
+    return np.asarray(table)
+
+
+def _check_range(name, table, lo, hi):
+    """Refuse (ShapeMismatch) a table holding an entry outside [lo, hi)."""
+    if table.size and (table.min() < lo or table.max() >= hi):
+        raise ShapeMismatch(f"{name} holds an index outside [{lo}, {hi})")
 
 
 def _record(n_pay, n_obj, grade, payload, target, out=None):
@@ -108,8 +127,10 @@ class GradedCatGroup:
     consumers index the padded tables and `_inv` directly.  The public
     attributes are views that leave the slot out.  The constructor refuses
     (ShapeMismatch) a table of the wrong shape, a morphism index outside
-    [-1, n_mor), an object index outside [0, n_obj) and a grade outside the
-    grading group, since a padded table would silently read a real row at -2.
+    [-1, n_mor), an object index outside [0, n_obj), a grade outside the
+    grading group and a negative payload, since a padded table would
+    silently read a real row at -2.  Each table is checked as given, before
+    it is narrowed to INDEX_DTYPE, where an out-of-range entry would wrap.
     """
 
     __slots__ = ("gamma", "n_obj", "pay", "unit", "meta") + tuple(
@@ -120,26 +141,27 @@ class GradedCatGroup:
         given = locals()        # the tables, by their names in _TABLES
         self.gamma = gamma
         self.n_obj = int(n_obj)
-        for name, axes, _ in _TABLES:
-            setattr(self, _stored(name, axes), _padded(given[name])
-                    if "M" in axes else np.asarray(given[name], dtype=np.int64))
-        self.pay = np.asarray(pay, dtype=np.int64)
         self.unit = int(unit)
         self.meta = meta or {}
-        n, no = self.n_mor, self.n_obj
+        tables = {name: _unpadded(given[name], len(axes))
+                  for name, axes, _ in _TABLES}
+        n, no = len(tables["src"]), self.n_obj
         size = {"M": n, "O": no, "G": gamma.order}
         if not 0 <= self.unit < no:
             raise ShapeMismatch(f"unit object {self.unit} outside [0, {no})")
-        if self.pay.shape != (n,):
-            raise ShapeMismatch(f"pay has shape {self.pay.shape}, expected {(n,)}")
+        pay = np.asarray(pay)
+        if pay.shape != (n,):
+            raise ShapeMismatch(f"pay has shape {pay.shape}, expected {(n,)}")
+        _check_range("pay", pay, 0, np.iinfo(INDEX_DTYPE).max + 1)
+        self.pay = pay.astype(INDEX_DTYPE, copy=False)
         for name, axes, value in _TABLES:
-            t = getattr(self, name)
+            t = tables[name]
             shape = tuple(size[a] for a in axes)
             if t.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {t.shape}, expected {shape}")
-            lo, hi = (-1 if value == "M" else 0), size[value]
-            if t.size and (t.min() < lo or t.max() >= hi):
-                raise ShapeMismatch(f"{name} holds an index outside [{lo}, {hi})")
+            _check_range(name, t, -1 if value == "M" else 0, size[value])
+            setattr(self, _stored(name, axes), _padded(given[name])
+                    if "M" in axes else t.astype(INDEX_DTYPE, copy=False))
 
     @property
     def n_mor(self):
@@ -231,16 +253,23 @@ class GradedCatGroup:
 
 def _layout(ng, n_pay, n_obj, guard):
     """(grade, payload, target) of every morphism, in index order; refused
-    (SearchSpaceTooLarge) if n_mor x n_mor tables exceed guard entries."""
-    if (ng * n_pay * n_obj) ** 2 > guard:
-        raise SearchSpaceTooLarge((ng * n_pay * n_obj) ** 2, guard)
-    return np.indices((ng, n_pay, n_obj)).reshape(3, -1)
+    (SearchSpaceTooLarge) if n_mor x n_mor tables exceed guard entries, or,
+    whatever the guard, if a flat index into the padded tables, below
+    (n_mor + 1)^2, could exceed INDEX_DTYPE."""
+    n = ng * n_pay * n_obj
+    if n * n > guard:
+        raise SearchSpaceTooLarge(n * n, guard)
+    ceiling = int(np.iinfo(INDEX_DTYPE).max)
+    if (n + 1) ** 2 > ceiling:
+        raise SearchSpaceTooLarge((n + 1) ** 2, ceiling)
+    return np.indices((ng, n_pay, n_obj), dtype=INDEX_DTYPE).reshape(3, -1)
 
 
 # instances per block of the table builds and the blocked scans
 # (associativity, tensor-typing and the two coherence evaluators): each
-# int64 temporary is then at most 512 KB and stays in cache, which measured
-# faster than 2^18 or 2^20 on both exhaustive scans
+# temporary is then at most 512 KB (an index numpy casts to intp; the int32
+# buffers take 256 KB) and stays in cache, which measured faster than 2^18
+# or 2^20 on both exhaustive scans
 _BLOCK = 1 << 16
 
 
@@ -268,8 +297,8 @@ def _assemble(gam, Ot, n_pay, grades, pays, tgts, srcs, comp_pay, ten_pay,
     constraints are identities.  comp and tmor are allocated once, padded,
     and written in row blocks, so no temporary is larger than a block."""
     n_obj, n = len(Ot), len(grades)
-    objs = np.arange(n_obj)
-    comp, tmor = (np.full((n + 1, n + 1), -1, dtype=np.int64)
+    objs = np.arange(n_obj, dtype=INDEX_DTYPE)
+    comp, tmor = (np.full((n + 1, n + 1), -1, dtype=INDEX_DTYPE)
                   for _ in range(2))
     grade_of = gam.np_table[:, grades]      # grd (g o f), by grd g and f
 
@@ -294,7 +323,7 @@ def _assemble(gam, Ot, n_pay, grades, pays, tgts, srcs, comp_pay, ten_pay,
     aset = record(0, assoc_pay, Ot[Ot[objs[:, None, None], objs[None, :, None]],
                                    objs[None, None, :]])
     cset = record(0, braid_pay, Ot.T)
-    uI = record(np.arange(gam.order), 0, 0)
+    uI = record(np.arange(gam.order, dtype=INDEX_DTYPE), 0, 0)
     # the unit constraints are separate arrays: tables are edited in place
     return GradedCatGroup(gam, n_obj, srcs, tgts, grades, pays, _Padded(comp),
                           Ot, _Padded(tmor), 0, idm, aset, idm.copy(),
@@ -313,11 +342,11 @@ def build_catgroup(module, guard=DEFAULT_GUARD):
     grades, pays, tgts = _layout(gam.order, B.order, D.order, guard)
     Bt = B.np_table
     Dt = D.np_table
-    actB = np.asarray(module.act_b.act, dtype=np.int64)
-    actD = np.asarray(module.act_d.act, dtype=np.int64)
-    theta = np.asarray(module.theta, dtype=np.int64)
-    dmap = np.asarray(module.d, dtype=np.int64)
-    ginv = np.asarray(gam.inverses, dtype=np.int64)
+    actB = np.asarray(module.act_b.act, dtype=INDEX_DTYPE)
+    actD = np.asarray(module.act_d.act, dtype=INDEX_DTYPE)
+    theta = np.asarray(module.theta, dtype=INDEX_DTYPE)
+    dmap = np.asarray(module.d, dtype=INDEX_DTYPE)
+    ginv = np.asarray(gam.inverses, dtype=INDEX_DTYPE)
     # source of (b, s): y  is  s^-1 (d(b) y)
     srcs = actD[ginv[grades], Dt[dmap[pays], tgts]]
     # (c, t) o (b, s) carries t(b) c, and (b, s) (x) (c, s) with (b, s)
@@ -328,7 +357,7 @@ def build_catgroup(module, guard=DEFAULT_GUARD):
     def ten_pay(rows):
         return Bt[pays[rows, None], theta[tgts[rows, None], pays]]
 
-    eta = np.asarray(module.eta, dtype=np.int64)
+    eta = np.asarray(module.eta, dtype=INDEX_DTYPE)
     return _assemble(gam, Dt, B.order, grades, pays, tgts, srcs, comp_pay,
                      ten_pay, 0, eta, {"kind": "module", "module": module})
 
@@ -350,11 +379,11 @@ def build_reduced(M: GammaModule, N: GammaModule, h: Cochain3 = None,
         raise ShapeMismatch("cochain modules do not match the arguments")
     Mt = M.group.np_table
     Nt = N.group.np_table
-    actM = np.asarray(M.act.act, dtype=np.int64)
-    actN = np.asarray(N.act.act, dtype=np.int64)
-    ginv = np.asarray(gam.inverses, dtype=np.int64)
-    h_comp = np.asarray(h.comp, dtype=np.int64)
-    h_ten = np.asarray(h.tensor, dtype=np.int64)
+    actM = np.asarray(M.act.act, dtype=INDEX_DTYPE)
+    actN = np.asarray(N.act.act, dtype=INDEX_DTYPE)
+    ginv = np.asarray(gam.inverses, dtype=INDEX_DTYPE)
+    h_comp = np.asarray(h.comp, dtype=INDEX_DTYPE)
+    h_ten = np.asarray(h.tensor, dtype=INDEX_DTYPE)
     srcs = actM[ginv[grades], tgts]
 
     def comp_pay(rows):
@@ -366,8 +395,8 @@ def build_reduced(M: GammaModule, N: GammaModule, h: Cochain3 = None,
                   h_ten[srcs[rows, None], srcs, grades[rows, None]]]
 
     return _assemble(gam, Mt, N.group.order, grades, pays, tgts, srcs,
-                     comp_pay, ten_pay, np.asarray(h.assoc, dtype=np.int64),
-                     np.asarray(h.braid, dtype=np.int64),
+                     comp_pay, ten_pay, np.asarray(h.assoc, dtype=INDEX_DTYPE),
+                     np.asarray(h.braid, dtype=INDEX_DTYPE),
                      {"kind": "reduced", "M": M, "N": N, "h": h})
 
 
@@ -416,11 +445,17 @@ def _lifts(G: GradedCatGroup):
     the lift at X."""
     ng, no = G.gamma.order, G.n_obj
     keys, first = np.unique(G.grd * no + G.src, return_index=True)
-    ups = np.full(ng * no, -1, dtype=np.int64)
+    ups = np.full(ng * no, -1, dtype=INDEX_DTYPE)
     ups[keys] = first
     ups = ups.reshape(ng, no)
     ups[0] = G.idm
     return ups
+
+
+def _nonzero(mask):
+    """np.nonzero(mask), each index array cast from intp to INDEX_DTYPE, so
+    the arithmetic on it stays 4-byte."""
+    return [a.astype(INDEX_DTYPE) for a in np.nonzero(mask)]
 
 
 def _grouped(key, n_keys):
@@ -429,7 +464,7 @@ def _grouped(key, n_keys):
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=n_keys)
     pos = np.arange(len(key)) - (np.cumsum(counts) - counts)[key[order]]
-    out = np.full((n_keys, counts.max()), -1, dtype=np.int64)
+    out = np.full((n_keys, counts.max()), -1, dtype=INDEX_DTYPE)
     out[key[order], pos] = order
     return out
 
@@ -452,23 +487,28 @@ def _grade1_generators(G: GradedCatGroup):
         left = np.array(picks)[:, None]
         new = np.nonzero(reached[:-1])[0]
         while len(new):
-            new = np.unique(comp[left, new])
-            new = new[~reached[new]]
-            reached[new] = True
-    return np.array(picks, dtype=np.int64)
+            fresh = np.zeros_like(reached)
+            fresh[comp[left, new]] = True
+            fresh &= ~reached
+            reached |= fresh
+            new = np.nonzero(fresh)[0]
+    return np.array(picks, dtype=INDEX_DTYPE)
 
 
 def _grades(G: GradedCatGroup):
     """The morphisms of each grade, ascending: every arrow, as the
     per-grade arrow sets of the coherence evaluators take it."""
-    return [np.nonzero(G.grd == s)[0] for s in range(G.gamma.order)]
+    return [_nonzero(G.grd == s)[0] for s in range(G.gamma.order)]
 
 
 def _generating_arrows(G: GradedCatGroup, ups, k):
     """The per-grade arrow sets of the generator pass, ascending: the
     grade-1 generators k with the identities, and the lifts ups[s] of
     every other grade s."""
-    return [np.union1d(k, G.idm)] + list(np.sort(ups[1:], axis=1))
+    grade1 = np.zeros(G.n_mor, dtype=bool)
+    grade1[k] = True
+    grade1[G.idm] = True
+    return [_nonzero(grade1)[0]] + list(np.sort(ups[1:], axis=1))
 
 
 # The blocked scans gather from the flat padded tables: g o f is
@@ -496,7 +536,7 @@ def _distinct(arrows):
     """The distinct entries of arrows, ascending, and the position of each
     entry among them: distinct[pos] == arrows."""
     distinct, pos = np.unique(arrows, return_inverse=True)
-    return distinct, pos.reshape(arrows.shape)
+    return distinct, pos.astype(INDEX_DTYPE).reshape(arrows.shape)
 
 
 def _block_size(rows, row):
@@ -506,9 +546,9 @@ def _block_size(rows, row):
 
 
 def _block_buffers(count, size):
-    """count int64 buffers and one bool mask of size entries each, which
+    """count INDEX_DTYPE buffers and one bool mask of size entries each, which
     every block of a scan reuses through _views."""
-    return [np.empty(size, dtype=np.int64) for _ in range(count)] + \
+    return [np.empty(size, dtype=INDEX_DTYPE) for _ in range(count)] + \
         [np.empty(size, dtype=bool)]
 
 
@@ -524,7 +564,7 @@ def _associative(G: GradedCatGroup):
     (all grades, ascending, padded with -1 and masked out)."""
     n1 = G.n_mor + 1
     comp = G._comp.ravel()
-    hsel, gsel = np.nonzero(G.comp >= 0)
+    hsel, gsel = _nonzero(G.comp >= 0)
     into = _grouped(G.tgt, G.n_obj)
 
     def blocks():
@@ -548,7 +588,7 @@ def _tensor_typing(G: GradedCatGroup):
 
     def blocks():
         for rows in _row_blocks(G.n_mor, G.n_mor):
-            f, g = np.nonzero(G.grd[rows, None] == G.grd)
+            f, g = _nonzero(G.grd[rows, None] == G.grd)
             f += rows.start
             fg = G._tmor[f, g]
             ok = (SRC[fg] == tob[SRC[f], SRC[g]]) & \
@@ -572,7 +612,7 @@ def _interchange(G: GradedCatGroup, arrows=None, comp_rhs=None):
     if comp_rhs is None:
         comp_rhs = _undefined_as_minus_two(G._comp)
     outer = np.sort(np.concatenate(_grades(G) if arrows is None else arrows))
-    gsel, fsel = np.nonzero(G.tgt[None, :] == G.src[outer, None])
+    gsel, fsel = _nonzero(G.tgt[None, :] == G.src[outer, None])
     gsel = outer[gsel]
     pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
     keys, sizes = np.unique(pair_grade, return_counts=True)
@@ -634,7 +674,7 @@ def _nat_assoc(G: GradedCatGroup, arrows=None, comp_rhs=None):
     arrows = _grades(G) if arrows is None else arrows
     sizes = [len(sel) for sel in arrows if len(sel)]
     whole_rows = np.empty(max((_block_size(p, p * p) // p * no for p in sizes),
-                              default=0), dtype=np.int64)
+                              default=0), dtype=INDEX_DTYPE)
     buffers = _block_buffers(
         4, max((_block_size(p, p * p) for p in sizes), default=0))
 
@@ -761,9 +801,9 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("tensor-identities", ok, None))
 
     # stability: some morphism of each grade out of each object
-    counts = np.zeros((no, G.gamma.order), dtype=np.int64)
-    np.add.at(counts, (G.src, G.grd), 1)
-    stability = _entry("stability", counts > 0, None)
+    seen = np.zeros((no, G.gamma.order), dtype=bool)
+    seen[G.src, G.grd] = True
+    stability = _entry("stability", seen, None)
 
     # interchange: (g o f) (x) (g' o f') == (g (x) g') o (f (x) f')
     # the generating set is computed once, and only where a generator pass
@@ -863,8 +903,9 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(stability)
 
     # object invertibility: X (x) X' reaches the unit by a grade-1 arrow
-    w_objs = np.unique(G.src[(G.grd == 0) & (G.tgt == G.unit)])
-    reach = np.isin(tob, w_objs).any(axis=1)
+    to_unit = np.zeros(no, dtype=bool)
+    to_unit[G.src[(G.grd == 0) & (G.tgt == G.unit)]] = True
+    reach = to_unit[tob].any(axis=1)
     entries.append(_entry("object-invertibility", reach, [objs]))
 
     if symmetric:
@@ -878,11 +919,12 @@ def ker(G: GradedCatGroup):
     """The grade-1 subcategory, reindexed over a trivial grading group."""
     keep = np.nonzero(G.grd == 0)[0]
     # indexed like G's padded tables, so the undefined arrow stays -1
-    remap = np.full(len(G._src), -1, dtype=np.int64)
+    remap = np.full(len(G._src), -1, dtype=INDEX_DTYPE)
     remap[keep] = np.arange(len(keep))
     # each axis is restricted to the kept indices, in order (old), and each
     # entry renumbered (new): the grade-1 arrows and the identity grade
-    objs, one = np.arange(G.n_obj), np.zeros(1, dtype=np.int64)
+    objs = np.arange(G.n_obj, dtype=INDEX_DTYPE)
+    one = np.zeros(1, dtype=INDEX_DTYPE)
     old = {"M": keep, "O": objs, "G": one}
     new = {"M": remap, "O": objs, "G": one}
     tables = {name: new[value][getattr(G, name)[np.ix_(*(old[a] for a in axes))]]

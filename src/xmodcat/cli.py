@@ -44,6 +44,8 @@ def _read_scenario(path):
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read scenario: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"scenario is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -58,10 +60,9 @@ def _read_scenario(path):
     return obj
 
 
-def _load_scenario(path, kind):
-    """The decoded inputs and options of the scenario at path, which must
-    be of the given kind."""
-    obj = _read_scenario(path)
+def _run_scenario(kind, obj, guard):
+    """Execute the scenario obj, read by `_read_scenario`, which must be of
+    the given kind; returns (exit_code, report_text, data)."""
     if obj.get("kind") != kind:
         raise InputError(f"scenario kind {obj.get('kind')!r} does not match "
                          f"subcommand {kind!r}")
@@ -69,7 +70,7 @@ def _load_scenario(path, kind):
     if not (isinstance(inputs, dict) and isinstance(options, dict)):
         raise InputError("inputs and options must be JSON objects")
     _integer_leaves(inputs)
-    _, reads, known = KINDS[kind]
+    run, reads, known = KINDS[kind]
     decoded = {name: default for name, (_, default) in known.items()}
     for name, value in options.items():
         if name not in known:
@@ -78,7 +79,8 @@ def _load_scenario(path, kind):
             decoded[name] = known[name][0](value)
         except (TypeError, ValueError) as exc:
             raise InputError(f"options.{name}: {exc}") from exc
-    return _decode_inputs(inputs, reads), decoded
+    code, lines, data = run(_decode_inputs(inputs, reads), decoded, guard)
+    return code, "\n".join(lines) + "\n", data
 
 
 def _integer_leaves(inputs):
@@ -375,11 +377,9 @@ KINDS = {
 
 
 def run_scenario_text(kind, path, guard):
-    """Execute one scenario; returns (exit_code, report_text, data)."""
-    inputs, options = _load_scenario(path, kind)
-    code, lines, data = KINDS[kind][0](inputs, options, guard)
-    text = "\n".join(lines) + "\n"
-    return code, text, data
+    """Execute the scenario file at path; returns (exit_code, report_text,
+    data)."""
+    return _run_scenario(kind, _read_scenario(path), guard)
 
 
 def default_corpus_dir():
@@ -398,10 +398,11 @@ def run_corpus(path, update, guard):
     worst = 0
     for sc in scenarios:
         try:
-            kind = _read_scenario(sc).get("kind")
+            obj = _read_scenario(sc)
+            kind = obj.get("kind")
             if not (isinstance(kind, str) and kind in KINDS):
                 raise InputError(f"unknown kind {kind!r}")
-            code, text, _ = run_scenario_text(kind, sc, guard)
+            code, text, _ = _run_scenario(kind, obj, guard)
         except (InputError, XmodcatError) as exc:
             code, label = _refusal(exc)
             print(f"{sc.name}: {label}: {exc}")

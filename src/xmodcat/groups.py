@@ -25,6 +25,13 @@ from .errors import (
 )
 
 
+# The dtype of every numpy index table: the group tables here and a built
+# category's tables (catgroups), whose largest flat index, below
+# (n_mor + 1)^2, the category builders keep within it.  A string, so this
+# module names it without loading numpy.
+INDEX_DTYPE = "int32"
+
+
 class FiniteGroup:
     """A finite group given by an n x n multiplication table of indices."""
 
@@ -92,7 +99,7 @@ class FiniteGroup:
     def np_table(self):
         if self._np is None:
             import numpy as np
-            self._np = np.asarray(self.table, dtype=np.int64)
+            self._np = np.asarray(self.table, dtype=INDEX_DTYPE)
             self._np.flags.writeable = False
         return self._np
 

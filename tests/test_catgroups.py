@@ -11,7 +11,7 @@ from xmodcat import cohomology as ch
 from xmodcat import crossed as xm
 from xmodcat import groups as g
 from xmodcat import samples
-from xmodcat.errors import ShapeMismatch
+from xmodcat.errors import DEFAULT_GUARD, SearchSpaceTooLarge, ShapeMismatch
 from xmodcat.functors import check_graded_functor
 
 Z2 = g.cyclic(2)
@@ -264,8 +264,9 @@ def _tables(G):
     ("tmor", lambda G: -2),
     ("src", lambda G: G.n_obj),
     ("tob", lambda G: -1),
+    ("pay", lambda G: -1),
 ], ids=["comp-minus-two", "comp-past-end", "tmor-minus-two",
-        "src-past-end", "tob-negative"])
+        "src-past-end", "tob-negative", "pay-negative"])
 def test_out_of_range_index_is_refused(field, value):
     G = cg.build_catgroup(samples.s3_a3_module(False))
     tables = _tables(G)
@@ -273,6 +274,21 @@ def test_out_of_range_index_is_refused(field, value):
     bad.flat[3] = value(G)
     tables[field] = bad
     with pytest.raises(ShapeMismatch):
+        cg.GradedCatGroup(**tables)
+
+
+@pytest.mark.parametrize("field, as_list", [
+    ("comp", False), ("comp", True), ("pay", False),
+], ids=["comp-int64", "comp-python-int", "pay-int64"])
+def test_entry_past_int32_is_refused_before_it_is_narrowed(field, as_list):
+    # 2**32 + 1 narrowed to int32 wraps to 1, an index in range
+    G = cg.build_catgroup(samples.s3_a3_module(False))
+    tables = _tables(G)
+    bad = getattr(G, field).astype(np.int64)
+    bad.flat[3] = 2 ** 32 + 1
+    assert bad.astype(np.int32).flat[3] == 1
+    tables[field] = bad.tolist() if as_list else bad
+    with pytest.raises(ShapeMismatch, match=f"{field} holds an index outside"):
         cg.GradedCatGroup(**tables)
 
 
@@ -285,8 +301,8 @@ def test_public_tables_leave_out_the_undefined_slot():
                         ("inv", (n,)), ("comp", (n, n)), ("tmor", (n, n))):
         table = getattr(G, name)
         assert table.shape == shape
-        assert table.dtype == np.int64
-        assert table.nbytes == 8 * table.size
+        assert table.dtype == np.int32
+        assert table.nbytes == 4 * table.size
     blob = G.to_json()
     assert blob["composition"] == G.comp.tolist()
     assert blob["tensor"]["morphisms"] == G.tmor.tolist()
@@ -759,6 +775,47 @@ def test_valid_category_build_and_check_stay_near_the_tables_they_keep():
     assert kept >= tables
     assert build_peak <= 1.5 * tables, (build_peak, tables)
     assert check_peak - kept <= 6 << 20, (check_peak, kept)
+
+
+def test_layout_keeps_every_flat_index_within_int32_whatever_the_guard():
+    # the padded tables are (n_mor + 1)^2 entries, and the scans index them
+    # flat: n_mor 46339 fits, 46340 does not, even at a guard of 2^40
+    ceiling = 2 ** 31 - 1
+    for ng, n_pay, n_obj in ((1, 46339, 1), (2, 152, 152)):
+        n = ng * n_pay * n_obj
+        assert (n + 1) ** 2 <= ceiling
+        layout = cg._layout(ng, n_pay, n_obj, 2 ** 40)
+        assert layout.shape == (3, n) and layout.dtype == np.int32
+    assert len(cg._layout(1, 46339, 1, DEFAULT_GUARD)[0]) == 46339
+    for ng, n_pay, n_obj, guard in ((1, 46340, 1, DEFAULT_GUARD),
+                                    (2, 153, 153, 2 ** 40)):
+        n = ng * n_pay * n_obj
+        with pytest.raises(SearchSpaceTooLarge) as trip:
+            cg._layout(ng, n_pay, n_obj, guard)
+        assert (trip.value.size, trip.value.guard) == ((n + 1) ** 2, ceiling)
+    # a built category is refused there, before any table is allocated
+    m = _ladder(153, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge) as trip:
+            cg.build_catgroup(m, guard=2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trip.traceback[-1].name == "_layout"
+    assert peak < 1 << 20
+
+
+def test_counts_and_witnesses_are_python_ints():
+    mutants = samples.random_breaking_mutations(
+        random.Random(3), [_ladder(4, 1), _ladder(6, 5)], 4)
+    failed = 0
+    for mutant, _, _ in mutants:
+        for e in cg.check_axioms(cg.build_catgroup(mutant)).entries:
+            assert type(e.fail_count) is int
+            assert all(type(v) is int for w in e.witnesses for v in w), e
+            failed += not e.ok
+    assert failed
 
 
 def test_a_second_check_reads_an_in_place_edit_of_comp():

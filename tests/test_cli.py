@@ -420,6 +420,44 @@ def test_corpus_reports_deeply_nested_scenario_and_goes_on(tmp_path, capsys):
         len(list(src.glob("*.json")))
 
 
+def test_non_utf8_scenario_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "validate", "note": "\xff"}')
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: scenario is not UTF-8 text: ")
+    assert "0xff" in err
+
+
+def test_corpus_reports_non_utf8_scenario_and_goes_on(tmp_path, capsys):
+    src = cli.default_corpus_dir()
+    work = tmp_path / "corpus"
+    shutil.copytree(src, work)
+    (work / "aaa_latin1.json").write_bytes(b"\xff")
+    code, out, _ = run_cli(["corpus", str(work)], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith("aaa_latin1.json: input error: scenario is "
+                               "not UTF-8 text: ")
+    assert sum(line.endswith(": match") for line in lines) == \
+        len(list(src.glob("*.json")))
+
+
+def test_corpus_reads_each_scenario_once(capsys, monkeypatch):
+    reads = []
+    read = cli._read_scenario
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read_scenario", counted)
+    code, out, _ = run_cli(["corpus"], capsys)
+    assert code == 0
+    assert sorted(reads) == sorted(p.name for p in
+                                   cli.default_corpus_dir().glob("*.json"))
+
+
 def test_corpus_update_rewrites(tmp_path, capsys):
     src = cli.default_corpus_dir()
     work = tmp_path / "corpus"
@@ -609,6 +647,23 @@ def test_factor_set_classify_and_schreier_inputs_never_escape(pick, value):
                             "--guard", str(1 << 16))
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+def test_category_past_the_int32_ceiling_trips_at_any_guard(tmp_path, capsys):
+    """Z_153 -> Z_153 over Z2 has 2 * 153^2 = 46818 morphisms: its tables
+    fit a guard of 2^40 entries, but a flat index into them, up to
+    46819^2, does not fit int32."""
+    Z153 = g.cyclic(153)
+    Z2 = g.cyclic(2)
+    neg = g.action_from_automorphism(Z2, Z153, [(-x) % 153 for x in range(153)])
+    m = samples.abelian_module(Z153, Z153, list(range(153)), Z2, neg, neg)
+    path = write_scenario(tmp_path, "big.json", "build-catgroup",
+                          {"module": m.to_json()})
+    code, out, err = run_cli(["build-catgroup", path, "--guard", str(2 ** 40)],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == f"guard tripped: search space of size {46819 ** 2} " \
+        f"exceeds guard {2 ** 31 - 1}\n"
 
 
 def test_oversize_category_trips_the_guard(capsys):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from xmodcat import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -112,6 +114,21 @@ def test_validate_loads_its_layers_and_no_numpy():
         assert out["xmodcat"] == {"xmodcat", "errors", "zlinalg", "groups",
                                   "crossed", "cli"}
         assert not out["numpy"]
+
+
+@pytest.mark.parametrize("scenario", [
+    "check_axioms_z4_negation", "classify_z2", "obstruction_twisted",
+    "roundtrip_s3"])
+def test_coherence_checks_leave_numpy_ma_unloaded(scenario):
+    # numpy.ma costs about 13 ms to import, and plain np.unique, np.isin
+    # and np.union1d load it
+    path = cli.default_corpus_dir() / f"{scenario}.json"
+    kind = json.loads(path.read_text())["kind"]
+    out = loaded("import sys\nfrom xmodcat import cli\n"
+                 f"code = cli.main([{kind!r}, {str(path)!r}])\n"
+                 "result = [code, 'numpy.ma' in sys.modules]\n")
+    assert out["numpy"] and "catgroups" in out["xmodcat"]
+    assert out["result"] == [0, False]
 
 
 def test_cohomology_h2_skips_the_category_layers():
