@@ -532,11 +532,17 @@ def _undefined_as_minus_two(comp):
     return np.where(comp < 0, -2, comp).ravel()
 
 
-def _distinct(arrows):
-    """The distinct entries of arrows, ascending, and the position of each
-    entry among them: distinct[pos] == arrows."""
-    distinct, pos = np.unique(arrows, return_inverse=True)
-    return distinct, pos.astype(INDEX_DTYPE).reshape(arrows.shape)
+def _distinct(arrows, n1):
+    """The distinct entries of arrows, arrows in [-1, n1 - 1), as indices
+    into the n1 slots of a padded axis, ascending (the undefined arrow -1
+    is the last slot, n1 - 1), and the position of each entry among them:
+    a padded table reads the same at distinct[pos] as at arrows.  Marked
+    in a mask of the slots, so no sort or intp copy of arrows is made."""
+    seen = np.zeros(n1, dtype=bool)
+    seen[arrows] = True
+    slot = np.cumsum(seen, dtype=INDEX_DTYPE)
+    slot -= 1
+    return np.flatnonzero(seen).astype(INDEX_DTYPE), _take(slot, arrows, None)
 
 
 def _block_size(rows, row):
@@ -545,11 +551,11 @@ def _block_size(rows, row):
     return _rows_per_block(rows, row) * row
 
 
-def _block_buffers(count, size):
-    """count INDEX_DTYPE buffers and one bool mask of size entries each, which
-    every block of a scan reuses through _views."""
+def _block_buffers(count, size, masks=1):
+    """count INDEX_DTYPE buffers and masks bool ones of size entries each,
+    which every block of a scan reuses through _views."""
     return [np.empty(size, dtype=INDEX_DTYPE) for _ in range(count)] + \
-        [np.empty(size, dtype=bool)]
+        [np.empty(size, dtype=bool) for _ in range(masks)]
 
 
 def _views(buffers, shape):
@@ -559,88 +565,136 @@ def _views(buffers, shape):
 
 def _associative(G: GradedCatGroup):
     """composition-associative on every triple (h, g, f) with h o g
-    defined in `comp` and tgt f = src g, in C order of (h, g, f): the
-    (h, g) pairs in blocks of rows, each against the arrows into src g
-    (all grades, ascending, padded with -1 and masked out)."""
-    n1 = G.n_mor + 1
+    defined in `comp` and tgt f = src g, in C order of (h, g, f): blocks of
+    rows h, each with the (h, g) pairs of its rows of comp, against the
+    rows of the arrows into src g (all grades, ascending, padded with -1
+    and masked out), evaluated into buffers that every block reuses.  A
+    block reads at most _BLOCK entries of comp and, unless one row alone
+    is larger, evaluates at most _BLOCK triples."""
+    n, n1 = G.n_mor, G.n_mor + 1
     comp = G._comp.ravel()
-    hsel, gsel = _nonzero(G.comp >= 0)
     into = _grouped(G.tgt, G.n_obj)
+    d = into.shape[1]
+    width = int(np.count_nonzero(G.comp >= 0, axis=1).max(initial=0))
+    row = max(n, width * d)
+    buffers = _block_buffers(4, _rows_per_block(n, row) * width * d, masks=2)
 
     def blocks():
-        for rows in _row_blocks(len(hsel), into.shape[1]):
-            h, g = hsel[rows, None], gsel[rows, None]
-            f = into[G.src[g[:, 0]]]
+        for rows in _row_blocks(n, row):
+            h, g = _nonzero(G.comp[rows] >= 0)
+            h += rows.start
+            f, gf, lhs, rhs, bad, mask = _views(buffers, (len(g), d))
+            _take(into, G._src[g], f, axis=0)
+            h, g = h[:, None], g[:, None]
             # h o (g o f) against (h o g) o f
-            lhs = comp[h * n1 + comp[g * n1 + f]]
-            rhs = comp[comp[h * n1 + g] * n1 + f]
-            bad = lhs != rhs
-            bad |= lhs < 0
-            bad &= f >= 0
+            _take(comp, np.add(g * n1, f, out=gf), gf)
+            _take(comp, np.add(h * n1, gf, out=lhs), lhs)
+            _take(comp, np.add(comp[h * n1 + g] * n1, f, out=rhs), rhs)
+            np.not_equal(lhs, rhs, out=bad)
+            bad |= np.less(lhs, 0, out=mask)
+            bad &= np.greater_equal(f, 0, out=mask)
             yield bad, (h, g, f)
     return _tally("composition-associative", blocks())
 
 
 def _tensor_typing(G: GradedCatGroup):
-    """tensor-typing on every same-grade pair (f, g), in C order: the
-    pairs of each block of rows f, so no n_mor^2 pair list is made."""
+    """tensor-typing on every same-grade pair (f, g), in C order: each run
+    of consecutive arrows f of one grade s in blocks of rows, against the
+    grade-s arrows g, evaluated into buffers that every block reuses.
+    tob(src f, src g) and tob(tgt f, tgt g) are read as rows of two
+    (n_obj x |grade s|) tables."""
+    n = G.n_mor
     SRC, TGT, GRD, tob = G._src, G._tgt, G._grd, G.tob
+    grades = _grades(G)
+    cuts = [0, *(np.flatnonzero(G.grd[1:] != G.grd[:-1]) + 1).tolist(), n]
+    runs = [(lo, hi, G.grd[lo]) for lo, hi in zip(cuts, cuts[1:])]
+    buffers = _block_buffers(3, max(
+        (_block_size(hi - lo, len(grades[s])) for lo, hi, s in runs),
+        default=0), masks=2)
 
     def blocks():
-        for rows in _row_blocks(G.n_mor, G.n_mor):
-            f, g = _nonzero(G.grd[rows, None] == G.grd)
-            f += rows.start
-            fg = G._tmor[f, g]
-            ok = (SRC[fg] == tob[SRC[f], SRC[g]]) & \
-                (TGT[fg] == tob[TGT[f], TGT[g]]) & (GRD[fg] == GRD[f])
-            yield ~ok, (f, g)
+        for lo, hi, s in runs:
+            sel = grades[s]
+            src_tob, tgt_tob = tob[:, SRC[sel]], tob[:, TGT[sel]]
+            for rows in _row_blocks(hi - lo, len(sel)):
+                f = slice(lo + rows.start, lo + rows.stop)
+                fg, arrow, want, bad, mask = _views(
+                    buffers, (f.stop - f.start, len(sel)))
+                _take(G._tmor[f], sel, fg, axis=1)
+                np.not_equal(_take(SRC, fg, arrow),
+                             _take(src_tob, SRC[f], want, axis=0), out=bad)
+                bad |= np.not_equal(_take(TGT, fg, arrow),
+                                    _take(tgt_tob, TGT[f], want, axis=0),
+                                    out=mask)
+                bad |= np.not_equal(_take(GRD, fg, arrow), s, out=mask)
+                yield bad, (np.arange(f.start, f.stop)[:, None], sel)
     return _tally("tensor-typing", blocks())
 
 
 def _interchange(G: GradedCatGroup, arrows=None, comp_rhs=None):
     """tensor-interchange on every two composable pairs (g, f), (g', f')
     with g, g' in arrows[s] for a grade s (every grade-s arrow by default)
-    and grd f = grd f': per grade pair, the square of its pairs in blocks
-    of rows, evaluated into buffers that every block reuses.  The three
-    tensors of a square are read from tmor on the distinct arrows of
-    g o f, of g (pre-scaled by n_mor + 1) and of f: the rows of a block are
-    gathered whole, then each at the columns' positions among those
-    arrows.  comp_rhs is _undefined_as_minus_two(G._comp), made here when
-    not given."""
-    n1 = G.n_mor + 1
+    and grd f = grd f' = t: per grade pair (s, t), in C order, the square
+    (g, i, g', j) with f the i-th grade-t arrow into src g (ascending,
+    padded with -1 and masked out), in blocks of rows g, evaluated into
+    buffers that every block reuses.  (g o f) (x) (g' o f') is read from
+    tmor on the distinct arrows g o f: each block's rows gathered whole,
+    then at the columns' positions.  (g (x) g') (n_mor + 1) is a
+    broadcast add of an (|g| x |g|) table, and f (x) f' a copy of
+    length-c rows of an (n_src c)^2 table, for the n_src <= n_obj objects
+    src g and the c slots of each.  comp_rhs is
+    _undefined_as_minus_two(G._comp), made here when not given."""
+    n1, no, ng = G.n_mor + 1, G.n_obj, G.gamma.order
     comp = G._comp.ravel()
     if comp_rhs is None:
         comp_rhs = _undefined_as_minus_two(G._comp)
     outer = np.sort(np.concatenate(_grades(G) if arrows is None else arrows))
-    gsel, fsel = _nonzero(G.tgt[None, :] == G.src[outer, None])
-    gsel = outer[gsel]
-    pair_grade = G.grd[gsel] * G.gamma.order + G.grd[fsel]
-    keys, sizes = np.unique(pair_grade, return_counts=True)
-    whole_rows, *buffers = _block_buffers(
-        4, max((_block_size(p, p) for p in sizes), default=0))
+    # into[t, x]: the grade-t arrows into x, ascending, padded with -1
+    into = _grouped(G.grd * no + G.tgt, ng * no).reshape(ng, no, -1)
+    c = into.shape[2]
+    squares = []
+    for s in range(ng):
+        gs = outer[G.grd[outer] == s]
+        squares += [(gs, f) for f in into[:, G.src[gs]] if (f >= 0).any()]
+    buffers = _block_buffers(3, max(
+        (_block_size(len(gs), c * len(gs) * c) for gs, _ in squares), default=0))
 
     def blocks():
-        for key in keys:
-            sel = pair_grade == key
-            g, f = gsel[sel], fsel[sel]
-            step = _rows_per_block(len(g), len(g))
-            tensors = []
-            for side, scale in ((comp[g * n1 + f], 1), (g, n1), (f, 1)):
-                distinct, pos = _distinct(side)
-                table = G._tmor[distinct[:, None], distinct] * scale
-                whole, = _views([whole_rows], (step, len(distinct)))
-                tensors.append((table, pos, whole))
-            for lo in range(0, len(g), step):
-                rows = slice(lo, lo + step)
-                g_rows, f_rows = g[rows, None], f[rows, None]
-                lhs, rhs, idx, bad = _views(buffers, (len(g_rows), len(g)))
-                # (g o f) (x) (g' o f'), (g (x) g') n1 and f (x) f'
-                for (table, pos, whole), out in zip(tensors, (lhs, rhs, idx)):
-                    _take(_take(table, pos[rows], whole[:len(g_rows)], axis=0),
-                          pos, out, axis=1)
-                # (g (x) g') o (f (x) f'), -2 where undefined; the lhs is -1
-                _take(comp_rhs, np.add(rhs, idx, out=idx), rhs)
-                yield np.not_equal(lhs, rhs, out=bad), (g_rows, f_rows, g, f)
+        for gs, f in squares:
+            valid = f >= 0
+            distinct, pos = _distinct(comp[gs[:, None] * n1 + f], n1)
+            gf_table = G._tmor[distinct[:, None], distinct]
+            g_table = G._tmor[gs[:, None], gs]
+            g_table *= n1
+            # f (x) f' on the arrows into the distinct objects src g: row
+            # (a c + i) n_src + b holds the c tensors of the i-th arrow into
+            # the a-th of them with the arrows into the b-th
+            _, first, at = np.unique(G.src[gs], return_index=True,
+                                     return_inverse=True)
+            n_src, at = len(first), at.astype(INDEX_DTYPE)
+            fo = f[first].ravel()
+            f_table = G._tmor[fo[:, None], fo].reshape(-1, c)
+            row_of = (at[:, None] * c + np.arange(c, dtype=INDEX_DTYPE)) * n_src
+            for rows in _row_blocks(len(gs), c * len(gs) * c):
+                m = rows.stop - rows.start
+                lhs, rhs, idx, bad = _views(buffers, (m, c, len(gs), c))
+                # whole is read before idx is written, f_row before rhs
+                whole, = _views(buffers[2:3], (m, c, len(distinct)))
+                f_row, = _views(buffers[1:2], (m, c, len(gs)))
+                # (g o f) (x) (g' o f')
+                _take(_take(gf_table, pos[rows], whole, axis=0), pos, lhs, axis=2)
+                # f (x) f' + (g (x) g') n1, then their composite, -2 where
+                # undefined; the lhs is -1
+                _take(f_table, np.add(row_of[rows, :, None], at, out=f_row),
+                      idx, axis=0)
+                per_g = idx.reshape(m, c, -1)
+                per_g += np.repeat(g_table[rows], c, axis=1)[:, None]
+                _take(comp_rhs, idx, rhs)
+                np.not_equal(lhs, rhs, out=bad)
+                bad &= valid[rows, :, None, None]
+                bad &= valid
+                yield bad, (gs[rows, None, None, None], f[rows, :, None, None],
+                            gs[:, None], f)
     return _tally("tensor-interchange", blocks())
 
 
@@ -662,47 +716,44 @@ def _nat_assoc(G: GradedCatGroup, arrows=None, comp_rhs=None):
     reuses.  u (x) v is one table per grade, which also gives v (x) w.
     (u (x) v) (x) w is read from the rows of tmor over the grade at the
     distinct u (x) v, and u (x) (v (x) w), pre-scaled by n_mor + 1, from
-    rows u of tmor at those columns; a constraint a(x, y, z) is read from
-    the row of aset at (x, y), gathered whole, at z.  comp_rhs is as for
-    `_interchange`."""
+    rows u of tmor at those columns.  A constraint a(x u, x v, x w), with
+    x = tgt (pre-scaled) or src, is a row copy, at x v, from the block's
+    rows of aset at x u read at x w: a (rows x n_obj x |arrows[s]|) buffer,
+    no larger than the block unless arrows[s] is shorter than the object
+    list.  comp_rhs is as for `_interchange`."""
     n1, no = G.n_mor + 1, G.n_obj
     comp = G._comp.ravel()
     if comp_rhs is None:
         comp_rhs = _undefined_as_minus_two(G._comp)
-    aset = G.aset.reshape(no * no, no)
-    aset_rows = aset * n1
-    arrows = _grades(G) if arrows is None else arrows
-    sizes = [len(sel) for sel in arrows if len(sel)]
-    whole_rows = np.empty(max((_block_size(p, p * p) // p * no for p in sizes),
-                              default=0), dtype=INDEX_DTYPE)
-    buffers = _block_buffers(
-        4, max((_block_size(p, p * p) for p in sizes), default=0))
+    arrows = [sel for sel in (_grades(G) if arrows is None else arrows)
+              if len(sel)]
+    buffers = _block_buffers(4, max(
+        (_rows_per_block(len(sel), len(sel) ** 2) * len(sel) * max(len(sel), no)
+         for sel in arrows), default=0))
 
     def blocks():
         for sel in arrows:
-            if not len(sel):
-                continue
-            distinct, uv_pos = _distinct(G._tmor[sel[:, None], sel])
+            distinct, uv_pos = _distinct(G._tmor[sel[:, None], sel], n1)
             uv_w = G._tmor[distinct[:, None], sel]
-            u_vw = G._tmor[sel[:, None], distinct] * n1
-            tgt_uv = G.tgt[sel, None] * no + G.tgt[sel]
-            src_uv = G.src[sel, None] * no + G.src[sel]
-            step = _rows_per_block(len(sel), len(sel) ** 2)
-            whole, = _views([whole_rows], (step, len(sel), no))
-            for lo in range(0, len(sel), step):
-                rows = slice(lo, lo + step)
+            u_vw = G._tmor[sel[:, None], distinct]
+            u_vw *= n1
+            tgt, src = G.tgt[sel], G.src[sel]
+            for rows in _row_blocks(len(sel), len(sel) ** 2):
                 u = sel[rows, None, None]
                 lhs, rhs, idx, part, bad = _views(
                     buffers, (len(u), len(sel), len(sel)))
+                # a_rows is read before idx is written
+                a_rows, = _views(buffers[2:3], (len(u), no, len(sel)))
                 # a(tgt) o ((u (x) v) (x) w), -1 where undefined
-                _take(_take(aset_rows, tgt_uv[rows], whole[:len(u)], axis=0),
-                      G.tgt[sel], lhs, axis=2)
+                _take(G.aset[tgt[rows]], tgt, a_rows, axis=2)
+                a_rows *= n1
+                _take(a_rows, tgt, lhs, axis=1)
                 _take(uv_w, uv_pos[rows], part, axis=0)
                 _take(comp, np.add(lhs, part, out=idx), lhs)
                 # (u (x) (v (x) w)) o a(src), -2 where undefined
                 _take(u_vw[rows], uv_pos, rhs, axis=1)
-                _take(_take(aset, src_uv[rows], whole[:len(u)], axis=0),
-                      G.src[sel], part, axis=2)
+                _take(G.aset[src[rows]], src, a_rows, axis=2)
+                _take(a_rows, src, part, axis=1)
                 _take(comp_rhs, np.add(rhs, part, out=idx), rhs)
                 yield np.not_equal(lhs, rhs, out=bad), (u, sel[:, None], sel)
     return _tally("naturality-assoc", blocks())
@@ -759,7 +810,18 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     is that of the exhaustive scan.
 
     composition-associative scans only the triples (h, g, f) with h o g
-    defined in `comp` and tgt f = src g, in blocks (`_associative`)."""
+    defined in `comp` and tgt f = src g, in blocks (`_associative`).
+
+    The four blocked scans (`_associative`, `_tensor_typing` and the two
+    evaluators) hold no pair list of the whole scan.  Each evaluates its
+    blocks, of at most _BLOCK instances unless one row is larger, into
+    buffers it allocates once, reading them with `take`: row copies where
+    a row of a table is the row of the block (the arrows into src g, a
+    grade's tob, aset and f (x) f' rows), element gathers elsewhere.
+    Besides those buffers a scan's tables are per grade, or grade pair,
+    each of at most (n_mor / |gamma|)^2 entries on a built category, where
+    a grade has n_pay n_obj arrows and as many arrows of a grade reach each
+    object: on the n_mor-512 rung 2^16 entries, a quarter of comp."""
     entries = []
     n, no = G.n_mor, G.n_obj
     gt = G.gamma.np_table

@@ -777,6 +777,47 @@ def test_valid_category_build_and_check_stay_near_the_tables_they_keep():
     assert check_peak - kept <= 6 << 20, (check_peak, kept)
 
 
+def test_failing_rung_check_stays_near_the_tables_it_keeps():
+    # the actD mutant of the n_mor-512 rung fails both families, so each
+    # takes its exhaustive scan there, with per-grade tables of 2^16 entries
+    mutant, _, desc = samples.random_breaking_mutations(
+        random.Random(0), [_ladder(16, 7)], 1)[0]
+    cg.check_axioms(cg.build_catgroup(_ladder(4, 1)))
+    tracemalloc.start()
+    try:
+        G = cg.build_catgroup(mutant)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = cg.check_axioms(G)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert desc.startswith("actD") and G.n_mor == 512
+    assert not rep["tensor-interchange"].ok and not rep["naturality-assoc"].ok
+    assert check_peak - kept <= 6 << 20, (desc, check_peak, kept)
+
+
+def test_blocked_scans_match_the_one_piece_scans_on_ragged_targets(monkeypatch):
+    # one arrow's target moved in place: its old target then receives one
+    # grade-t arrow fewer than the others and its new one one more, so the
+    # scans' per-object lists of arrows are padded with -1
+    rng = random.Random(20261020)
+    bases = [_ladder(4, 1), _ladder(6, 5)] + [m for m, _, _ in
+             samples.random_breaking_mutations(rng, [_ladder(6, 1)], 2)]
+    seen = set()
+    for m in bases:
+        G = cg.build_catgroup(m)
+        arrow = rng.randrange(G.n_mor)
+        others = [x for x in range(G.n_obj) if x != G.tgt[arrow]]
+        G.tgt[arrow] = rng.choice(others)
+        counts = np.bincount(G.grd * G.n_obj + G.tgt,
+                             minlength=G.gamma.order * G.n_obj)
+        assert counts.min() < counts.max(), m
+        seen |= _blocked_scans_agree(monkeypatch, G)
+    assert {("composition-associative", False), ("tensor-typing", False),
+            ("tensor-interchange", False)} <= seen
+
+
 def test_layout_keeps_every_flat_index_within_int32_whatever_the_guard():
     # the padded tables are (n_mor + 1)^2 entries, and the scans index them
     # flat: n_mor 46339 fits, 46340 does not, even at a guard of 2^40
