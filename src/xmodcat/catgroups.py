@@ -524,12 +524,12 @@ def _take(table, idx, out, axis=None):
     return table.take(idx, axis=axis, out=out, mode="wrap")
 
 
-def _undefined_as_minus_two(comp):
-    """Flat copy of the padded comp with every undefined entry -2.  One
-    side of a square reads through it and the other through comp, so an
-    undefined side reads -2 on the one and -1 on the other, and lhs != rhs
-    alone marks the failures, a square with both sides undefined included."""
-    return np.where(comp < 0, -2, comp).ravel()
+def _undefined_as_minus_two(table):
+    """table, a scan's own gather from a padded table, -2 in place where
+    undefined: one side of a square reads it and the other comp, so lhs !=
+    rhs alone fails a square, one with both sides undefined included."""
+    np.copyto(table, -2, where=table < 0)
+    return table
 
 
 def _distinct(arrows, n1):
@@ -631,39 +631,42 @@ def _tensor_typing(G: GradedCatGroup):
     return _tally("tensor-typing", blocks())
 
 
-def _interchange(G: GradedCatGroup, arrows=None, comp_rhs=None):
+def _interchange(G: GradedCatGroup, arrows=None):
     """tensor-interchange on every two composable pairs (g, f), (g', f')
     with g, g' in arrows[s] for a grade s (every grade-s arrow by default)
     and grd f = grd f' = t: per grade pair (s, t), in C order, the square
-    (g, i, g', j) with f the i-th grade-t arrow into src g (ascending,
-    padded with -1 and masked out), in blocks of rows g, evaluated into
-    buffers that every block reuses.  (g o f) (x) (g' o f') is read from
-    tmor on the distinct arrows g o f: each block's rows gathered whole,
-    then at the columns' positions.  (g (x) g') (n_mor + 1) is a
-    broadcast add of an (|g| x |g|) table, and f (x) f' a copy of
-    length-c rows of an (n_src c)^2 table, for the n_src <= n_obj objects
-    src g and the c slots of each.  comp_rhs is
-    _undefined_as_minus_two(G._comp), made here when not given."""
+    (g, i, g', j) over the g whose source receives a grade-t arrow, f the
+    i-th of those (ascending, padded with -1 to the square's width c and
+    masked out), in blocks of rows g, evaluated into buffers that every
+    block reuses.  (g o f) (x) (g' o f') is read from tmor on the distinct
+    g o f, -2 where undefined: each block's rows gathered whole, then at
+    the columns' positions.  Their composite is read from comp: (g (x) g')
+    (n_mor + 1) is a broadcast add of an (|g| x |g|) table, and f (x) f' a
+    copy of length-c rows of an (n_src c)^2 table, for the n_src <= n_obj
+    objects src g and the c slots of each."""
     n1, no, ng = G.n_mor + 1, G.n_obj, G.gamma.order
     comp = G._comp.ravel()
-    if comp_rhs is None:
-        comp_rhs = _undefined_as_minus_two(G._comp)
     outer = np.sort(np.concatenate(_grades(G) if arrows is None else arrows))
     # into[t, x]: the grade-t arrows into x, ascending, padded with -1
     into = _grouped(G.grd * no + G.tgt, ng * no).reshape(ng, no, -1)
-    c = into.shape[2]
     squares = []
     for s in range(ng):
         gs = outer[G.grd[outer] == s]
-        squares += [(gs, f) for f in into[:, G.src[gs]] if (f >= 0).any()]
+        for f in into[:, G.src[gs]]:
+            # views where no row is dropped: a copied f measured slower
+            has, width = f[:, 0] >= 0, np.count_nonzero((f >= 0).any(axis=0))
+            if has.any():
+                squares.append((gs, f[:, :width]) if has.all() else
+                               (gs[has], f[has, :width]))
     buffers = _block_buffers(3, max(
-        (_block_size(len(gs), c * len(gs) * c) for gs, _ in squares), default=0))
+        (_block_size(len(gs), f.size * f.shape[1]) for gs, f in squares), default=0))
 
     def blocks():
         for gs, f in squares:
+            c = f.shape[1]
             valid = f >= 0
             distinct, pos = _distinct(comp[gs[:, None] * n1 + f], n1)
-            gf_table = G._tmor[distinct[:, None], distinct]
+            gf_table = _undefined_as_minus_two(G._tmor[distinct[:, None], distinct])
             g_table = G._tmor[gs[:, None], gs]
             g_table *= n1
             # f (x) f' on the arrows into the distinct objects src g: row
@@ -683,13 +686,13 @@ def _interchange(G: GradedCatGroup, arrows=None, comp_rhs=None):
                 f_row, = _views(buffers[1:2], (m, c, len(gs)))
                 # (g o f) (x) (g' o f')
                 _take(_take(gf_table, pos[rows], whole, axis=0), pos, lhs, axis=2)
-                # f (x) f' + (g (x) g') n1, then their composite, -2 where
-                # undefined; the lhs is -1
+                # f (x) f' + (g (x) g') n1, then their composite, -1 where
+                # undefined
                 _take(f_table, np.add(row_of[rows, :, None], at, out=f_row),
                       idx, axis=0)
                 per_g = idx.reshape(m, c, -1)
                 per_g += np.repeat(g_table[rows], c, axis=1)[:, None]
-                _take(comp_rhs, idx, rhs)
+                _take(comp, idx, rhs)
                 np.not_equal(lhs, rhs, out=bad)
                 bad &= valid[rows, :, None, None]
                 bad &= valid
@@ -709,7 +712,7 @@ def _by_grade(G, key, square):
     return _tally(key, blocks())
 
 
-def _nat_assoc(G: GradedCatGroup, arrows=None, comp_rhs=None):
+def _nat_assoc(G: GradedCatGroup, arrows=None):
     """naturality-assoc on every triple (u, v, w) in arrows[s]^3 for a
     grade s (every grade-s arrow by default): per grade, the cube of its
     triples in blocks of u, evaluated into buffers that every block
@@ -717,14 +720,16 @@ def _nat_assoc(G: GradedCatGroup, arrows=None, comp_rhs=None):
     (u (x) v) (x) w is read from the rows of tmor over the grade at the
     distinct u (x) v, and u (x) (v (x) w), pre-scaled by n_mor + 1, from
     rows u of tmor at those columns.  A constraint a(x u, x v, x w), with
-    x = tgt (pre-scaled) or src, is a row copy, at x v, from the block's
-    rows of aset at x u read at x w: a (rows x n_obj x |arrows[s]|) buffer,
-    no larger than the block unless arrows[s] is shorter than the object
-    list.  comp_rhs is as for `_interchange`."""
+    x = tgt or src, is a row copy, at x v, from the block's rows of aset
+    at x u read at x w: a (rows x n_obj x |arrows[s]|) buffer, no larger
+    than the block unless arrows[s] is shorter than the object list.  The
+    tgt side reads a as its row, pre-scaled, among the rows of comp at the
+    distinct a (n_obj on a built category), -2 where undefined."""
     n1, no = G.n_mor + 1, G.n_obj
     comp = G._comp.ravel()
-    if comp_rhs is None:
-        comp_rhs = _undefined_as_minus_two(G._comp)
+    a_distinct, a_at = _distinct(G.aset, n1)
+    a_comp = _undefined_as_minus_two(G._comp[a_distinct]).ravel()
+    a_at *= n1
     arrows = [sel for sel in (_grades(G) if arrows is None else arrows)
               if len(sel)]
     buffers = _block_buffers(4, max(
@@ -744,27 +749,26 @@ def _nat_assoc(G: GradedCatGroup, arrows=None, comp_rhs=None):
                     buffers, (len(u), len(sel), len(sel)))
                 # a_rows is read before idx is written
                 a_rows, = _views(buffers[2:3], (len(u), no, len(sel)))
-                # a(tgt) o ((u (x) v) (x) w), -1 where undefined
-                _take(G.aset[tgt[rows]], tgt, a_rows, axis=2)
-                a_rows *= n1
+                # a(tgt) o ((u (x) v) (x) w), -2 where undefined
+                _take(a_at[tgt[rows]], tgt, a_rows, axis=2)
                 _take(a_rows, tgt, lhs, axis=1)
                 _take(uv_w, uv_pos[rows], part, axis=0)
-                _take(comp, np.add(lhs, part, out=idx), lhs)
-                # (u (x) (v (x) w)) o a(src), -2 where undefined
+                _take(a_comp, np.add(lhs, part, out=idx), lhs)
+                # (u (x) (v (x) w)) o a(src), -1 where undefined
                 _take(u_vw[rows], uv_pos, rhs, axis=1)
                 _take(G.aset[src[rows]], src, a_rows, axis=2)
                 _take(a_rows, src, part, axis=1)
-                _take(comp_rhs, np.add(rhs, part, out=idx), rhs)
+                _take(comp, np.add(rhs, part, out=idx), rhs)
                 yield np.not_equal(lhs, rhs, out=bad), (u, sel[:, None], sel)
     return _tally("naturality-assoc", blocks())
 
 
-def _interchange_on_generators(G, ups, k, comp_rhs=None):
-    return _interchange(G, _generating_arrows(G, ups, k), comp_rhs).ok
+def _interchange_on_generators(G, ups, k):
+    return _interchange(G, _generating_arrows(G, ups, k)).ok
 
 
-def _nat_assoc_on_generators(G, ups, k, comp_rhs=None):
-    return _nat_assoc(G, _generating_arrows(G, ups, k), comp_rhs).ok
+def _nat_assoc_on_generators(G, ups, k):
+    return _nat_assoc(G, _generating_arrows(G, ups, k)).ok
 
 
 # Families after which the generator scans are sound: a Gamma-graded
@@ -813,15 +817,16 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     defined in `comp` and tgt f = src g, in blocks (`_associative`).
 
     The four blocked scans (`_associative`, `_tensor_typing` and the two
-    evaluators) hold no pair list of the whole scan.  Each evaluates its
-    blocks, of at most _BLOCK instances unless one row is larger, into
-    buffers it allocates once, reading them with `take`: row copies where
-    a row of a table is the row of the block (the arrows into src g, a
-    grade's tob, aset and f (x) f' rows), element gathers elsewhere.
-    Besides those buffers a scan's tables are per grade, or grade pair,
-    each of at most (n_mor / |gamma|)^2 entries on a built category, where
-    a grade has n_pay n_obj arrows and as many arrows of a grade reach each
-    object: on the n_mor-512 rung 2^16 entries, a quarter of comp."""
+    evaluators) hold no pair list of the whole scan, and no copy of comp.
+    Each evaluates its blocks, of at most _BLOCK instances unless one row
+    is larger, into buffers it allocates once, reading them with `take`:
+    row copies where a row of a table is the row of the block (the arrows
+    into src g, a grade's tob, aset and f (x) f' rows), element gathers
+    elsewhere.  Besides those buffers a scan's tables are per grade, or
+    grade pair, each of at most (n_mor / |gamma|)^2 entries on a built
+    category, where a grade has n_pay n_obj arrows and as many arrows of a
+    grade reach each object (on the n_mor-512 rung 2^16 entries, a quarter
+    of comp), and naturality-assoc's n_obj rows of comp at the associators."""
     entries = []
     n, no = G.n_mor, G.n_obj
     gt = G.gamma.np_table
@@ -874,14 +879,10 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     ups, k = _lifts(G), None
     if _passed(entries + [stability]) >= _INTERCHANGE_NEEDS:
         k = _grade1_generators(G)
-    # the one sentinel copy of comp that both evaluators read: made in this
-    # call and dropped after naturality-assoc, never kept on G, whose
-    # tables may be edited in place before the next check
-    comp_rhs = _undefined_as_minus_two(comp)
-    if k is not None and _interchange_on_generators(G, ups, k, comp_rhs):
+    if k is not None and _interchange_on_generators(G, ups, k):
         entries.append(AxiomCheck("tensor-interchange"))
     else:
-        entries.append(_interchange(G, comp_rhs=comp_rhs))
+        entries.append(_interchange(G))
 
     x2 = objs[:, None]
     y2 = objs[None, :]
@@ -934,11 +935,10 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     entries.append(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
 
     if _passed(entries + [stability]) >= _NAT_ASSOC_NEEDS and \
-            _nat_assoc_on_generators(G, ups, k, comp_rhs):
+            _nat_assoc_on_generators(G, ups, k):
         entries.append(AxiomCheck("naturality-assoc"))
     else:
-        entries.append(_nat_assoc(G, comp_rhs=comp_rhs))
-    del comp_rhs
+        entries.append(_nat_assoc(G))
 
     # the other naturality families, grouped by grade
     def nat_braid(sel, s):
