@@ -33,7 +33,6 @@ from . import zlinalg
 from .errors import (
     DEFAULT_GUARD,
     NotNormalized,
-    SearchSpaceTooLarge,
     ShapeMismatch,
     UnknownMethod,
     WrongType,
@@ -42,76 +41,144 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GammaModule,
-    GroupHom,
-    _equivariance_failures,
+    _equivariant_hom,
     decompose_abelian,
     index_table,
     section_defect,
 )
 
 
-def _require_same_gamma(*modules):
-    gam = modules[0].gamma
-    for m in modules[1:]:
-        if m.gamma != gam:
-            raise ShapeMismatch("modules live over different gamma groups")
-    return gam
+def _require_same_gamma(Q, B):
+    if Q.gamma != B.gamma:
+        raise ShapeMismatch("modules live over different gamma groups")
 
 
-class SymmetricCochain2:
-    """Normalized 2-cochain: tables over Q^2 and Q x Gamma valued in B."""
+# -- normalized cochains ------------------------------------------------------
 
-    __slots__ = ("Q", "B", "qq", "qg")
+# The tables of a normalized cochain of degree 2 and of degree 3, in
+# argument order, each with its axes: "M" runs over the elements of the
+# domain module, "G" over the grades of Gamma.  comp's axes are the source
+# object, the outer grade and the inner grade.
+_TABLES2 = (("qq", "MM"), ("qg", "MG"))
+_TABLES3 = (("assoc", "MMM"), ("braid", "MM"), ("tensor", "MMG"),
+            ("comp", "MGG"))
 
-    def __init__(self, Q: GammaModule, B: GammaModule, qq, qg):
-        _require_same_gamma(Q, B)
-        if not Q.group.is_abelian or not B.group.is_abelian:
+
+def _shape3(M, axes):
+    return tuple(M.group.order if a == "M" else M.gamma.order for a in axes)
+
+
+def _entries(table, depth):
+    """The entries of a nested table with depth axes, in C order."""
+    for _ in range(depth - 1):
+        table = itertools.chain.from_iterable(table)
+    return table
+
+
+def _at_unit(table, axis):
+    """The entries of a nested table at index 0 along axis, nested."""
+    return table[0] if axis == 0 else [_at_unit(row, axis - 1) for row in table]
+
+
+class _Cochain:
+    """A normalized cochain on a domain module valued in a coefficient
+    module: one table per (name, axes) entry of _SPEC, held as nested
+    tuples of ints that vanish wherever an argument is a unit, that is at
+    index 0 of any axis.  _MODULES names the attributes holding the domain
+    and the coefficient module."""
+
+    __slots__ = ()
+    _SPEC = _MODULES = ()
+
+    def _read(self, M, N, *tables):
+        _require_same_gamma(M, N)
+        if not M.group.is_abelian or not N.group.is_abelian:
             raise WrongType("cochain modules must be abelian")
-        self.Q = Q
-        self.B = B
-        q, g, n = Q.group.order, Q.gamma.order, B.group.order
-        self.qq = index_table(qq, (q, q), n, "qq")
-        self.qg = index_table(qg, (q, g), n, "qg")
-        for u in range(q):
-            if self.qq[0][u] or self.qq[u][0]:
-                raise NotNormalized("qq table nonzero on a unit argument")
-            if self.qg[u][0]:
-                raise NotNormalized("qg table nonzero at the identity grade")
-        for s in range(g):
-            if self.qg[0][s]:
-                raise NotNormalized("qg table nonzero at the unit of Q")
+        dom, val = self._MODULES
+        setattr(self, dom, M)
+        setattr(self, val, N)
+        unit = {"M": f"the unit of {dom}", "G": "the identity grade"}
+        tables = [index_table(t, _shape3(M, axes), N.group.order, name)
+                  for (name, axes), t in zip(self._SPEC, tables)]
+        for (name, axes), table in zip(self._SPEC, tables):
+            for i, a in enumerate(axes):
+                if any(_entries(_at_unit(table, i), len(axes) - 1)):
+                    raise NotNormalized(f"{name} table nonzero at {unit[a]}")
+            setattr(self, name, table)
+
+    def _modules(self):
+        return tuple(getattr(self, a) for a in self._MODULES)
+
+    def _tables(self):
+        """The tables in _SPEC order."""
+        return tuple(getattr(self, name) for name, _ in self._SPEC)
+
+    @classmethod
+    def _zero(cls, M, N):
+        return cls(M, N, *(np.zeros(_shape3(M, axes), dtype=np.int64)
+                           for _, axes in cls._SPEC))
 
     def __eq__(self, other):
-        return (isinstance(other, SymmetricCochain2)
-                and self.Q == other.Q and self.B == other.B
-                and self.qq == other.qq and self.qg == other.qg)
+        return (isinstance(other, type(self))
+                and self._modules() == other._modules()
+                and self._tables() == other._tables())
 
     def __hash__(self):
-        return hash((self.qq, self.qg))
+        return hash(self._tables())
 
     def flat(self):
-        return tuple(v for row in self.qq for v in row) + \
-            tuple(v for row in self.qg for v in row)
+        """Every entry: the tables in _SPEC order, each in C order."""
+        return tuple(itertools.chain.from_iterable(
+            _entries(getattr(self, name), len(axes))
+            for name, axes in self._SPEC))
+
+    def is_zero(self):
+        return not any(self.flat())
 
     def add(self, other):
-        add = self.B.group.mul
-        qq = [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.qq, other.qq)]
-        qg = [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.qg, other.qg)]
-        return SymmetricCochain2(self.Q, self.B, qq, qg)
+        """The entrywise sum; a cochain over other modules is refused."""
+        if not isinstance(other, type(self)) or \
+                self._modules() != other._modules():
+            raise ShapeMismatch("cochains over different modules")
+        M, N = self._modules()
+        return type(self)(M, N, *(N.group.np_table[np.array(a), np.array(b)]
+                                  for a, b in zip(self._tables(),
+                                                  other._tables())))
 
     def neg(self):
-        inv = self.B.group.inv
-        return SymmetricCochain2(
-            self.Q, self.B,
-            [[inv(v) for v in row] for row in self.qq],
-            [[inv(v) for v in row] for row in self.qg])
+        N = self._modules()[1]
+        return self.pushforward(N.group.inverses, N)
 
     def sub(self, other):
         return self.add(other.neg())
 
-    def is_zero(self):
-        return not any(any(row) for row in self.qq) and \
-            not any(any(row) for row in self.qg)
+    def pullback(self, phi, P):
+        """The cochain over P that reads this one at phi(x) for every x on
+        an "M" axis; phi is the table of an equivariant homomorphism from P
+        into the domain."""
+        M, N = self._modules()
+        along = {"M": phi, "G": range(M.gamma.order)}
+        return type(self)(P, N, *(
+            np.array(t)[np.ix_(*(along[a] for a in axes))]
+            for (_, axes), t in zip(self._SPEC, self._tables())))
+
+    def pushforward(self, fmap, Nmod):
+        """The cochain valued in Nmod whose entries are fmap of this one's;
+        fmap is the table of an equivariant homomorphism from the
+        coefficient module to Nmod."""
+        fmap = np.array(fmap)
+        return type(self)(self._modules()[0], Nmod,
+                          *(fmap[np.array(t)] for t in self._tables()))
+
+
+class SymmetricCochain2(_Cochain):
+    """Normalized 2-cochain: tables over Q^2 and Q x Gamma valued in B."""
+
+    __slots__ = ("Q", "B") + tuple(name for name, _ in _TABLES2)
+    _SPEC, _MODULES = _TABLES2, ("Q", "B")
+
+    def __init__(self, Q: GammaModule, B: GammaModule, qq, qg):
+        self._read(Q, B, qq, qg)
 
     def to_json(self):
         return {"domain": "Q2+QGamma",
@@ -120,9 +187,7 @@ class SymmetricCochain2:
 
 
 def zero_cochain2(Q, B):
-    q, g = Q.group.order, Q.gamma.order
-    return SymmetricCochain2(Q, B, [[0] * q for _ in range(q)],
-                             [[0] * g for _ in range(q)])
+    return SymmetricCochain2._zero(Q, B)
 
 
 def is_2cocycle(f: SymmetricCochain2):
@@ -282,13 +347,12 @@ def enumerate_symmetric_cocycles(Q, B, guard=DEFAULT_GUARD):
     q, g, b = Q.group.order, Q.gamma.order, B.group.order
     keys = [k for k in _keys(q, g) if k[0] == "qg" or k[1] <= k[2]]
     k = len(keys)
-    if b ** k > guard:
-        raise SearchSpaceTooLarge(b ** k, guard)
-    if not keys:
-        return [zero_cochain2(Q, B)]
-    low = 1
+    low = min(k, 1)
     while low < k and b ** (low + 1) <= _CHUNK:
         low += 1
+    blocks = candidates([range(b)] * (k - low), guard, size=b ** low)
+    if not keys:
+        return [zero_cochain2(Q, B)]
     coords = np.array(B.abelian.coords, dtype=np.int64)
     filters = []
     for row, m in zip(*_delta2(Q, B, keys)):
@@ -298,8 +362,8 @@ def enumerate_symmetric_cocycles(Q, B, guard=DEFAULT_GUARD):
     filters.sort(key=lambda f: f[0][0] < low)   # block-wide rows first
     grid = list(np.indices((b,) * low).reshape(low, -1)[::-1])
     survivors = []
-    for block in range(b ** (k - low)):
-        digits = grid + [block // b ** i % b for i in range(k - low)]
+    for block in blocks:
+        digits = grid + list(block[::-1])
         for used, tables, m in filters:
             ok = sum(tables[i][digits[j]] for i, j in enumerate(used)) % m == 0
             if not isinstance(ok, np.ndarray):
@@ -429,8 +493,7 @@ def h2(Q: GammaModule, B: GammaModule, guard=DEFAULT_GUARD, method="snf"):
         if snf.invariants != brute.invariants:
             raise AssertionError(
                 f"h2 paths disagree: snf {snf.invariants} vs brute {brute.invariants}")
-        if [f.flat() for f in snf.representatives] != \
-           [f.flat() for f in brute.representatives]:
+        if snf.representatives != brute.representatives:
             raise AssertionError("h2 paths produce different class representatives")
         return snf
     raise UnknownMethod(f"unknown h2 method {method!r}")
@@ -438,60 +501,14 @@ def h2(Q: GammaModule, B: GammaModule, guard=DEFAULT_GUARD, method="snf"):
 
 # -- degree-3 cochains --------------------------------------------------------
 
-# The tables of a 3-cochain, in argument order, each with its axes: "M"
-# runs over the elements of M, "G" over the grades of Gamma.  comp's axes
-# are the source object, the outer grade and the inner grade.
-_TABLES3 = (("assoc", "MMM"), ("braid", "MM"), ("tensor", "MMG"),
-            ("comp", "MGG"))
-
-
-def _shape3(M, axes):
-    return tuple(M.group.order if a == "M" else M.gamma.order for a in axes)
-
-
-class Cochain3:
-    """Normalized 3-cochain: one table valued in N per entry of _TABLES3,
-    held as nested tuples of ints."""
+class Cochain3(_Cochain):
+    """Normalized 3-cochain: one table valued in N per entry of _TABLES3."""
 
     __slots__ = ("M", "N") + tuple(name for name, _ in _TABLES3)
+    _SPEC, _MODULES = _TABLES3, ("M", "N")
 
     def __init__(self, M: GammaModule, N: GammaModule, assoc, braid, tensor, comp):
-        _require_same_gamma(M, N)
-        if not M.group.is_abelian or not N.group.is_abelian:
-            raise WrongType("cochain modules must be abelian")
-        self.M = M
-        self.N = N
-        for (name, axes), table in zip(_TABLES3, (assoc, braid, tensor, comp)):
-            setattr(self, name, index_table(table, _shape3(M, axes),
-                                            N.group.order, name))
-        for name, _ in _TABLES3:
-            a = np.array(getattr(self, name))
-            if any(np.take(a, 0, axis=i).any() for i in range(a.ndim)):
-                raise NotNormalized(f"{name} nonzero on a unit argument")
-
-    def _tables(self):
-        """The tables in _TABLES3 order."""
-        return tuple(getattr(self, name) for name, _ in _TABLES3)
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain3)
-                and self.M == other.M and self.N == other.N
-                and self._tables() == other._tables())
-
-    def __hash__(self):
-        return hash(self._tables())
-
-    def is_zero(self):
-        return not any(np.any(t) for t in self._tables())
-
-    def sub(self, other):
-        if self.M != other.M or self.N != other.N:
-            raise ShapeMismatch("cochain difference across different modules")
-        Ng = self.N.group
-        inv = np.array(Ng.inverses)
-        return Cochain3(self.M, self.N, *(
-            Ng.np_table[np.array(a), inv[np.array(b)]]
-            for a, b in zip(self._tables(), other._tables())))
+        self._read(M, N, assoc, braid, tensor, comp)
 
     def to_json(self):
         return {name: np.array(t).tolist()
@@ -504,8 +521,7 @@ class Cochain3:
 
 
 def zero_cochain3(M, N):
-    return Cochain3(M, N, *(np.zeros(_shape3(M, axes), dtype=np.int64)
-                            for _, axes in _TABLES3))
+    return Cochain3._zero(M, N)
 
 
 def random_cochain3(M, N, rng):
@@ -527,26 +543,13 @@ def random_cochain3(M, N, rng):
 
 def pullback3(phi, Qmod: GammaModule, h: Cochain3):
     """Pull a 3-cochain back along an equivariant homomorphism into its M."""
-    f = GroupHom(Qmod.group, h.M.group, phi)
-    if not f.is_hom():
-        raise WrongType("pullback map is not a homomorphism")
-    if any(_equivariance_failures(f.map, Qmod.act.act, h.M.act.act)):
-        raise WrongType("pullback map is not equivariant")
-    along = {"M": f.map, "G": range(Qmod.gamma.order)}
-    return Cochain3(Qmod, h.N, *(
-        np.array(t)[np.ix_(*(along[a] for a in axes))]
-        for (_, axes), t in zip(_TABLES3, h._tables())))
+    return h.pullback(_equivariant_hom(Qmod, h.M, phi, "pullback map"), Qmod)
 
 
 def pushforward3(fmap, Nmod: GammaModule, h: Cochain3):
     """Push a 3-cochain's values forward along an equivariant hom on N."""
-    f = GroupHom(h.N.group, Nmod.group, fmap)
-    if not f.is_hom():
-        raise WrongType("pushforward map is not a homomorphism")
-    if any(_equivariance_failures(f.map, h.N.act.act, Nmod.act.act)):
-        raise WrongType("pushforward map is not equivariant")
-    return Cochain3(h.M, Nmod, *(np.array(f.map)[np.array(t)]
-                                 for t in h._tables()))
+    fmap = _equivariant_hom(h.N, Nmod, fmap, "pushforward map")
+    return h.pushforward(fmap, Nmod)
 
 
 def obstruction(phi, f, h: Cochain3, hprime: Cochain3, Qmod=None):

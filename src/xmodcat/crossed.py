@@ -443,14 +443,12 @@ def validate_morphism(m: CrossedMorphism):
 
 def compose_morphisms(m2: CrossedMorphism, m1: CrossedMorphism):
     """m2 after m1, with third component f1'_* phi + f0^* phi'."""
-    from .cohomology import SymmetricCochain2
     if m1.target != m2.source:
         raise NotComposable("morphism ends do not match")
     M, Mm, Mpp = m1.source, m1.target, m2.target
     f1 = m2.f1.compose(m1.f1)
     f0 = m2.f0.compose(m1.f0)
     Q = M.pi0()
-    N2 = Mpp.pi1()
     # ker(d') index -> ker(d'') index through f1 of the middle stage, -1
     # where f1 leaves ker(d'')
     pos2 = least_preimages(Mpp.pi1_embedding(), Mpp.B.order)
@@ -459,13 +457,7 @@ def compose_morphisms(m2: CrossedMorphism, m1: CrossedMorphism):
     proj_m = Mm.pi0_projection()
     reps = least_preimages(M.pi0_projection().map, Q.group.order)
     fbar = [proj_m(m1.f0(x)) for x in reps]
-    if any(on_ker[v] < 0 for row in m1.phi.qq + m1.phi.qg for v in row):
+    if any(on_ker[v] < 0 for v in m1.phi.flat()):
         raise ShapeMismatch("f1 moves a phi value off the boundary's kernel")
-    qq = [[N2.group.mul(on_ker[m1.phi.qq[r][s]],
-                        m2.phi.qq[fbar[r]][fbar[s]])
-           for s in range(Q.group.order)] for r in range(Q.group.order)]
-    qg = [[N2.group.mul(on_ker[m1.phi.qg[r][s]],
-                        m2.phi.qg[fbar[r]][s])
-           for s in range(M.gamma.order)] for r in range(Q.group.order)]
-    phi = SymmetricCochain2(Q, N2, qq, qg)
+    phi = m1.phi.pushforward(on_ker, Mpp.pi1()).add(m2.phi.pullback(fbar, Q))
     return CrossedMorphism(M, Mpp, f1, f0, phi)

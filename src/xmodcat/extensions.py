@@ -42,6 +42,7 @@ from .groups import (
     GammaModule,
     GroupHom,
     _equivariance_failures,
+    _equivariant_hom,
     index_table,
     least_preimages,
     section_defect,
@@ -272,16 +273,6 @@ def _functor_classes(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
     return S, T, homotopy_classes(S, T, psi, guard=guard)
 
 
-def _check_psi(M, Qmod, psi):
-    P = M.pi0()
-    f = GroupHom(Qmod.group, P.group, psi)
-    if not f.is_hom():
-        raise WrongType("psi is not a homomorphism")
-    if any(_equivariance_failures(f.map, Qmod.act.act, P.act.act)):
-        raise WrongType("psi is not equivariant")
-    return f
-
-
 @dataclass
 class SchreierReport:
     functor_class_count: int
@@ -310,7 +301,7 @@ def schreier_bijection_check(M: BraidedGammaCrossedModule, Qmod: GammaModule,
     symmetric 2-cocycle paired with every compatible representative map and
     partitioned by isomorphism search.
     """
-    psi = _check_psi(M, Qmod, psi).map
+    psi = _equivariant_hom(Qmod, M.pi0(), psi, "psi")
     S, T, classes = _functor_classes(M, Qmod, psi, guard)
 
     Bmod = GammaModule(M.B, M.act_b)
@@ -408,7 +399,7 @@ def classify(M: BraidedGammaCrossedModule, Qmod: GammaModule, psi,
     """
     if not M.is_abelian_module():
         raise WrongType("classification requires an abelian crossed module")
-    psi = _check_psi(M, Qmod, psi).map
+    psi = _equivariant_hom(Qmod, M.pi0(), psi, "psi")
     h, _ = reduce_abelian(M, guard)
     k = pullback3(psi, Qmod, h)
     P, K = M.pi0(), M.pi1()

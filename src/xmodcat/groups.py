@@ -22,6 +22,7 @@ from .errors import (
     NotClosed,
     NotNormal,
     ShapeMismatch,
+    WrongType,
 )
 
 
@@ -518,12 +519,24 @@ def _action_failures(action):
 def _equivariance_failures(mapping, act_dom, act_cod):
     """Every (s, x) with mapping[s.x] != s.mapping[x], s-major: the places
     where mapping fails to commute with the action tables act_dom on its
-    domain and act_cod on its codomain."""
-    for s, row in enumerate(act_dom):
-        cod = act_cod[s]
-        for x, sx in enumerate(row):
-            if mapping[sx] != cod[mapping[x]]:
-                yield (s, x)
+    domain and act_cod on its codomain.  Actions over gamma groups of
+    different orders are refused before the scan."""
+    if len(act_dom) != len(act_cod):
+        raise ShapeMismatch("the actions are over different gamma groups")
+    return ((s, x) for s, (row, cod) in enumerate(zip(act_dom, act_cod))
+            for x, sx in enumerate(row) if mapping[sx] != cod[mapping[x]])
+
+
+def _equivariant_hom(dom, cod, mapping, name):
+    """The table of mapping from the gamma-module dom to cod, refused with
+    WrongType, its message opened by name, unless mapping is an
+    equivariant homomorphism."""
+    f = GroupHom(dom.group, cod.group, mapping)
+    if not f.is_hom():
+        raise WrongType(f"{name} is not a homomorphism")
+    if any(_equivariance_failures(f.map, dom.act.act, cod.act.act)):
+        raise WrongType(f"{name} is not equivariant")
+    return f.map
 
 
 def least_preimages(mapping, n):

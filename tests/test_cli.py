@@ -694,3 +694,28 @@ def test_oversize_category_trips_the_guard(capsys):
         code, out, _ = run_cli([kind, path] + enough, capsys)
         assert code == 0
         assert out == (cli.default_corpus_dir() / f"{name}.expected.txt").read_text()
+
+
+GOLDEN_JSON = Path(__file__).parent / "golden_json"
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in cli.default_corpus_dir().glob("*.json")))
+def test_golden_json_report_is_pinned(name, tmp_path, capsys):
+    """Each golden scenario's --json report, byte for byte, beside its
+    stdout report and exit code.  The pinned reports live under tests/,
+    since every *.json in the corpus directory is read as a scenario."""
+    scenario = cli.default_corpus_dir() / f"{name}.json"
+    kind = json.loads(scenario.read_text())["kind"]
+    out_json = tmp_path / "report.json"
+    code, out, _ = run_cli([kind, str(scenario), "--json", str(out_json)],
+                           capsys)
+    want = (GOLDEN_JSON / f"{name}.json").read_text()
+    assert out_json.read_text() == want
+    assert code == json.loads(want)["exit_code"]
+    assert out == scenario.with_suffix(".expected.txt").read_text()
+
+
+def test_every_golden_scenario_has_a_pinned_json_report():
+    assert sorted(p.name for p in GOLDEN_JSON.glob("*.json")) == sorted(
+        p.name for p in cli.default_corpus_dir().glob("*.json"))

@@ -414,3 +414,138 @@ def test_class_vanishes_examples():
     htw = ch.Cochain3(M, M, h0.assoc, [[0, 0], [0, 1]], h0.tensor, h0.comp)
     k = ch.obstruction([0, 1], [0, 1], h0, htw)
     assert not ch.class_vanishes(k, (M, M, h0), (M, M, htw), [0, 1], [0, 1])
+
+
+def test_cochain_arithmetic_refuses_other_modules():
+    # the coefficient groups differ (Z/4 and K4 over Q = Z/2), or the
+    # grading groups do, where a column-wise sum would drop the extra grade
+    Q = module(Z2)
+    Qg, Z2g = module(Z2, Z2), module(Z2, Z2)
+    pairs = [
+        (ch.zero_cochain2(Q, module(Z4)), ch.zero_cochain2(Q, module(K4))),
+        (ch.zero_cochain2(Q, module(Z2)), ch.zero_cochain2(Qg, Z2g)),
+        (ch.zero_cochain3(Q, module(Z4)), ch.zero_cochain3(Q, module(K4))),
+        (ch.zero_cochain3(Q, module(Z2)), ch.zero_cochain3(Qg, Z2g)),
+        (ch.zero_cochain2(Q, Q), ch.zero_cochain3(Q, Q)),
+    ]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ShapeMismatch):
+                x.add(y)
+            with pytest.raises(ShapeMismatch):
+                x.sub(y)
+
+
+def _random_cochain2(Q, B, rng):
+    """A random normalized 2-cochain, symmetric or not."""
+    q, gn, n = Q.group.order, Q.gamma.order, B.group.order
+    qq = [[rng.randrange(n) if u and v else 0 for v in range(q)]
+          for u in range(q)]
+    qg = [[rng.randrange(n) if u and s else 0 for s in range(gn)]
+          for u in range(q)]
+    return ch.SymmetricCochain2(Q, B, qq, qg)
+
+
+def test_cochain_arithmetic_is_entrywise_in_both_degrees():
+    rng = random.Random(30)
+    M = module(Z4, Z2, [0, 3, 2, 1])
+    N = module(K4, Z2, [0, 2, 1, 3])
+    for a, b in [(_random_cochain2(M, N, rng), _random_cochain2(M, N, rng)),
+                 (ch.random_cochain3(M, N, rng), ch.random_cochain3(M, N, rng))]:
+        add, inv = N.group.mul, N.group.inv
+        assert a.add(b).flat() == tuple(map(add, a.flat(), b.flat()))
+        assert a.neg().flat() == tuple(map(inv, a.flat()))
+        assert a.sub(b).flat() == tuple(add(x, inv(y))
+                                        for x, y in zip(a.flat(), b.flat()))
+        assert a.sub(a).is_zero() and not a.is_zero()
+        assert a.add(b) == b.add(a) and hash(a.add(b)) == hash(b.add(a))
+
+
+def test_pullback_and_pushforward_read_entries_in_both_degrees():
+    # Z/2 -> Z/4 (1 |-> 2) into the domain, and Z/4 -> Z/2 (reduction)
+    # on the values, all over Gamma = Z/2 acting by negation
+    rng = random.Random(31)
+    P, M = module(Z2, Z2), module(Z4, Z2, [0, 3, 2, 1])
+    N, N2 = module(Z4, Z2, [0, 3, 2, 1]), module(Z2, Z2)
+    phi, red = [0, 2], [0, 1, 0, 1]
+    f = _random_cochain2(M, N, rng)
+    pulled, pushed = f.pullback(phi, P), f.pushforward(red, N2)
+    assert (pulled.Q, pulled.B, pushed.Q, pushed.B) == (P, N, M, N2)
+    assert pulled.qq == tuple(tuple(f.qq[phi[u]][phi[v]] for v in range(2))
+                              for u in range(2))
+    assert pulled.qg == tuple(tuple(f.qg[phi[u]][s] for s in range(2))
+                              for u in range(2))
+    assert pushed.flat() == tuple(red[v] for v in f.flat())
+    h = ch.random_cochain3(M, N, rng)
+    assert ch.pullback3(phi, P, h) == h.pullback(phi, P)
+    assert ch.pullback3(phi, P, h).tensor[1][1][1] == h.tensor[2][2][1]
+    assert ch.pullback3(phi, P, h).comp[1][1][1] == h.comp[2][1][1]
+    assert ch.pushforward3(red, N2, h).flat() == tuple(red[v] for v in h.flat())
+
+
+def test_pullback3_and_pushforward3_refuse_bad_maps():
+    # not a homomorphism: Z/4 -> Z/2 with 1, 2 |-> 1; not equivariant: the
+    # identity of Z/4 between negation and the trivial action
+    triv4, neg4 = module(Z4, Z2), module(Z4, Z2, [0, 3, 2, 1])
+    h = ch.zero_cochain3(module(Z2), module(Z2))
+    with pytest.raises(WrongType, match="not a homomorphism"):
+        ch.pullback3([0, 1, 1, 0], module(Z4), h)
+    with pytest.raises(WrongType, match="not equivariant"):
+        ch.pullback3([0, 1, 2, 3], neg4, ch.zero_cochain3(triv4, triv4))
+    h4 = ch.zero_cochain3(module(Z4), module(Z4))
+    with pytest.raises(WrongType, match="not a homomorphism"):
+        ch.pushforward3([0, 1, 1, 0], module(Z2), h4)
+    with pytest.raises(WrongType, match="not equivariant"):
+        ch.pushforward3([0, 1, 2, 3], triv4, ch.zero_cochain3(neg4, neg4))
+
+
+def test_pullback3_and_pushforward3_refuse_other_gammas():
+    # a larger grading group on the pullback's source, a smaller one on the
+    # pushforward's target: refused before the equivariance scan
+    h = ch.zero_cochain3(module(Z2), module(Z2))
+    with pytest.raises(ShapeMismatch, match="different gamma"):
+        ch.pullback3([0, 1], module(Z2, Z2), h)
+    hg = ch.zero_cochain3(module(Z2, Z2), module(Z2, Z2))
+    with pytest.raises(ShapeMismatch, match="different gamma"):
+        ch.pushforward3([0, 1], module(Z2), hg)
+
+
+def _brute_candidate_count(Q, B):
+    q, gn = Q.group.order, Q.gamma.order
+    return B.group.order ** (q * (q - 1) // 2 + (q - 1) * (gn - 1))
+
+
+def test_enumeration_guard_boundary(monkeypatch):
+    # guard = b**k enumerates, guard = b**k - 1 is refused, at k = 0 too
+    from xmodcat.errors import SearchSpaceTooLarge
+    for Q, B in [(module(TRIV), module(Z2)), (module(Z2), module(Z2)),
+                 (module(Z3), module(Z2)), (module(Z2, Z2), module(Z4, Z2))]:
+        size = _brute_candidate_count(Q, B)
+        want = ch.enumerate_symmetric_cocycles(Q, B)
+        assert ch.enumerate_symmetric_cocycles(Q, B, guard=size) == want
+        with pytest.raises(SearchSpaceTooLarge) as trip:
+            ch.enumerate_symmetric_cocycles(Q, B, guard=size - 1)
+        assert (trip.value.size, trip.value.guard) == (size, size - 1)
+    # the refusal comes before the cocycle system is built
+    monkeypatch.setattr(ch, "_delta2", None)
+    Q, B = module(Z3), module(Z2)
+    with pytest.raises(SearchSpaceTooLarge):
+        ch.enumerate_symmetric_cocycles(Q, B, guard=7)
+
+
+def test_enumerated_cocycles_come_in_candidate_order():
+    """Survivors are in the order of their candidate numbers, the value at
+    the i-th free entry being digit i, so the first entry varies fastest.
+    With |B| = 4 a block holds 8 digits, so Z/4 over Gamma = Z/2 (9 free
+    entries) scans 4 blocks, and Z/5 (10) scans 16 with two digits above
+    the block's, both taking several values among the survivors."""
+    cases = [(module(Z4, Z2, [0, 3, 2, 1]), module(Z2, Z2)),
+             (module(Z4, Z2, [0, 3, 2, 1]), module(Z4, Z2, [0, 3, 2, 1])),
+             (module(g.cyclic(5)), module(Z4))]
+    for Q, B in cases:
+        keys = [k for k in ch._keys(Q.group.order, Q.gamma.order)
+                if k[0] == "qg" or k[1] <= k[2]]
+        got = [tuple(getattr(z, kind)[u][v] for kind, u, v in keys)[::-1]
+               for z in ch.enumerate_symmetric_cocycles(Q, B)]
+        assert got == sorted(set(got))
+        assert len(got) == len(ch.all_cocycles(Q, B))

@@ -253,3 +253,72 @@ def test_compose_refuses_an_f1_that_leaves_the_kernel():
     # with phi zero no value leaves the kernel
     m0 = xm.CrossedMorphism(m, m, ident, ident)
     assert xm.compose_morphisms(m2, m0).phi.qq == ((0, 0), (0, 0))
+
+
+def _composite_phi_by_entry(m2, m1):
+    """The third component of m2 after m1, entry by entry:
+    phi(r, s) = f1'(phi1(r, s)) + phi2(fbar r, fbar s) and
+    phi(r, t) = f1'(phi1(r, t)) + phi2(fbar r, t), with f1' read on the
+    kernels and fbar the map m1 induces on cokernels."""
+    M, Mm, Mpp = m1.source, m1.target, m2.target
+    N2, q = Mpp.pi1().group, M.pi0().group.order
+    ker2 = list(Mpp.pi1_embedding())
+    on_ker = [ker2.index(m2.f1(e)) for e in Mm.pi1_embedding()]
+    proj, proj_m = M.pi0_projection(), Mm.pi0_projection()
+    fbar = [proj_m(m1.f0(min(x for x in M.D.elements() if proj(x) == r)))
+            for r in range(q)]
+    p1, p2 = m1.phi, m2.phi
+    qq = [[N2.mul(on_ker[p1.qq[r][s]], p2.qq[fbar[r]][fbar[s]])
+           for s in range(q)] for r in range(q)]
+    qg = [[N2.mul(on_ker[p1.qg[r][t]], p2.qg[fbar[r]][t])
+           for t in range(M.gamma.order)] for r in range(q)]
+    return qq, qg
+
+
+def test_compose_morphisms_through_a_non_identity_cokernel_map():
+    # Gamma = Z/2 acts by negation throughout and every boundary is zero:
+    # M = Mm = (Z/2 -> Z/4), Mpp = (Z/4 -> Z/4).  f0 of m1 is 1 |-> 3, so
+    # the induced map on cokernels is negation on Z/4, and f1 of m2 is
+    # 1 |-> 2, so phi1 is pushed into another kernel
+    neg = {2: [0, 1], 4: [0, 3, 2, 1]}
+
+    def zero_module(B, D):
+        return samples.abelian_module(
+            B, D, [0] * B.order, Z2,
+            g.action_from_automorphism(Z2, B, neg[B.order]),
+            g.action_from_automorphism(Z2, D, neg[D.order]))
+
+    M, Mpp = zero_module(Z2, Z4), zero_module(Z4, Z4)
+    phi1 = SymmetricCochain2(
+        M.pi0(), M.pi1(),
+        [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]],
+        [[0, 0], [0, 1], [0, 0], [0, 1]])
+    phi2 = SymmetricCochain2(
+        M.pi0(), Mpp.pi1(),
+        [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]],
+        [[0, 0], [0, 1], [0, 2], [0, 3]])
+    m1 = xm.CrossedMorphism(M, M, g.identity_hom(Z2),
+                            g.GroupHom(Z4, Z4, [0, 3, 2, 1]), phi1)
+    m2 = xm.CrossedMorphism(M, Mpp, g.GroupHom(Z2, Z4, [0, 2]),
+                            g.identity_hom(Z4), phi2)
+    comp = xm.compose_morphisms(m2, m1)
+    qq, qg = _composite_phi_by_entry(m2, m1)
+    assert (comp.phi.qq, comp.phi.qg) == (
+        tuple(map(tuple, qq)), tuple(map(tuple, qg)))
+    assert comp.phi.Q == M.pi0() and comp.phi.B == Mpp.pi1()
+    # phi(1, 2) = 2 * 0 + phi2(3, 2) and phi(1, t) = 2 * 1 + phi2(3, t)
+    assert comp.phi.qq[1][2] == 1 and comp.phi.qg[1][1] == 1
+
+
+def test_compose_refuses_a_grade_value_that_leaves_the_kernel():
+    # over Gamma = Z/2, phi1 is zero on Q x Q and 1 at (1, 1) on Q x Gamma;
+    # f1 of m2 sends that value off ker d'' = 0 of the isomorphism
+    triv = g.trivial_action(Z2, Z2)
+    m = samples.abelian_module(Z2, Z2, [0, 0], Z2, triv, triv)
+    iso = samples.abelian_module(Z2, Z2, [0, 1], Z2, triv, triv)
+    ident = g.identity_hom(Z2)
+    phi = SymmetricCochain2(m.pi0(), m.pi1(), [[0, 0], [0, 0]], [[0, 0], [0, 1]])
+    m1 = xm.CrossedMorphism(m, m, ident, ident, phi)
+    m2 = xm.CrossedMorphism(m, iso, ident, ident)
+    with pytest.raises(ShapeMismatch, match="off the boundary's kernel"):
+        xm.compose_morphisms(m2, m1)

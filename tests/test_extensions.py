@@ -434,3 +434,14 @@ def test_are_equivalent_refuses_a_defect_off_the_image_of_j():
                      [0, 1, 0, 1], [0] * 4)
     with pytest.raises(BadSection):
         ex.are_equivalent(ext, ext)
+
+
+def test_psi_over_another_gamma_is_refused():
+    # Q graded by Z/2, the module by the trivial group: refused before the
+    # equivariance scan reads a grade the module does not have
+    M = samples.abelian_module(Z2, Z4, [0, 2])
+    Qm = module(Z2, Z2)
+    with pytest.raises(ShapeMismatch, match="different gamma"):
+        ex.classify(M, Qm, [0, 1])
+    with pytest.raises(ShapeMismatch, match="different gamma"):
+        ex.schreier_bijection_check(M, Qm, [0, 1])

@@ -416,3 +416,10 @@ def test_equivariance_failures_against_the_double_loop():
         expect = [(s, x) for s in range(2) for x in range(G.order)
                   if mapping[dom[s][x]] != cod[s][mapping[x]]]
         assert list(g._equivariance_failures(mapping, dom, cod)) == expect
+
+
+def test_equivariance_failures_refuses_actions_over_other_gammas():
+    one, two = [[0, 1]], [[0, 1], [0, 1]]
+    for dom, cod in ((one, two), (two, one)):
+        with pytest.raises(ShapeMismatch):
+            g._equivariance_failures([0, 1], dom, cod)
