@@ -29,6 +29,7 @@ the scans form is a flat index into a padded n_mor + 1 square, below
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from math import prod
 
 import numpy as np
@@ -795,10 +796,29 @@ def _passed(checks):
     return {c.key for c in checks if c.ok}
 
 
+def _snapshot(G: GradedCatGroup):
+    """A GradedCatGroup holding copies of G's tables as they are now (the
+    arrays among its `__slots__`: those of `_TABLES` and `pay`), made
+    without the constructor's checks."""
+    H = object.__new__(GradedCatGroup)
+    for name in GradedCatGroup.__slots__:
+        value = getattr(G, name)
+        setattr(H, name, value.copy() if isinstance(value, np.ndarray) else value)
+    return H
+
+
 def check_axioms(G: GradedCatGroup, symmetric=False):
     """Full coherence report: typing, groupoid structure, bifunctoriality,
     the pentagon/triangle/hexagon identities, naturality of every
-    constraint, grading stability, and object invertibility.
+    constraint, grading stability, and object invertibility, in the order
+    of `_checks`.
+
+    The report is evaluated inside the call up to its first failing check,
+    so a category that passes is checked whole here, and `ok` and
+    `first_failure()` never compute more.  The checks after a failure are
+    computed when the report is first read past it, from a copy of G's
+    tables taken at the failure (`_snapshot`): an edit of G after the call
+    never changes the report.
 
     tensor-interchange and naturality-assoc each have one evaluator,
     `_interchange` and `_nat_assoc`, run on per-grade arrow sets: on every
@@ -827,45 +847,67 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     category, where a grade has n_pay n_obj arrows and as many arrows of a
     grade reach each object (on the n_mor-512 rung 2^16 entries, a quarter
     of comp), and naturality-assoc's n_obj rows of comp at the associators."""
+    checks = _checks(G, symmetric)
+    read = []
+    for check in checks:
+        read.append(check)
+        if not check.ok:
+            checks.close()      # frees the scan's arrays before the copy
+            rest = islice(_checks(_snapshot(G), symmetric), len(read), None)
+            return AxiomReport(chain(read, rest))
+    return AxiomReport(read)
+
+
+def _checks(G: GradedCatGroup, symmetric=False):
+    """The checks of `check_axioms`, in report order, each computed when it
+    is asked for.  The gates of the generator passes read the checks made
+    so far; stability is computed before the first gate and yielded in its
+    slot."""
     entries = []
+
+    def kept(check):
+        entries.append(check)
+        return check
+
     n, no = G.n_mor, G.n_obj
     gt = G.gamma.np_table
     # padded tables: an undefined (-1) index reads -1
     SRC, TGT, GRD = G._src, G._tgt, G._grd
-    comp, tmor, inv = G._comp, G._tmor, G._inv
+    comp, tmor = G._comp, G._tmor
     idm, aset, lset, rset, cset, uI = G.idm, G.aset, G.lset, G.rset, G.cset, G.uI
     tob = G.tob
     objs = np.arange(no)
     mors = np.arange(n)
 
     should = G.tgt[None, :] == G.src[:, None]
-    entries.append(_entry("composition-defined", (G.comp >= 0) == should, None))
+    yield kept(_entry("composition-defined", (G.comp >= 0) == should, None))
 
     gsel, fsel = np.nonzero(should)
     cc = comp[gsel, fsel]
     ok = (SRC[cc] == SRC[fsel]) & (TGT[cc] == TGT[gsel])
-    entries.append(_entry("composition-typing", ok, [gsel, fsel]))
+    yield kept(_entry("composition-typing", ok, [gsel, fsel]))
     ok = GRD[cc] == gt[GRD[gsel], GRD[fsel]]
-    entries.append(_entry("grade-composition", ok, [gsel, fsel]))
+    yield kept(_entry("grade-composition", ok, [gsel, fsel]))
     # no n_mor^2 local is kept through the scans below
     del should, gsel, fsel, cc
 
     ok_id = (SRC[idm] == objs) & (TGT[idm] == objs) & (GRD[idm] == 0)
-    entries.append(_entry("identity-typing", ok_id, [objs]))
+    yield kept(_entry("identity-typing", ok_id, [objs]))
     ok = (comp[mors, idm[G.src]] == mors) & (comp[idm[G.tgt], mors] == mors)
-    entries.append(_entry("identity-laws", ok, [mors]))
+    yield kept(_entry("identity-laws", ok, [mors]))
 
-    entries.append(_associative(G))
+    yield kept(_associative(G))
 
-    entries.append(_entry("inverses", inv[:-1] >= 0, [mors]))
+    inv = G._inv
+    yield kept(_entry("inverses", inv[:-1] >= 0, [mors]))
 
     ten_should = G.grd[:, None] == G.grd[None, :]
-    entries.append(_entry("tensor-defined", (G.tmor >= 0) == ten_should, None))
+    yield kept(_entry("tensor-defined", (G.tmor >= 0) == ten_should, None))
     del ten_should
-    entries.append(_tensor_typing(G))
+    yield kept(_tensor_typing(G))
 
     ok = tmor[idm[:, None], idm[None, :]] == idm[tob]
-    entries.append(_entry("tensor-identities", ok, None))
+    yield kept(_entry("tensor-identities", ok, None))
 
     # stability: some morphism of each grade out of each object
     seen = np.zeros((no, G.gamma.order), dtype=bool)
@@ -880,9 +922,9 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     if _passed(entries + [stability]) >= _INTERCHANGE_NEEDS:
         k = _grade1_generators(G)
     if k is not None and _interchange_on_generators(G, ups, k):
-        entries.append(AxiomCheck("tensor-interchange"))
+        yield kept(AxiomCheck("tensor-interchange"))
     else:
-        entries.append(_interchange(G))
+        yield kept(_interchange(G))
 
     x2 = objs[:, None]
     y2 = objs[None, :]
@@ -891,21 +933,21 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     z3 = objs[None, None, :]
     ok = (SRC[aset] == tob[tob[x3, y3], z3]) & \
         (TGT[aset] == tob[x3, tob[y3, z3]]) & (GRD[aset] == 0)
-    entries.append(_entry("assoc-typing", ok, None))
+    yield kept(_entry("assoc-typing", ok, None))
     ok = (SRC[lset] == tob[G.unit, objs]) & (TGT[lset] == objs) & (GRD[lset] == 0)
-    entries.append(_entry("left-unit-typing", ok, [objs]))
+    yield kept(_entry("left-unit-typing", ok, [objs]))
     ok = (SRC[rset] == tob[objs, G.unit]) & (TGT[rset] == objs) & (GRD[rset] == 0)
-    entries.append(_entry("right-unit-typing", ok, [objs]))
+    yield kept(_entry("right-unit-typing", ok, [objs]))
     ok = (SRC[cset] == tob[x2, y2]) & (TGT[cset] == tob[y2, x2]) & (GRD[cset] == 0)
-    entries.append(_entry("braiding-typing", ok, None))
+    yield kept(_entry("braiding-typing", ok, None))
 
     grades = np.arange(G.gamma.order)
     ok = (SRC[uI] == G.unit) & (TGT[uI] == G.unit) & (GRD[uI] == grades)
-    entries.append(_entry("unit-functor-typing", ok, [grades]))
+    yield kept(_entry("unit-functor-typing", ok, [grades]))
     s2 = grades[:, None]
     t2 = grades[None, :]
     ok = (comp[uI[s2], uI[t2]] == uI[gt[s2, t2]]) & (uI[0] == idm[G.unit])
-    entries.append(_entry("unit-functor-composition", ok, None))
+    yield kept(_entry("unit-functor-composition", ok, None))
 
     # pentagon
     x4 = objs[:, None, None, None]
@@ -915,30 +957,30 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
     lhs = comp[aset[x4, y4, tob[z4, t4]], aset[tob[x4, y4], z4, t4]]
     rhs = comp[comp[tmor[idm[x4], aset[y4, z4, t4]], aset[x4, tob[y4, z4], t4]],
                tmor[aset[x4, y4, z4], idm[t4]]]
-    entries.append(_entry("pentagon", (lhs == rhs) & (lhs >= 0), None))
+    yield kept(_entry("pentagon", (lhs == rhs) & (lhs >= 0), None))
 
     # triangle
     lhs = comp[tmor[idm[x2], lset[y2]], aset[x2, G.unit, y2]]
     rhs = tmor[rset[x2], idm[y2]]
-    entries.append(_entry("triangle", (lhs == rhs) & (lhs >= 0), None))
+    yield kept(_entry("triangle", (lhs == rhs) & (lhs >= 0), None))
 
     # hexagons
     lhs = comp[comp[tmor[idm[y3], cset[x3, z3]], aset[y3, x3, z3]],
                tmor[cset[x3, y3], idm[z3]]]
     rhs = comp[comp[aset[y3, z3, x3], cset[x3, tob[y3, z3]]], aset[x3, y3, z3]]
-    entries.append(_entry("hexagon-left", (lhs == rhs) & (lhs >= 0), None))
+    yield kept(_entry("hexagon-left", (lhs == rhs) & (lhs >= 0), None))
 
     lhs = comp[comp[tmor[cset[x3, z3], idm[y3]], inv[aset[x3, z3, y3]]],
                tmor[idm[x3], cset[y3, z3]]]
     rhs = comp[comp[inv[aset[z3, x3, y3]], cset[tob[x3, y3], z3]],
                inv[aset[x3, y3, z3]]]
-    entries.append(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
+    yield kept(_entry("hexagon-right", (lhs == rhs) & (lhs >= 0), None))
 
     if _passed(entries + [stability]) >= _NAT_ASSOC_NEEDS and \
             _nat_assoc_on_generators(G, ups, k):
-        entries.append(AxiomCheck("naturality-assoc"))
+        yield kept(AxiomCheck("naturality-assoc"))
     else:
-        entries.append(_nat_assoc(G))
+        yield kept(_nat_assoc(G))
 
     # the other naturality families, grouped by grade
     def nat_braid(sel, s):
@@ -958,23 +1000,22 @@ def check_axioms(G: GradedCatGroup, symmetric=False):
         rhs = comp[sel, rset[SRC[sel]]]
         return (lhs == rhs) & (lhs >= 0), (sel,)
 
-    entries.append(_by_grade(G, "naturality-braiding", nat_braid))
-    entries.append(_by_grade(G, "naturality-left-unit", nat_lunit))
-    entries.append(_by_grade(G, "naturality-right-unit", nat_runit))
+    yield kept(_by_grade(G, "naturality-braiding", nat_braid))
+    yield kept(_by_grade(G, "naturality-left-unit", nat_lunit))
+    yield kept(_by_grade(G, "naturality-right-unit", nat_runit))
 
-    entries.append(stability)
+    yield kept(stability)
 
     # object invertibility: X (x) X' reaches the unit by a grade-1 arrow
     to_unit = np.zeros(no, dtype=bool)
     to_unit[G.src[(G.grd == 0) & (G.tgt == G.unit)]] = True
     reach = to_unit[tob].any(axis=1)
-    entries.append(_entry("object-invertibility", reach, [objs]))
+    yield kept(_entry("object-invertibility", reach, [objs]))
 
     if symmetric:
         lhs = comp[cset[y2, x2], cset[x2, y2]]
-        entries.append(_entry("symmetry", (lhs == idm[tob[x2, y2]]) & (lhs >= 0), None))
-
-    return AxiomReport(entries)
+        yield kept(_entry("symmetry", (lhs == idm[tob[x2, y2]]) & (lhs >= 0),
+                          None))
 
 
 def ker(G: GradedCatGroup):

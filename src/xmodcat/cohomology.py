@@ -564,8 +564,9 @@ def is_3cocycle(h: Cochain3, guard=DEFAULT_GUARD):
     """Whether h satisfies the degree-3 cocycle conditions.
 
     Decided by building the skeletal graded categorical group on h (under
-    guard) and running the full coherence checker on it; that categorical
-    characterization is the authoritative test here.
+    guard) and checking its coherence, which stops at the first failing
+    family (`catgroups.check_axioms`); that categorical characterization
+    is the authoritative test here.
     """
     from . import catgroups
 

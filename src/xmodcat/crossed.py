@@ -71,26 +71,65 @@ class AxiomCheck:
 
 
 class AxiomReport:
-    """Per-axiom verdicts of a module, morphism, category or functor."""
+    """Per-axiom verdicts of a module, morphism, category or functor.
+
+    The checks come from any iterable, read in order and only as far as a
+    question needs them: `ok` and `first_failure` stop at the first failing
+    check, `report[key]` at that key, and `entries`, `failed` and the repr
+    read them all.  Each check is read once and kept, and iteration goes by
+    position among the kept checks, so nested loops see every check once.
+    A read that raises leaves the checks after it unreadable: every later
+    read past the kept checks raises RuntimeError, so a report cut short
+    is never read as whole.
+    """
 
     def __init__(self, entries):
-        self.entries = list(entries)
+        self._read = []
+        self._unread = iter(entries)
+        self._cut = None
+
+    def _pull(self, count=None):
+        """Keep up to count more checks (with None, all of them)."""
+        if self._cut is not None:
+            raise RuntimeError("an earlier read of this report raised") \
+                from self._cut
+        try:
+            self._read.extend(islice(self._unread, count))
+        except BaseException as exc:
+            self._cut = exc
+            raise
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self._read):
+                self._pull(1)
+                if i == len(self._read):
+                    return
+            yield self._read[i]
+            i += 1
+
+    @property
+    def entries(self):
+        """Every check, in order, as a list."""
+        self._pull()
+        return self._read
 
     @property
     def ok(self):
-        return all(e.ok for e in self.entries)
+        return all(e.ok for e in self)
 
     def failed(self):
-        return [e for e in self.entries if not e.ok]
+        return [e for e in self if not e.ok]
 
     def first_failure(self):
-        for e in self.entries:
+        for e in self:
             if not e.ok:
                 return (e.key, e.first_witness)
         return None
 
     def __getitem__(self, key):
-        for e in self.entries:
+        for e in self:
             if e.key == key:
                 return e
         raise KeyError(key)
@@ -432,7 +471,7 @@ def validate_morphism(m: CrossedMorphism):
             (x, y) for x in M.D.elements() for y in M.D.elements()
             if f1(M.eta[x][y]) != Mp.eta[f0(x)][f0(y)])),
     ]
-    phi_ok = m.phi.Q == M.pi0() and m.phi.B == Mp.pi1()
+    phi_ok = _phi_over_ends(m)
     entries.append(AxiomCheck("phi-modules", () if phi_ok else ((),)))
     if phi_ok:
         from .cohomology import is_2cocycle
@@ -441,10 +480,22 @@ def validate_morphism(m: CrossedMorphism):
     return AxiomReport(entries)
 
 
+def _phi_over_ends(m: CrossedMorphism):
+    """Whether m's phi is a cochain on pi0 of its source valued in pi1 of
+    its target."""
+    return m.phi.Q == m.source.pi0() and m.phi.B == m.target.pi1()
+
+
 def compose_morphisms(m2: CrossedMorphism, m1: CrossedMorphism):
-    """m2 after m1, with third component f1'_* phi + f0^* phi'."""
+    """m2 after m1, with third component f1'_* phi + f0^* phi'.  A phi
+    that is not over (pi0 of its source, pi1 of its target) is refused
+    (ShapeMismatch) before any of its values is read."""
     if m1.target != m2.source:
         raise NotComposable("morphism ends do not match")
+    for name, m in (("m1", m1), ("m2", m2)):
+        if not _phi_over_ends(m):
+            raise ShapeMismatch(f"{name}'s phi is not over pi0 of its source "
+                                "and pi1 of its target")
     M, Mm, Mpp = m1.source, m1.target, m2.target
     f1 = m2.f1.compose(m1.f1)
     f0 = m2.f0.compose(m1.f0)

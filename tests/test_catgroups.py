@@ -1022,3 +1022,155 @@ def test_built_category_cannot_rewrite_a_cached_group():
     with pytest.raises(ValueError):
         G.tob[1, 1] = 0
     assert g.cyclic(4).np_table.tolist() == [list(r) for r in Z4.table]
+
+
+# -- reports evaluated up to their first failure -------------------------------
+
+def _summary(checks):
+    return [(e.key, e.fail_count, e.witnesses) for e in checks]
+
+
+def _failing_inputs():
+    """Seeded validation-breaking mutants of the n_mor-128 rung and of the
+    standard corpus, built."""
+    mutants = samples.random_breaking_mutations(
+        random.Random(20261022), [_ladder(8, 3)], 6)
+    mutants += samples.random_breaking_mutations(
+        random.Random(20261022), samples.standard_corpus(), 12)
+    return [cg.build_catgroup(m) for m, _, _ in mutants]
+
+
+def _kinds(base, kinds, seed=0, draws=16):
+    """The first seeded mutant of base of each kind, by the table its
+    mutation edits."""
+    first = {}
+    for m, _, desc in samples.random_breaking_mutations(
+            random.Random(seed), [base], draws):
+        first.setdefault(desc.split("[")[0], m)
+    assert set(kinds) <= set(first)
+    return [first[kind] for kind in kinds]
+
+
+_READ_ORDERS = {
+    "first_failure": lambda rep: rep.first_failure(),
+    "a late key": lambda rep: rep["naturality-assoc"],
+    "failed": lambda rep: rep.failed(),
+    "repr": repr,
+    "nested loops": lambda rep: [(e, f) for e in rep for f in rep],
+}
+
+
+def test_every_read_order_gives_the_report_read_whole():
+    inputs = _failing_inputs()
+    inputs += [cg.build_catgroup(m) for m in samples.standard_corpus()[:4]]
+    for G in inputs:
+        for symmetric in (False, True):
+            want = _summary(list(cg._checks(G, symmetric)))
+            bad = [w for w in want if w[1]]
+            for order, read in _READ_ORDERS.items():
+                rep = cg.check_axioms(G, symmetric)
+                got = read(rep)
+                assert _summary(rep.entries) == want, order
+                if order == "nested loops":
+                    assert [(e.key, f.key) for e, f in got] == [
+                        (a[0], b[0]) for a in want for b in want]
+            assert rep.ok == (not bad)
+            assert rep.first_failure() == (
+                (bad[0][0], bad[0][2][0]) if bad else None)
+            assert _summary(rep.failed()) == bad
+
+
+def test_an_edit_after_a_failing_check_leaves_its_report():
+    for G in _failing_inputs()[:8]:
+        want = _summary(cg._checks(G))
+        rep = cg.check_axioms(G)
+        assert not rep.ok
+        G.comp[:] = 0
+        G.tmor[:] = -1
+        G.aset[:] = 0
+        assert _summary(rep.entries) == want
+
+
+def _count_exhaustive_scans(monkeypatch):
+    """Count the runs of the two coherence evaluators on every arrow."""
+    calls = {"tensor-interchange": 0, "naturality-assoc": 0}
+
+    def counted(key, scan):
+        def run(G, arrows=None):
+            calls[key] += arrows is None
+            return scan(G, arrows)
+        return run
+    monkeypatch.setattr(cg, "_interchange",
+                        counted("tensor-interchange", cg._interchange))
+    monkeypatch.setattr(cg, "_nat_assoc",
+                        counted("naturality-assoc", cg._nat_assoc))
+    return calls
+
+
+def test_a_verdict_read_runs_no_exhaustive_scan(monkeypatch):
+    # the actD mutant fails composition-typing, a precondition of both
+    # generator passes, so a whole read scans both families on every arrow
+    G = cg.build_catgroup(_kinds(_ladder(8, 3), ["actD"])[0])
+    calls = _count_exhaustive_scans(monkeypatch)
+    rep = cg.check_axioms(G)
+    assert not rep.ok
+    assert rep.first_failure()[0] == "composition-typing"
+    assert calls == {"tensor-interchange": 0, "naturality-assoc": 0}
+    failed = [e.key for e in rep.entries if not e.ok]
+    assert {"tensor-interchange", "naturality-assoc"} <= set(failed)
+    # a second read of the report runs nothing again
+    rep["naturality-assoc"]
+    repr(rep)
+    assert calls == {"tensor-interchange": 1, "naturality-assoc": 1}
+
+
+def test_a_read_that_raises_leaves_no_short_report(monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    def interrupted(G, arrows=None):
+        raise Interrupted
+
+    G = cg.build_catgroup(_kinds(_ladder(8, 3), ["actD"])[0])
+    rep = cg.check_axioms(G)
+    with monkeypatch.context() as patch:
+        patch.setattr(cg, "_nat_assoc", interrupted)
+        with pytest.raises(Interrupted):
+            rep.entries
+    # the checks read before the raise stay readable, the rest refuse
+    assert rep.first_failure()[0] == "composition-typing"
+    assert rep["tensor-interchange"].fail_count > 0
+    for read in (lambda: rep.entries, rep.failed, lambda: rep["symmetry"]):
+        with pytest.raises(RuntimeError, match="an earlier read"):
+            read()
+
+
+def test_a_passing_category_is_checked_without_a_copy(monkeypatch):
+    copies = []
+    snapshot = cg._snapshot
+    monkeypatch.setattr(cg, "_snapshot",
+                        lambda G: copies.append(G) or snapshot(G))
+    for m in samples.standard_corpus() + [_ladder(8, 3)]:
+        rep = cg.check_axioms(cg.build_catgroup(m))
+        assert rep.ok and len(rep.entries) == 27
+    assert copies == []
+    G = _failing_inputs()[0]
+    cg.check_axioms(G).entries
+    assert copies == [G]
+
+
+def test_whole_reads_of_ladder_mutants_match_the_one_piece_scans(monkeypatch):
+    # a verdict read stops before the exhaustive scans, so this reads each
+    # report whole: its two coherence families against the one-piece
+    # references, and every blocked scan on the mutant at every block size
+    seen = set()
+    for m in _kinds(_ladder(8, 3), ["actB", "actD", "theta"]):
+        G = cg.build_catgroup(m)
+        rep = cg.check_axioms(G)
+        for key, reference in (("tensor-interchange", _interchange_one_piece),
+                               ("naturality-assoc", _nat_assoc_one_piece)):
+            want = reference(G)
+            assert _summary([rep[key]]) == _summary([want]), key
+        seen |= _blocked_scans_agree(monkeypatch, G)
+    assert {("composition-associative", False), ("tensor-typing", False),
+            ("tensor-interchange", False), ("naturality-assoc", False)} <= seen

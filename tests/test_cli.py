@@ -719,3 +719,23 @@ def test_golden_json_report_is_pinned(name, tmp_path, capsys):
 def test_every_golden_scenario_has_a_pinned_json_report():
     assert sorted(p.name for p in GOLDEN_JSON.glob("*.json")) == sorted(
         p.name for p in cli.default_corpus_dir().glob("*.json"))
+
+
+FAILING_SCENARIO = Path(__file__).parent / "scenarios" / \
+    "check_axioms_broken_actd.json"
+
+
+def test_check_axioms_on_a_module_that_fails(tmp_path, capsys):
+    """check-axioms on the Z/4-negation module with one entry of its
+    Gamma-action on D moved, which breaks validation: its pinned stdout,
+    exit code 1 and --json report.  The scenario lives under tests/, since
+    every *.json in the corpus directory is read as a golden scenario."""
+    out_json = tmp_path / "report.json"
+    code, out, err = run_cli(["check-axioms", str(FAILING_SCENARIO),
+                              "--json", str(out_json)], capsys)
+    assert (code, err) == (1, "")
+    assert out == FAILING_SCENARIO.with_suffix(".expected.txt").read_text()
+    assert out.splitlines()[0].endswith("FAIL ('composition-typing', (9, 7))")
+    assert json.loads(out_json.read_text()) == {
+        "exit_code": 1, "kind": "check-axioms",
+        "report": {"count": 1, "ok": False}}

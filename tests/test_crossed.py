@@ -322,3 +322,31 @@ def test_compose_refuses_a_grade_value_that_leaves_the_kernel():
     m2 = xm.CrossedMorphism(m, iso, ident, ident)
     with pytest.raises(ShapeMismatch, match="off the boundary's kernel"):
         xm.compose_morphisms(m2, m1)
+
+
+def _over_z4(m, qq11):
+    """A morphism m -> m, identity on B and D, whose phi is valued in a
+    trivial Z/4 module instead of pi1 of m, with qq[1][1] = qq11."""
+    ident = g.identity_hom(Z2)
+    Z4mod = g.GammaModule(Z4, g.trivial_action(m.gamma, Z4))
+    phi = SymmetricCochain2(m.pi0(), Z4mod, [[0, 0], [0, qq11]], [[0], [0]])
+    return xm.CrossedMorphism(m, m, ident, ident, phi)
+
+
+def test_compose_refuses_a_first_phi_off_its_ends_before_reading_it():
+    # phi of m1 takes the value 3, past the two-element kernel of m, which
+    # indexed a table of that kernel before its modules were checked
+    m = samples.abelian_module(Z2, Z2, [0, 0])
+    m1 = _over_z4(m, 3)
+    assert not xm.validate_morphism(m1).ok
+    with pytest.raises(ShapeMismatch, match="m1's phi"):
+        xm.compose_morphisms(xm.identity_morphism(m), m1)
+
+
+def test_compose_refuses_a_second_phi_off_its_ends():
+    m = samples.abelian_module(Z2, Z2, [0, 0])
+    for qq11 in (0, 3):
+        m2 = _over_z4(m, qq11)
+        assert not xm.validate_morphism(m2).ok
+        with pytest.raises(ShapeMismatch, match="m2's phi"):
+            xm.compose_morphisms(m2, xm.identity_morphism(m))
